@@ -9,6 +9,7 @@ reproduces it byte-for-byte. Every random draw descends from the single
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -37,7 +38,7 @@ from .network import (
     shortest_path_matrix,
 )
 from .routing import RoutingInstance, expected_cost, solve_routing, validate_routes
-from .scenario import ScenarioConfig, default_crews, generate_scenarios
+from .scenario import N_CREWS, ScenarioConfig, default_crews, generate_scenarios
 from .schedule import DEFAULT_SPEED_KMH, build_schedule, combine_charts
 
 EXIT_OK = 0
@@ -76,19 +77,19 @@ class PipelineConfig:
     """Tunables shared across stages; a JSON config file overrides fields."""
 
     n_scenarios: int = 3
-    demand_lo: int = 5
-    demand_hi: int = 19
-    repair_time_min_h: float = 0.5
-    repair_time_max_h: float = 12.0
-    repair_time_mu: float = -0.3072
-    repair_time_sigma: float = 1.8404
-    edge_fail_prob: float = 0.5
+    demand_lo: int = ScenarioConfig.demand_lo
+    demand_hi: int = ScenarioConfig.demand_hi
+    repair_time_min_h: float = ScenarioConfig.repair_time_min_h
+    repair_time_max_h: float = ScenarioConfig.repair_time_max_h
+    repair_time_mu: float = ScenarioConfig.repair_time_mu
+    repair_time_sigma: float = ScenarioConfig.repair_time_sigma
+    edge_fail_prob: float = ScenarioConfig.edge_fail_prob
     corridor_width_m: float | None = None
     crew_costs: list[float] | None = None
     scale_c: float | None = None
     power_weight: float = 1.0
     time_weight: float = 1.0
-    cost_rate_per_m: list[float] = field(default_factory=lambda: [1.0, 1.0, 1.0, 1.0])
+    cost_rate_per_m: list[float] = field(default_factory=lambda: [1.0] * N_CREWS)
     speed_kmh: float = DEFAULT_SPEED_KMH
 
     @classmethod
@@ -104,6 +105,16 @@ class PipelineConfig:
             if key not in known:
                 raise SchemaError(f"{path}: unknown config key {key!r}")
             setattr(cfg, key, value)
+        rates = cfg.cost_rate_per_m
+        if not (
+            isinstance(rates, list)
+            and len(rates) == N_CREWS
+            and all(isinstance(r, (int, float)) and not isinstance(r, bool)
+                    and math.isfinite(r) and r >= 0 for r in rates)
+        ):
+            raise SchemaError(
+                f"{path}: cost_rate_per_m must hold {N_CREWS} finite numbers >= 0, got {rates!r}"
+            )
         return cfg
 
     def echo(self) -> dict:
@@ -429,6 +440,9 @@ def main(argv=None) -> int:
                 return code
         print(f"error: {exc}", file=sys.stderr)  # pragma: no cover
         return EXIT_INPUT  # pragma: no cover
+    except Exception as exc:  # a bug, not bad input: one line, no traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,20 +2,15 @@
 
 Each crew with outstanding demand gets one depot-to-depot path visiting its
 required nodes exactly once. ``solve_routing`` runs a Held-Karp dynamic
-program over node subsets; ``brute_force_routing`` enumerates every
-permutation and depot pair. Both share one tie-break rule, so their output
-is bit-identical: minimum cost, then lexicographically smallest visit
-order, then smallest (depot_start, depot_end).
+program over node subsets with the depots folded into its first and last
+steps; ``brute_force_routing`` enumerates every permutation and depot pair.
+Both share one tie-break rule, so their output is bit-identical: minimum
+cost, then lexicographically smallest visit order, then smallest
+(depot_start, depot_end).
 
-Both solvers optimize over an exact integer image of the arc costs: every
-finite float is a dyadic rational, so the arc table embeds losslessly on a
-common power-of-two grid. Equal path costs are then true mathematical ties
-regardless of summation order, which makes the shared tie-break sound and
-lets the DP keep, per state, the lexicographically smallest minimum-cost
-prefix (a prefix of the lex-smallest optimal path is itself the
-lex-smallest minimum-cost prefix of its state). Reported leg costs and
-totals are the float arc costs summed left to right, identical in both
-solvers because the chosen routes are identical.
+Both solvers optimize integer millimeters x the crew's rate, so equal costs
+are exact ties. Reported leg costs and totals are the float arc costs
+summed left to right.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NodeUnreachableError, TooManyNodesError, UnreachableArcError
@@ -42,7 +36,6 @@ class RoutingInstance:
     required: Mapping[int, frozenset[NodeId]]
     depots: frozenset[NodeId]
     cost_rate_per_m: Mapping[int, float] = field(default_factory=dict)
-    travel_cost: Mapping[tuple[NodeId, NodeId, int], float] | None = None
     damaged: frozenset[NodeId] | None = None
 
     def __post_init__(self):
@@ -50,8 +43,6 @@ class RoutingInstance:
                            {k: frozenset(v) for k, v in self.required.items()})
         object.__setattr__(self, "depots", frozenset(self.depots))
         object.__setattr__(self, "cost_rate_per_m", dict(self.cost_rate_per_m))
-        if self.travel_cost is not None:
-            object.__setattr__(self, "travel_cost", dict(self.travel_cost))
         damaged = self.damaged
         if damaged is None:
             damaged = frozenset().union(*self.required.values()) if self.required else frozenset()
@@ -71,10 +62,10 @@ class RoutingInstance:
                 raise ValueError(f"required nodes for crew {k} must lie in the damaged set")
         if self.depots & self.damaged:
             raise ValueError("depots cannot be damaged nodes")
+        if not all(math.isfinite(r) for r in self.cost_rate_per_m.values()):
+            raise ValueError("cost rates must be finite")
         if any(r < 0 for r in self.cost_rate_per_m.values()):
             raise ValueError("cost rates must be >= 0")
-        if self.travel_cost is not None and any(c < 0 for c in self.travel_cost.values()):
-            raise ValueError("travel costs must be >= 0")
 
     @classmethod
     def from_scenario(
@@ -105,10 +96,6 @@ class RoutingInstance:
         """Travel cost of one leg; inf when the pair is unreachable."""
         if u == v:
             return 0.0
-        if self.travel_cost is not None:
-            override = self.travel_cost.get((u, v, crew))
-            if override is not None:
-                return override
         return self.complete.dist_m(u, v) * self.rate(crew)
 
 
@@ -205,26 +192,17 @@ def _route_from_order(
     return Route(crew, d0, d1, order, legs, total, _mtz_labels(order))
 
 
-def _exact_arc_table(inst: RoutingInstance, crew: int, stops: Sequence[NodeId]):
-    """Arc costs as exact integers on a common power-of-two grid.
+def _arc_table(inst: RoutingInstance, crew: int,
+               stops: Sequence[NodeId]) -> list[list[int | None]]:
+    """Integer millimeters between ``stops`` by index; None where unreachable.
 
-    Missing keys mark unreachable arcs. Equal-cost paths compare as true
-    ties no matter how the additions associate.
+    A route costs rate x its millimeters, so for a positive rate the
+    millimeters order routes exactly; at rate 0 every reachable arc costs 0.
     """
-    fracs = {}
-    shift = 0
-    for u in stops:
-        for v in stops:
-            c = inst.arc_cost(u, v, crew)
-            if math.isfinite(c):
-                f = Fraction(c)
-                fracs[(u, v)] = f
-                shift = max(shift, f.denominator.bit_length() - 1)
-    ints = {
-        key: f.numerator << (shift - (f.denominator.bit_length() - 1))
-        for key, f in fracs.items()
-    }
-    return ints
+    ix = [inst.complete.index(s) for s in stops]
+    scale = 1 if inst.rate(crew) > 0 else 0
+    return [[None if mm < 0 else mm * scale for mm in row]
+            for row in inst.complete.dist_mm[ix][:, ix].tolist()]
 
 
 def _solve_crew_dp(inst: RoutingInstance, crew: int) -> Route:
@@ -234,48 +212,52 @@ def _solve_crew_dp(inst: RoutingInstance, crew: int) -> Route:
         raise TooManyNodesError(crew, n, SOLVE_NODE_CAP)
     _check_reachability(inst, crew, nodes)
     depots = sorted(inst.depots, key=node_key)
-    arcs = _exact_arc_table(inst, crew, depots + nodes)
+    m = len(depots)
+    arcs = _arc_table(inst, crew, depots + nodes)  # node i is stop m + i
 
-    best: tuple[int, tuple[int, ...], int, int] | None = None
+    # state: (mask, last) -> the smallest (cost, index path, start depot
+    # rank). Appending one step keeps the order of equal-length prefixes, so
+    # the smallest prefix of a state extends to the smallest full route.
+    states: dict[tuple[int, int], tuple[int, tuple[int, ...], int]] = {}
+    for i in range(n):
+        starts = [(arcs[d0_rank][m + i], (i,), d0_rank)
+                  for d0_rank in range(m) if arcs[d0_rank][m + i] is not None]
+        if starts:
+            states[(1 << i, i)] = min(starts)
     full = (1 << n) - 1
-    for d0_rank, d0 in enumerate(depots):
-        # state: (mask, last) -> (cost, index path), keeping the lex-smallest
-        # minimum-cost prefix
-        states: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        for i in range(n):
-            first = arcs.get((d0, nodes[i]))
-            if first is not None:
-                states[(1 << i, i)] = (first, (i,))
-        for mask in range(1, full + 1):
-            for last in range(n):
-                state = states.get((mask, last))
-                if state is None:
-                    continue
-                cost, path = state
-                for nxt in range(n):
-                    bit = 1 << nxt
-                    if mask & bit:
-                        continue
-                    step = arcs.get((nodes[last], nodes[nxt]))
-                    if step is None:
-                        continue
-                    cand = (cost + step, path + (nxt,))
-                    key = (mask | bit, nxt)
-                    cur = states.get(key)
-                    if cur is None or cand < cur:
-                        states[key] = cand
+    for mask in range(1, full + 1):
         for last in range(n):
-            state = states.get((full, last))
+            state = states.get((mask, last))
             if state is None:
                 continue
-            cost, path = state
-            for d1_rank, d1 in enumerate(depots):
-                home = arcs.get((nodes[last], d1))
-                if home is None:
+            cost, path, d0_rank = state
+            row = arcs[m + last]
+            for nxt in range(n):
+                bit = 1 << nxt
+                if mask & bit:
                     continue
-                cand = (cost + home, path, d0_rank, d1_rank)
-                if best is None or cand < best:
-                    best = cand
+                step = row[m + nxt]
+                if step is None:
+                    continue
+                cand = (cost + step, path + (nxt,), d0_rank)
+                key = (mask | bit, nxt)
+                cur = states.get(key)
+                if cur is None or cand < cur:
+                    states[key] = cand
+
+    best: tuple[int, tuple[int, ...], int, int] | None = None
+    for last in range(n):
+        state = states.get((full, last))
+        if state is None:
+            continue
+        cost, path, d0_rank = state
+        for d1_rank in range(m):
+            home = arcs[m + last][d1_rank]
+            if home is None:
+                continue
+            cand = (cost + home, path, d0_rank, d1_rank)
+            if best is None or cand < best:
+                best = cand
     if best is None:
         raise NodeUnreachableError(nodes[0], crew, "no feasible depot-to-depot route")
     _, path, d0_rank, d1_rank = best
@@ -290,24 +272,25 @@ def _solve_crew_brute(inst: RoutingInstance, crew: int) -> Route:
         raise TooManyNodesError(crew, n, BRUTE_NODE_CAP)
     _check_reachability(inst, crew, nodes)
     depots = sorted(inst.depots, key=node_key)
-    arcs = _exact_arc_table(inst, crew, depots + nodes)
+    m = len(depots)
+    arcs = _arc_table(inst, crew, depots + nodes)  # node i is stop m + i
 
     best: tuple[int, tuple[int, ...], int, int] | None = None
     for perm in itertools.permutations(range(n)):
-        for d0_rank, d0 in enumerate(depots):
-            cost = arcs.get((d0, nodes[perm[0]]))
+        for d0_rank in range(m):
+            cost = arcs[d0_rank][m + perm[0]]
             if cost is None:
                 continue
             for a, b in zip(perm, perm[1:]):
-                step = arcs.get((nodes[a], nodes[b]))
+                step = arcs[m + a][m + b]
                 if step is None:
                     cost = None
                     break
                 cost += step
             if cost is None:
                 continue
-            for d1_rank, d1 in enumerate(depots):
-                home = arcs.get((nodes[perm[-1]], d1))
+            for d1_rank in range(m):
+                home = arcs[m + perm[-1]][d1_rank]
                 if home is None:
                     continue
                 cand = (cost + home, perm, d0_rank, d1_rank)

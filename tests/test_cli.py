@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from gridrestore import fileio
+from gridrestore import cli, fileio
 from gridrestore.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NO_DAMAGE,
     EXIT_OK,
     EXIT_UNBOUNDED,
@@ -441,20 +442,35 @@ class TestReproducibility:
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, fixture_dir, tmp_path, capsys):
-        (tmp_path / "config.json").write_text(
-            json.dumps({"schema": "config/1", "no_such_knob": 1})
-        )
-        code = main([
-            "--out-dir", str(tmp_path / "out"),
-            "--config", str(tmp_path / "config.json"),
-            "build-network",
-            "--road-nodes", str(fixture_dir / "road_nodes.csv"),
-            "--road-edges", str(fixture_dir / "road_edges.csv"),
-            "--power", str(fixture_dir / "power.csv"),
-            "--depots", "r0c0",
-        ])
-        assert code == EXIT_INPUT
-        assert "no_such_knob" in capsys.readouterr().err
+        # also every cost_rate_per_m that is not N_CREWS finite numbers >= 0
+        for bad, named in [
+            ({"no_such_knob": 1}, "no_such_knob"),
+            ({"cost_rate_per_m": [float("nan"), 1, 1, 1]}, "cost_rate_per_m"),
+            ({"cost_rate_per_m": [float("inf"), 1, 1, 1]}, "cost_rate_per_m"),
+            ({"cost_rate_per_m": [1, 1]}, "cost_rate_per_m"),
+            ({"cost_rate_per_m": [1, 1, 1, -1]}, "cost_rate_per_m"),
+        ]:
+            (tmp_path / "config.json").write_text(json.dumps({"schema": "config/1", **bad}))
+            code = main([
+                "--out-dir", str(tmp_path / "out"),
+                "--config", str(tmp_path / "config.json"),
+                "build-network",
+                "--road-nodes", str(fixture_dir / "road_nodes.csv"),
+                "--road-edges", str(fixture_dir / "road_edges.csv"),
+                "--power", str(fixture_dir / "power.csv"),
+                "--depots", "r0c0",
+            ])
+            assert code == EXIT_INPUT, bad
+            assert named in capsys.readouterr().err, bad
+
+    def test_unexpected_exception_exits_internal(self, tmp_path, monkeypatch, capsys):
+        def boom(args, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_render", boom)
+        code = main(["--out-dir", str(tmp_path), "render", "--gantt", "gantt.csv"])
+        assert code == EXIT_INTERNAL
+        assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
     def test_sampling_knobs_flow_through(self, fixture_dir, tmp_path):
         out = tmp_path / "out"

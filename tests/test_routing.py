@@ -118,6 +118,11 @@ class TestSolveRouting:
                 _instance(dists, ["d"], {0: frozenset(nodes[:9])}), 0
             )
 
+    def test_non_finite_or_negative_rate_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf"), -1.0):
+            with pytest.raises(ValueError, match="cost rates"):
+                _instance({("d", "a"): 1.0}, ["d"], {0: frozenset(["a"])}, {0: 1.0, 1: bad})
+
     def test_unreachable_node_named(self):
         m = [[0.0, np.inf, np.inf], [np.inf, 0.0, 7.0], [np.inf, 7.0, 0.0]]
         cg = CompleteGraph.from_distances(["a", "b", "d"], m)
@@ -166,6 +171,15 @@ class TestOracleEquality:
         for _ in range(100):
             inst = random_routing_instance(rng, max_required=6, max_depots=3)
             assert solve_routing(inst, 0) == brute_force_routing(inst, 0)
+        # terminals on a line at whole decimeters, so whole-millimeter ties
+        # between routes are common
+        for _ in range(60):
+            base = random_routing_instance(rng, max_required=6, max_depots=3)
+            pos = rng.integers(0, 30, size=len(base.complete.terminals)) / 10.0
+            line = CompleteGraph.from_distances(base.complete.terminals,
+                                                np.abs(pos[:, None] - pos[None, :]))
+            inst = RoutingInstance(line, base.required, base.depots, base.cost_rate_per_m)
+            assert solve_routing(inst, 0) == brute_force_routing(inst, 0)
 
     def test_cardinality_small_case(self):
         # 3 nodes, 2 depots: 3! orders x 4 ordered depot pairs = 24 candidates
@@ -177,19 +191,33 @@ class TestOracleEquality:
         assert solve_routing(inst, 0) == brute_force_routing(inst, 0)
 
     def test_tie_breaking_is_lexicographic(self):
-        # all distances equal: every order ties; both solvers must pick the
-        # lexicographically smallest visit order and depot pair
+        # every case ties (a, b, c) with another order; both solvers must
+        # pick the lexicographically smallest visit order and depot pair
         nodes = ["a", "b", "c"]
-        dists = {("d0", "d1"): 4.0}
+        equal = {("d0", "d1"): 4.0}
         for x in nodes:
-            dists |= {("d0", x): 4.0, ("d1", x): 4.0}
-        dists |= {("a", "b"): 4.0, ("a", "c"): 4.0, ("b", "c"): 4.0}
-        inst = _instance(dists, ["d0", "d1"], {0: frozenset(nodes)})
-        a = solve_routing(inst, 0)
-        b = brute_force_routing(inst, 0)
-        assert a == b
-        assert a.routes[0].visit_order == ("a", "b", "c")
-        assert (a.routes[0].depot_start, a.routes[0].depot_end) == ("d0", "d0")
+            equal |= {("d0", x): 4.0, ("d1", x): 4.0}
+        equal |= {("a", "b"): 4.0, ("a", "c"): 4.0, ("b", "c"): 4.0}
+        # rate 0: every route costs 0 although the distances differ
+        unequal = {("d0", "d1"): 1.0, ("a", "b"): 7.0, ("a", "c"): 2.5, ("b", "c"): 9.25}
+        for x, d in zip(nodes, (6.0, 3.5, 1.0)):
+            unequal |= {("d0", x): d, ("d1", x): 2 * d}
+        # d, a, b, c at 0, 0.5, 1.1 and 2.2 m on a line: (a, b, c) and
+        # (a, c, b) both take 4,400 mm, though their float arc costs
+        # (mm / 1000) do not sum to the same exact value
+        pos = {"d": 0.0, "a": 0.5, "b": 1.1, "c": 2.2}
+        collinear = {(u, v): abs(pos[u] - pos[v]) for u in pos for v in pos if u < v}
+        cases = [
+            ("equal distances", _instance(equal, ["d0", "d1"], {0: frozenset(nodes)}), "d0"),
+            ("rate 0", _instance(unequal, ["d0", "d1"], {0: frozenset(nodes)}, {0: 0.0}), "d0"),
+            ("collinear", _instance(collinear, ["d"], {0: frozenset(nodes)}), "d"),
+        ]
+        for name, inst, depot in cases:
+            a = solve_routing(inst, 0)
+            b = brute_force_routing(inst, 0)
+            assert a == b, name
+            assert a.routes[0].visit_order == ("a", "b", "c"), name
+            assert (a.routes[0].depot_start, a.routes[0].depot_end) == (depot, depot), name
 
     def test_deleting_a_node_never_increases_cost_on_metric(self, rng):
         # metric closure over a random road graph keeps the triangle inequality
