@@ -56,10 +56,7 @@ class Stage1Instance:
             )
         if any(c <= 0 for c in self.crew_costs):
             raise ValueError("crew costs must be > 0")
-        missing = [i for i in sorted(self.scenarios.damaged, key=node_key)
-                   if i not in self.loads_kw]
-        if missing:
-            raise DimensionMismatchError(f"loads_kw missing damaged node(s): {missing!r}")
+        _check_loads(self.scenarios, self.loads_kw)
 
     @classmethod
     def from_scenarios(
@@ -81,6 +78,7 @@ class Stage1Instance:
             else tuple(c.hourly_cost_per_person for c in scenarios.crews)
         )
         if scale_c is None:
+            _check_loads(scenarios, loads_kw)  # _gains reads every damaged node's load
             gains = _gains(scenarios, loads_kw, power_weight, time_weight)
             scale_c = default_scale_c(gains, costs)
         return cls(scenarios, loads_kw, costs, scale_c, power_weight, time_weight)
@@ -135,6 +133,12 @@ def stage1_objective(alloc: CrewAllocation, inst: Stage1Instance) -> float:
             restored += inst.loads_kw[i] * y
             repair_time += scen.scenarios[s].repair_time_h[(i, k)] * y
     return cost_term - (inst.power_weight * restored - inst.time_weight * repair_time) / scen.n_scenarios
+
+
+def _check_loads(scenarios: ScenarioSet, loads_kw: Mapping[NodeId, float]) -> None:
+    missing = [i for i in sorted(scenarios.damaged, key=node_key) if i not in loads_kw]
+    if missing:
+        raise DimensionMismatchError(f"loads_kw missing damaged node(s): {missing!r}")
 
 
 def _gains(

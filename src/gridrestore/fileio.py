@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -98,6 +99,19 @@ def _pairs(mapping: Mapping[NodeId, object]) -> list[list]:
 
 def _ids(ids: Iterable[NodeId]) -> list[NodeId]:
     return sorted(ids, key=node_key)
+
+
+def _loads_kw(pairs: Iterable, path: str | Path) -> dict[NodeId, float]:
+    """``[[node, kw], ...]`` as a map; every load must be a finite number."""
+    loads = {}
+    for node, kw in pairs:
+        try:
+            loads[node] = float(kw)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}: bad loads_kw value {kw!r} for node {node!r}") from None
+        if not math.isfinite(loads[node]):
+            raise SchemaError(f"{path}: loads_kw for node {node!r} must be finite, got {kw!r}")
+    return loads
 
 
 # --- CSV ingestion ---------------------------------------------------------
@@ -262,7 +276,7 @@ def read_network_file(path: str | Path) -> CoupledNetwork:
         power_to_road={bus: node for bus, node in obj["power_to_road"]},
         depots=frozenset(obj["depots"]),
         damaged=frozenset(obj["damaged"]),
-        loads_kw={node: float(kw) for node, kw in obj["loads_kw"]},
+        loads_kw=_loads_kw(obj["loads_kw"], path),
     )
 
 
@@ -335,7 +349,7 @@ def read_scenario_file(path: str | Path) -> ScenarioSet:
             damaged=frozenset(obj["damaged"]),
             crews=crews,
             config=obj.get("config"),
-            loads_kw={i: float(kw) for i, kw in loads} if loads is not None else None,
+            loads_kw=_loads_kw(loads, path) if loads is not None else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed scenario set ({exc})") from None

@@ -1,24 +1,33 @@
 """Per-scenario, per-crew exact routing over the reduced complete graph.
 
 Each crew with outstanding demand gets one depot-to-depot path visiting its
-required nodes exactly once. ``solve_routing`` runs a Held-Karp dynamic
-program over node subsets with the depots folded into its first and last
-steps; ``brute_force_routing`` enumerates every permutation and depot pair.
-Both share one tie-break rule, so their output is bit-identical: minimum
-cost, then lexicographically smallest visit order, then smallest
-(depot_start, depot_end).
+required nodes exactly once. ``brute_force_routing`` enumerates every
+permutation and depot pair. ``solve_routing`` runs a Held-Karp dynamic
+program over node subsets in numpy: a backward pass fills the cost-to-go
+``g[mask, last]`` (finish every node outside ``mask`` from ``last``, then go
+home to the best depot) one popcount layer at a time, and a forward pass
+rebuilds the route greedily, taking at each step the smallest node that
+still attains the optimum. Both solvers share one tie-break rule, so their
+output is bit-identical: minimum cost, then lexicographically smallest visit
+order, then smallest (depot_start, depot_end).
 
 Both solvers optimize integer millimeters x the crew's rate, so equal costs
-are exact ties. Reported leg costs and totals are the float arc costs
-summed left to right.
+are exact ties, and the optimal order and depots depend only on the required
+set and on whether the rate is positive. ``solve_routing`` therefore solves
+each distinct (required set, rate > 0) once per call and shares the result
+between crews. Reported leg costs and totals are each crew's own float arc
+costs summed left to right.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import NodeUnreachableError, TooManyNodesError, UnreachableArcError
 from .network import CompleteGraph, NodeId, node_key
@@ -192,20 +201,43 @@ def _route_from_order(
     return Route(crew, d0, d1, order, legs, total, _mtz_labels(order))
 
 
-def _arc_table(inst: RoutingInstance, crew: int,
-               stops: Sequence[NodeId]) -> list[list[int | None]]:
-    """Integer millimeters between ``stops`` by index; None where unreachable.
+def _arc_mm(inst: RoutingInstance, crew: int, stops: Sequence[NodeId]) -> np.ndarray:
+    """Integer millimeters between ``stops`` by index; -1 where unreachable.
 
     A route costs rate x its millimeters, so for a positive rate the
     millimeters order routes exactly; at rate 0 every reachable arc costs 0.
     """
     ix = [inst.complete.index(s) for s in stops]
-    scale = 1 if inst.rate(crew) > 0 else 0
-    return [[None if mm < 0 else mm * scale for mm in row]
-            for row in inst.complete.dist_mm[ix][:, ix].tolist()]
+    mm = inst.complete.dist_mm[np.ix_(ix, ix)]
+    return mm if inst.rate(crew) > 0 else np.minimum(mm, 0)
 
 
-def _solve_crew_dp(inst: RoutingInstance, crew: int) -> Route:
+def _arc_table(inst: RoutingInstance, crew: int,
+               stops: Sequence[NodeId]) -> list[list[int | None]]:
+    """``_arc_mm`` as Python ints, None where unreachable."""
+    return [[None if mm < 0 else mm for mm in row]
+            for row in _arc_mm(inst, crew, stops).tolist()]
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per popcount 1..n-1: the masks, each mask with node j's bit set, and
+    whether the mask already holds node j (the last two shaped (masks, n))."""
+    masks = np.arange(1 << n)
+    bits = 1 << np.arange(n)
+    popcount = ((masks[:, None] & bits) != 0).sum(axis=1)
+    layers = []
+    for k in range(1, n):
+        layer = masks[popcount == k]
+        arrays = (layer, layer[:, None] | bits, (layer[:, None] & bits) != 0)
+        for a in arrays:
+            a.setflags(write=False)
+        layers.append(arrays)
+    return tuple(layers)
+
+
+def _solve_crew_dp(inst: RoutingInstance, crew: int) -> tuple[NodeId, NodeId, tuple[NodeId, ...]]:
+    """The optimal (depot_start, depot_end, visit order) under the shared tie-break."""
     nodes = sorted(inst.required[crew], key=node_key)
     n = len(nodes)
     if n > SOLVE_NODE_CAP:
@@ -213,56 +245,38 @@ def _solve_crew_dp(inst: RoutingInstance, crew: int) -> Route:
     _check_reachability(inst, crew, nodes)
     depots = sorted(inst.depots, key=node_key)
     m = len(depots)
-    arcs = _arc_table(inst, crew, depots + nodes)  # node i is stop m + i
+    # float64 sums of millimeters are exact while a route stays below 2**53
+    # mm (9e9 km, far beyond any road), so equal sums are exact ties
+    mm = _arc_mm(inst, crew, depots + nodes)  # node i is stop m + i
+    arcs = np.where(mm < 0, np.inf, mm)
+    first, step, home = arcs[:m, m:], arcs[m:, m:], arcs[m:, :m]
+    idx = np.arange(n)
+    bits = 1 << idx
 
-    # state: (mask, last) -> the smallest (cost, index path, start depot
-    # rank). Appending one step keeps the order of equal-length prefixes, so
-    # the smallest prefix of a state extends to the smallest full route.
-    states: dict[tuple[int, int], tuple[int, tuple[int, ...], int]] = {}
-    for i in range(n):
-        starts = [(arcs[d0_rank][m + i], (i,), d0_rank)
-                  for d0_rank in range(m) if arcs[d0_rank][m + i] is not None]
-        if starts:
-            states[(1 << i, i)] = min(starts)
-    full = (1 << n) - 1
-    for mask in range(1, full + 1):
-        for last in range(n):
-            state = states.get((mask, last))
-            if state is None:
-                continue
-            cost, path, d0_rank = state
-            row = arcs[m + last]
-            for nxt in range(n):
-                bit = 1 << nxt
-                if mask & bit:
-                    continue
-                step = row[m + nxt]
-                if step is None:
-                    continue
-                cand = (cost + step, path + (nxt,), d0_rank)
-                key = (mask | bit, nxt)
-                cur = states.get(key)
-                if cur is None or cand < cur:
-                    states[key] = cand
+    # g[mask, last]: the cheapest way on from `last`, having visited `mask`,
+    # through every other node and home to the best depot
+    g = np.empty((1 << n, n))
+    g[-1] = home.min(axis=1)
+    for masks, grown, held in reversed(_mask_layers(n)):
+        ahead = g[grown, idx]
+        ahead[held] = np.inf
+        g[masks] = (step[None, :, :] + ahead[:, None, :]).min(axis=2)
 
-    best: tuple[int, tuple[int, ...], int, int] | None = None
-    for last in range(n):
-        state = states.get((full, last))
-        if state is None:
-            continue
-        cost, path, d0_rank = state
-        for d1_rank in range(m):
-            home = arcs[m + last][d1_rank]
-            if home is None:
-                continue
-            cand = (cost + home, path, d0_rank, d1_rank)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    # Forward, take the smallest node that still attains the optimum (argmin
+    # returns the first minimum): the lexicographically smallest optimal order.
+    start = first.min(axis=0) + g[bits, idx]
+    if not np.isfinite(start.min()):
         raise NodeUnreachableError(nodes[0], crew, "no feasible depot-to-depot route")
-    _, path, d0_rank, d1_rank = best
-    order = tuple(nodes[i] for i in path)
-    return _route_from_order(inst, crew, depots[d0_rank], depots[d1_rank], order)
+    path = [int(start.argmin())]
+    mask = 1 << path[0]
+    for _ in range(n - 1):
+        ahead = step[path[-1]] + g[mask | bits, idx]
+        ahead[(mask & bits) != 0] = np.inf
+        path.append(int(ahead.argmin()))
+        mask |= 1 << path[-1]
+    d0_rank = int(first[:, path[0]].argmin())
+    d1_rank = int(home[path[-1]].argmin())
+    return depots[d0_rank], depots[d1_rank], tuple(nodes[i] for i in path)
 
 
 def _solve_crew_brute(inst: RoutingInstance, crew: int) -> Route:
@@ -305,11 +319,17 @@ def _solve_crew_brute(inst: RoutingInstance, crew: int) -> Route:
 
 def solve_routing(inst: RoutingInstance, scenario_id: int) -> RoutePlan:
     """Exact optimal route per crew via Held-Karp over subsets (cap 15)."""
-    routes = {
-        k: _solve_crew_dp(inst, k)
-        for k in sorted(inst.required)
-        if inst.required[k]
-    }
+    # the arc table, and so the optimal order and depots, depends only on
+    # the required set and on whether the rate is positive
+    solved: dict[tuple[frozenset[NodeId], bool], tuple[NodeId, NodeId, tuple[NodeId, ...]]] = {}
+    routes = {}
+    for k in sorted(inst.required):
+        if not inst.required[k]:
+            continue
+        key = (inst.required[k], inst.rate(k) > 0)
+        if key not in solved:
+            solved[key] = _solve_crew_dp(inst, k)
+        routes[k] = _route_from_order(inst, k, *solved[key])
     return RoutePlan(scenario_id, routes)
 
 

@@ -8,6 +8,7 @@ changing the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -93,8 +94,8 @@ class Scenario:
             self, "failed_edges", frozenset(edge_key(u, v) for u, v in self.failed_edges)
         )
         for key, t in self.repair_time_h.items():
-            if not t > 0:
-                raise ValueError(f"repair_time_h{key!r} must be > 0, got {t!r}")
+            if not (math.isfinite(t) and t > 0):
+                raise ValueError(f"repair_time_h{key!r} must be finite and > 0, got {t!r}")
         for key, d in self.repair_demand.items():
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise ValueError(f"repair_demand{key!r} must be a non-negative integer, got {d!r}")

@@ -335,6 +335,51 @@ class TestSolveAndSchedule:
         alloc = fileio.read_allocation_file(out / "allocation.json")
         assert alloc.capacity == (0, 0, 0, 0)
 
+    def test_damaged_node_without_load_named(self, fixture_dir, tmp_path, capsys):
+        # no bus of the fixture snaps to r3c3, so it has no loads_kw entry
+        out = tmp_path / "out"
+        network = ["--network", str(out / "network.json")]
+        steps = [
+            ["build-network",
+             "--road-nodes", str(fixture_dir / "road_nodes.csv"),
+             "--road-edges", str(fixture_dir / "road_edges.csv"),
+             "--power", str(fixture_dir / "power.csv"),
+             "--offset-x", "-97.0", "--offset-y", "32.9",
+             "--depots", "r0c0,r4c4", "--damaged", "r2c2,r3c3"],
+            ["gen-scenarios", *network, "--events", str(fixture_dir / "events.csv")],
+        ]
+        for argv in steps:
+            assert main(["--out-dir", str(out), *argv]) == EXIT_OK, argv
+        code = main(["--out-dir", str(out), "solve", *network,
+                     "--scenarios", str(out / "scenarios.json")])
+        assert code == EXIT_INPUT
+        assert "loads_kw missing damaged node(s): ['r3c3']" in capsys.readouterr().err
+
+    def test_non_finite_inputs_rejected(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        # (artifact, path to one number inside it, name the error must give)
+        spots = [
+            ("scenarios.json", ("scenarios", 0, "repair_time_h", 0, 1, 2), "repair_time_h"),
+            ("scenarios.json", ("loads_kw", 0, 1), "loads_kw"),
+            ("network.json", ("loads_kw", 0, 1), "loads_kw"),
+        ]
+        for bad in (float("inf"), float("nan")):
+            for name, where, named in spots:
+                obj = json.loads((out / name).read_text())
+                parent = obj
+                for key in where[:-1]:
+                    parent = parent[key]
+                parent[where[-1]] = bad
+                (tmp_path / name).write_text(json.dumps(obj))  # Infinity / NaN tokens
+                files = {n: out / n for n in ("network.json", "scenarios.json")}
+                files[name] = tmp_path / name
+                code = main(["--out-dir", str(out), "solve",
+                             "--network", str(files["network.json"]),
+                             "--scenarios", str(files["scenarios.json"])])
+                assert code == EXIT_INPUT, (name, where, bad)
+                assert named in capsys.readouterr().err, (name, where, bad)
+
     def test_schedule_contains_checkpoint_hours(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         run_pipeline(fixture_dir, out)

@@ -19,9 +19,9 @@ from gridrestore.errors import (
     TooManyNodesError,
     UnreachableArcError,
 )
-from gridrestore.routing import validate_crew_arcs
+from gridrestore.routing import SOLVE_NODE_CAP, validate_crew_arcs
 
-from conftest import random_routing_instance
+from conftest import random_metric_complete, random_routing_instance
 
 
 def _instance(dists, depots, required, rates=None):
@@ -105,6 +105,50 @@ class TestSolveRouting:
             assert route.depot_start in inst.depots
             assert route.depot_end in inst.depots
         assert validate_routes(plan, inst).passed
+
+    def test_crews_sharing_a_required_set_scale_by_rate(self, rng):
+        nodes = frozenset(f"n{i}" for i in range(6))
+        cg = random_metric_complete(rng, ["d0", "d1", *sorted(nodes)])
+        inst = RoutingInstance(cg, {0: nodes, 1: nodes}, frozenset(["d0", "d1"]),
+                               cost_rate_per_m={0: 1.0, 1: 2.5})
+        plan = solve_routing(inst, 0)
+        assert plan == brute_force_routing(inst, 0)
+        one, other = plan.routes[0], plan.routes[1]
+        assert other.stops() == one.stops()
+        assert other.leg_costs == tuple(c * 2.5 for c in one.leg_costs)
+
+    def test_rate_zero_crew_routed_apart_from_shared_set(self):
+        # at rate 1 the optimum is (b, a, c) or (c, a, b), 13 m each; at
+        # rate 0 every order costs 0, so the smallest order (a, b, c) wins
+        dists = {("d", "a"): 10.0, ("d", "b"): 1.0, ("d", "c"): 1.0,
+                 ("a", "b"): 1.0, ("a", "c"): 10.0, ("b", "c"): 10.0}
+        abc = frozenset("abc")
+        inst = _instance(dists, ["d"], {0: abc, 1: abc, 2: abc}, {0: 1.0, 1: 0.0, 2: 3.0})
+        plan = solve_routing(inst, 0)
+        assert plan == brute_force_routing(inst, 0)
+        assert [plan.routes[k].visit_order for k in range(3)] == [
+            ("b", "a", "c"), ("a", "b", "c"), ("b", "a", "c")]
+        assert [plan.routes[k].total_cost for k in range(3)] == [13.0, 0.0, 39.0]
+
+    def test_full_cap_route_is_valid_and_swap_optimal(self, rng):
+        nodes = [f"n{i:02d}" for i in range(SOLVE_NODE_CAP)]
+        cg = random_metric_complete(rng, ["d0", "d1", *nodes])
+        inst = RoutingInstance(cg, {0: frozenset(nodes)}, frozenset(["d0", "d1"]))
+        plan = solve_routing(inst, 0)
+        assert validate_routes(plan, inst).passed
+        route = plan.routes[0]
+
+        def mm(order):
+            stops = [cg.index(s) for s in (route.depot_start, *order, route.depot_end)]
+            return int(cg.dist_mm[stops[:-1], stops[1:]].sum())
+
+        best = mm(route.visit_order)
+        order = list(route.visit_order)
+        for i in range(len(order)):
+            for j in range(i + 1, len(order)):
+                swapped = order.copy()
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                assert mm(swapped) >= best, (i, j)
 
     def test_too_many_nodes_refused(self):
         nodes = [f"n{i}" for i in range(16)]
