@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -278,24 +277,15 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         print(f"  crew {crew.index} ({crew.name}): capacity {alloc.capacity[crew.index]}")
 
     rates = {k: float(r) for k, r in enumerate(config.cost_rate_per_m)}
-
-    def solve_one(scenario):
-        complete = _scenario_complete(net, sset.damaged, scenario)
-        rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates)
-        plan = solve_routing(rinst, scenario.scenario_id)
-        return plan, validate_routes(plan, rinst), complete
-
-    if args.jobs > 1 and sset.n_scenarios > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(solve_one, sset.scenarios))
-    else:
-        results = [solve_one(sc) for sc in sset.scenarios]
-
     outputs = ["allocation.json", "validation.json"]
     all_passed = True
     validation = []
     plans = []
-    for scenario, (plan, report, complete) in zip(sset.scenarios, results):
+    for scenario in sset.scenarios:
+        complete = _scenario_complete(net, sset.damaged, scenario)
+        rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates)
+        plan = solve_routing(rinst, scenario.scenario_id)
+        report = validate_routes(plan, rinst)
         name = f"routes_s{scenario.scenario_id}.json"
         fileio.write_route_plan_file(plan, out_dir / name, complete)
         outputs.append(name)
@@ -310,6 +300,7 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         all_passed &= report.passed
         print(f"  scenario {scenario.scenario_id}: route cost {plan.total_cost:.3f}, "
               f"validation {'pass' if report.passed else 'FAIL'}")
+        del complete, rinst  # free this closure before the next one is built
     fileio.write_json_artifact(
         out_dir / "validation.json",
         {"schema": "route_validation/1", "all_passed": all_passed, "scenarios": validation},
@@ -382,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=".", help="artifact directory (default: .)")
     parser.add_argument("--config", default=None, help="JSON config file (schema config/1)")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="max parallel per-scenario solves (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build-network", help="ingest road + power files into a coupled network")

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaError
 from .network import (
+    CompleteGraph,
     CoupledNetwork,
     NodeId,
     PowerNode,
@@ -63,6 +64,8 @@ def parse_meters(text: str, where: str = "") -> float:
         value = float(text)
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: bad distance {text!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: distance must be finite, got {text!r}")
     return value
 
 
@@ -144,9 +147,12 @@ def _read_csv(path: str | Path, header: Sequence[str]):
 
 def _float_field(row: dict, key: str, path, lineno: int) -> float:
     try:
-        return float(row[key])
+        value = float(row[key])
     except ValueError:
         raise SchemaError(f"{path}:{lineno}: bad {key} value {row[key]!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}:{lineno}: {key} must be finite, got {row[key]!r}")
+    return value
 
 
 def _int_field(row: dict, key: str, path, lineno: int) -> int:
@@ -414,21 +420,19 @@ def read_allocation_file(path: str | Path):
 # --- route plan artifact ------------------------------------------------------
 
 
-def write_route_plan_file(plan: RoutePlan, path: str | Path, complete=None) -> None:
-    """Route plan with per-leg costs; includes reconstructed road-level paths
-    when the complete graph carries predecessor data."""
+def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteGraph) -> None:
+    """Route plan with per-leg costs, distances and road-level paths (null
+    when the complete graph carries no predecessor data)."""
     routes = []
     for k in sorted(plan.routes):
         r = plan.routes[k]
         stops = r.stops()
         legs = []
         for (u, v), cost in zip(zip(stops, stops[1:]), r.leg_costs):
-            leg = {"from": u, "to": v, "cost": cost}
-            if complete is not None:
-                leg["distance_m"] = meters_str(complete.dist_m(u, v))
-                road_path = complete.path(u, v)
-                leg["road_path"] = list(road_path) if road_path is not None else None
-            legs.append(leg)
+            road_path = complete.path(u, v)
+            legs.append({"from": u, "to": v, "cost": cost,
+                         "distance_m": meters_str(complete.dist_m(u, v)),
+                         "road_path": list(road_path) if road_path is not None else None})
         routes.append(
             {
                 "crew": k,

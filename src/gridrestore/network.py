@@ -95,25 +95,23 @@ class RoadGraph:
 
         norm_nodes = tuple(sorted(((n, coords[n][0], coords[n][1]) for n in coords),
                                   key=lambda row: node_key(row[0])))
-        norm_edges = tuple(
-            (u, v, mm_to_m(edge_mm[(u, v)]))
-            for u, v in sorted(edge_mm, key=lambda e: (node_key(e[0]), node_key(e[1])))
-        )
+        pairs = sorted(edge_mm, key=lambda e: (node_key(e[0]), node_key(e[1])))
+        norm_edges = tuple((u, v, mm_to_m(edge_mm[(u, v)])) for u, v in pairs)
         object.__setattr__(self, "nodes", norm_nodes)
         object.__setattr__(self, "edges", norm_edges)
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_edge_mm", edge_mm)
 
+        # Walking the sorted canonical pairs gives each node its smaller
+        # neighbours first, then its larger ones, both ascending: node_key order.
         adj: dict[NodeId, list[tuple[NodeId, int]]] = {n: [] for n in coords}
-        for (u, v), mm in edge_mm.items():
+        for u, v in pairs:
             if u == v:
                 continue  # self-loops never shorten a path
+            mm = edge_mm[(u, v)]
             adj[u].append((v, mm))
             adj[v].append((u, mm))
-        object.__setattr__(
-            self, "_adj", {n: tuple(sorted(nbrs, key=lambda t: node_key(t[0])))
-                           for n, nbrs in adj.items()}
-        )
+        object.__setattr__(self, "_adj", {n: tuple(nbrs) for n, nbrs in adj.items()})
 
     @property
     def n_nodes(self) -> int:
@@ -356,11 +354,11 @@ def apply_road_failures(
     error: a scenario may name edges that an earlier failure already removed.
     """
     failed = {edge_key(u, v) for u, v in failed_edges}
-    present = {edge_key(u, v) for u, v, _ in road.edges}
-    ignored = len(failed - present)
+    ignored = len(failed.difference(road._edge_mm))
     if ignored:
         logger.warning("apply_road_failures: %d failure pair(s) match no edge; ignored", ignored)
-    kept = tuple(e for e in road.edges if edge_key(e[0], e[1]) not in failed)
+    # road.edges is already canonical, so each (u, v) prefix is its edge key
+    kept = tuple(e for e in road.edges if e[:2] not in failed)
     return RoadGraph(road.nodes, kept)
 
 

@@ -85,14 +85,10 @@ class RoutingInstance:
         cost_rate_per_m: Mapping[int, float] | None = None,
     ) -> "RoutingInstance":
         """Required sets are the nodes with positive demand per crew."""
-        required = {
-            k: frozenset(i for (i, kk), d in scenario.repair_demand.items() if kk == k and d > 0)
-            for k in range(N_CREWS)
-        }
         damaged = frozenset(i for (i, _k) in scenario.repair_demand)
         return cls(
             complete=complete,
-            required=required,
+            required=scenario.required(),
             depots=frozenset(depots),
             cost_rate_per_m=dict(cost_rate_per_m or {}),
             damaged=damaged,

@@ -100,6 +100,13 @@ class Scenario:
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise ValueError(f"repair_demand{key!r} must be a non-negative integer, got {d!r}")
 
+    def required(self) -> dict[int, frozenset[NodeId]]:
+        """Nodes with positive repair demand, per crew index."""
+        return {
+            k: frozenset(i for (i, kk), d in self.repair_demand.items() if kk == k and d > 0)
+            for k in range(N_CREWS)
+        }
+
 
 @dataclass(frozen=True)
 class ScenarioSet:

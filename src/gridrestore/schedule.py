@@ -91,12 +91,8 @@ def build_schedule(
 
 
 def _check_plan(plan: RoutePlan, scenario: Scenario, complete: CompleteGraph) -> None:
-    required = {
-        k: {i for (i, kk), d in scenario.repair_demand.items() if kk == k and d > 0}
-        for k in range(max((k for (_, k) in scenario.repair_demand), default=-1) + 1)
-    }
     terms = set(complete.terminals)
-    for k, nodes in required.items():
+    for k, nodes in scenario.required().items():
         route = plan.routes.get(k)
         if route is None:
             if nodes:

@@ -12,6 +12,7 @@ from gridrestore.cli import (
     EXIT_NO_DAMAGE,
     EXIT_OK,
     EXIT_UNBOUNDED,
+    EXIT_UNREACHABLE,
     main,
 )
 
@@ -54,8 +55,8 @@ def write_grid_fixture(root, n=5, spacing_deg=0.005, n_buses=12, seed=3):
     )
 
 
-def run_pipeline(fixture_dir, out_dir, seed=42, jobs=1):
-    common = ["--out-dir", str(out_dir), "--seed", str(seed), "--jobs", str(jobs)]
+def run_pipeline(fixture_dir, out_dir, seed=42):
+    common = ["--out-dir", str(out_dir), "--seed", str(seed)]
     steps = [
         common + [
             "build-network",
@@ -152,6 +153,31 @@ class TestBuildNetwork:
         ])
         assert code == EXIT_INPUT
         assert ":3" in capsys.readouterr().err
+
+    def test_non_finite_csv_values_rejected(self, tmp_path, capsys):
+        (tmp_path / "rn.csv").write_text("node_id,lat,lon\na,32.0,-97.0\nb,32.01,-97.0\n")
+        files = {"nodes": tmp_path / "rn.csv", "edges": tmp_path / "re.csv",
+                 "power": tmp_path / "p.csv"}
+        # (edges CSV length, power CSV load, what the error must name)
+        cases = [
+            ("inf", "5", "re.csv:2: length_m must be finite"),
+            ("100", "inf", "p.csv:2: downstream_load_kw must be finite"),
+            ("100", "nan", "p.csv:2: downstream_load_kw must be finite"),
+        ]
+        for length, load, named in cases:
+            files["edges"].write_text(f"u,v,length_m\na,b,{length}\n")
+            files["power"].write_text(
+                f"bus_id,x,y,downstream_load_kw,kind\nb1,-97.0,32.0,{load},line\n"
+            )
+            code = main([
+                "--out-dir", str(tmp_path / "out"), "build-network",
+                "--road-nodes", str(files["nodes"]),
+                "--road-edges", str(files["edges"]),
+                "--power", str(files["power"]),
+                "--depots", "a",
+            ])
+            assert code == EXIT_INPUT, (length, load)
+            assert named in capsys.readouterr().err, (length, load)
 
 
 class TestGenScenarios:
@@ -363,6 +389,7 @@ class TestSolveAndSchedule:
             ("scenarios.json", ("scenarios", 0, "repair_time_h", 0, 1, 2), "repair_time_h"),
             ("scenarios.json", ("loads_kw", 0, 1), "loads_kw"),
             ("network.json", ("loads_kw", 0, 1), "loads_kw"),
+            ("network.json", ("road", "edges", 0, 2), "distance must be finite"),
         ]
         for bad in (float("inf"), float("nan")):
             for name, where, named in spots:
@@ -379,6 +406,49 @@ class TestSolveAndSchedule:
                              "--scenarios", str(files["scenarios.json"])])
                 assert code == EXIT_INPUT, (name, where, bad)
                 assert named in capsys.readouterr().err, (name, where, bad)
+
+    def test_unreachable_scenario_stops_solve(self, tmp_path, capsys):
+        # scenario 1 cuts the only road to the damaged node c
+        out = tmp_path / "out"
+        (tmp_path / "rn.csv").write_text(
+            "node_id,lat,lon\na,32.0,-97.0\nb,32.01,-97.0\nc,32.02,-97.0\n"
+        )
+        (tmp_path / "re.csv").write_text("u,v,length_m\na,b,100\nb,c,200\n")
+        (tmp_path / "p.csv").write_text(
+            "bus_id,x,y,downstream_load_kw,kind\nb1,-97.0,32.02,50,line\n"
+        )
+        assert main([
+            "--out-dir", str(out), "build-network",
+            "--road-nodes", str(tmp_path / "rn.csv"),
+            "--road-edges", str(tmp_path / "re.csv"),
+            "--power", str(tmp_path / "p.csv"),
+            "--depots", "a", "--damaged", "c",
+        ]) == EXIT_OK
+        from gridrestore import Scenario, ScenarioSet
+        times = {("c", k): 1.0 for k in range(4)}
+        demands = {("c", k): 2 for k in range(4)}
+        sset = ScenarioSet(
+            (Scenario(0, times, demands, frozenset()),
+             Scenario(1, times, demands, frozenset([("b", "c")]))),
+            seed=None, damaged=frozenset(["c"]),
+        )
+        fileio.write_scenario_file(sset, out / "scenarios.json")
+        capsys.readouterr()
+        code = main([
+            "--out-dir", str(out), "solve",
+            "--network", str(out / "network.json"),
+            "--scenarios", str(out / "scenarios.json"),
+        ])
+        assert code == EXIT_UNREACHABLE
+        assert capsys.readouterr().err == (
+            "error: node 'c' unreachable for crew 0 (no depot can reach it)\n"
+        )
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert "solve" not in manifest["commands"]
+        # scenarios are written as they are solved, so scenario 0's routes stay
+        assert (out / "routes_s0.json").exists()
+        assert not (out / "routes_s1.json").exists()
+        assert not (out / "validation.json").exists()
 
     def test_schedule_contains_checkpoint_hours(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -462,14 +532,6 @@ class TestReproducibility:
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-    def test_jobs_flag_does_not_change_bytes(self, fixture_dir, tmp_path):
-        out1 = tmp_path / "serial"
-        out2 = tmp_path / "parallel"
-        run_pipeline(fixture_dir, out1, seed=11, jobs=1)
-        run_pipeline(fixture_dir, out2, seed=11, jobs=4)
-        for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_intermediate_regeneration(self, fixture_dir, tmp_path):

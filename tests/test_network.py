@@ -1,7 +1,9 @@
 """Road graph construction, projection, failures, and metric closure."""
 
+import itertools
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from gridrestore.errors import (
     UnknownTerminalError,
 )
 from gridrestore.geo import haversine_m
+from gridrestore.network import node_key
 
 from conftest import floyd_warshall_oracle, random_road_graph
 
@@ -57,6 +60,24 @@ class TestLoadRoadNetwork:
     def test_lengths_quantized_to_millimeters(self):
         g = load_road_network(NODES3, [("a", "b", 123.4567)])
         assert g.edge_length_m("a", "b") == 123.457
+
+    def test_neighbors_in_node_key_order(self):
+        # int and str ids, every pair listed in a random orientation and order
+        rnd = random.Random(5)
+        ids = list(range(12)) + [f"n{i}" for i in range(12)]
+        nodes = [(n, 32.0, -97.0) for n in ids]
+        edges = []
+        for u, v in itertools.combinations(ids, 2):
+            if rnd.random() < 0.4:
+                pair = [u, v]
+                rnd.shuffle(pair)
+                edges.append((*pair, rnd.uniform(1.0, 500.0)))
+        rnd.shuffle(edges)
+        g = load_road_network(nodes, edges)
+        for n in ids:
+            nbrs = [v for v, _ in g.neighbors(n)]
+            assert nbrs == sorted(nbrs, key=node_key), n
+            assert set(nbrs) == {b if a == n else a for a, b, _ in edges if n in (a, b)}, n
 
 
 class TestProjection:
