@@ -96,8 +96,8 @@ for sc in sset.scenarios:
         print(f"  crew {k}: {stops}")
     fileio.write_route_plan_file(plan, OUT / f"routes_s{sc.scenario_id}.json", complete)
 
-    # --- schedule the routes against this scenario's repair times
-    charts.append(build_schedule(plan, sc, complete, speed_kmh=40.0))
+    # --- schedule the routes over their leg meters and this scenario's repair times
+    charts.append(build_schedule(plan, sc, net.depots, speed_kmh=40.0))
 
 print(f"\nexpected travel cost over scenarios: {expected_cost(plans):,.0f}")
 

@@ -29,7 +29,6 @@ from .errors import (
 )
 from . import fileio
 from .network import (
-    CoupledNetwork,
     apply_road_failures,
     build_coupled_network,
     load_road_network,
@@ -71,6 +70,37 @@ EXIT_DOC = """exit codes:
 """
 
 
+# config key -> (type, range test, what the error asks for). A list holds
+# N_CREWS numbers, each range-tested; a key whose default is None also takes null.
+_CONFIG_FIELDS = {
+    "n_scenarios": (int, lambda v: v >= 1, "an integer >= 1"),
+    "demand_lo": (int, lambda v: v >= 0, "an integer >= 0"),
+    "demand_hi": (int, lambda v: v >= 0, "an integer >= 0"),
+    "repair_time_min_h": (float, lambda v: v > 0, "a finite number > 0"),
+    "repair_time_max_h": (float, lambda v: v > 0, "a finite number > 0"),
+    "repair_time_mu": (float, lambda v: True, "a finite number"),
+    "repair_time_sigma": (float, lambda v: v >= 0, "a finite number >= 0"),
+    "edge_fail_prob": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "corridor_width_m": (float, lambda v: v > 0, "a finite number > 0"),
+    "crew_costs": (list, lambda v: v > 0, f"a list of {N_CREWS} finite numbers > 0"),
+    "scale_c": (float, lambda v: v > 0, "a finite number > 0"),
+    "power_weight": (float, lambda v: v >= 0, "a finite number >= 0"),
+    "time_weight": (float, lambda v: v >= 0, "a finite number >= 0"),
+    "cost_rate_per_m": (list, lambda v: v >= 0, f"a list of {N_CREWS} finite numbers >= 0"),
+    "speed_kmh": (float, lambda v: v > 0, "a finite number > 0"),
+}
+
+
+def _fits(value, kind, in_range) -> bool:
+    """``value`` is a finite ``kind`` (a bool is no number) that passes ``in_range``."""
+    if kind is list:
+        return (isinstance(value, list) and len(value) == N_CREWS
+                and all(_fits(v, float, in_range) for v in value))
+    return (isinstance(value, int if kind is int else (int, float))
+            and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)) and in_range(value))
+
+
 @dataclass
 class PipelineConfig:
     """Tunables shared across stages; a JSON config file overrides fields."""
@@ -97,23 +127,17 @@ class PipelineConfig:
         if path is None:
             return cfg
         obj = fileio.read_json_artifact(path, fileio.SCHEMA_CONFIG)
-        known = set(cfg.__dataclass_fields__)
         for key, value in obj.items():
             if key == "schema":
                 continue
-            if key not in known:
+            if key not in _CONFIG_FIELDS:
                 raise SchemaError(f"{path}: unknown config key {key!r}")
+            kind, in_range, wanted = _CONFIG_FIELDS[key]
+            nullable = cls.__dataclass_fields__[key].default is None
+            if not (value is None and nullable or _fits(value, kind, in_range)):
+                raise SchemaError(f"{path}: {key} must be {wanted}"
+                                  f"{' or null' if nullable else ''}, got {value!r}")
             setattr(cfg, key, value)
-        rates = cfg.cost_rate_per_m
-        if not (
-            isinstance(rates, list)
-            and len(rates) == N_CREWS
-            and all(isinstance(r, (int, float)) and not isinstance(r, bool)
-                    and math.isfinite(r) and r >= 0 for r in rates)
-        ):
-            raise SchemaError(
-                f"{path}: cost_rate_per_m must hold {N_CREWS} finite numbers >= 0, got {rates!r}"
-            )
         return cfg
 
     def echo(self) -> dict:
@@ -152,12 +176,6 @@ def _update_manifest(out_dir: Path, command: str, seed: int, config: PipelineCon
 
 def _parse_id_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _scenario_complete(net: CoupledNetwork, damaged, scenario):
-    road = apply_road_failures(net.road, scenario.failed_edges)
-    terminals = sorted(net.depots | net.damaged | set(damaged), key=node_key)
-    return shortest_path_matrix(road, terminals)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -277,12 +295,14 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         print(f"  crew {crew.index} ({crew.name}): capacity {alloc.capacity[crew.index]}")
 
     rates = {k: float(r) for k, r in enumerate(config.cost_rate_per_m)}
+    terminals = sorted(net.depots | net.damaged | sset.damaged, key=node_key)
     outputs = ["allocation.json", "validation.json"]
     all_passed = True
     validation = []
     plans = []
     for scenario in sset.scenarios:
-        complete = _scenario_complete(net, sset.damaged, scenario)
+        complete = shortest_path_matrix(apply_road_failures(net.road, scenario.failed_edges),
+                                        terminals)
         rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates)
         plan = solve_routing(rinst, scenario.scenario_id)
         report = validate_routes(plan, rinst)
@@ -317,7 +337,7 @@ def cmd_solve(args, config: PipelineConfig) -> int:
 def cmd_schedule(args, config: PipelineConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    net = fileio.read_network_file(args.network)
+    depots = fileio.read_network_file(args.network).depots  # legs come from the plans
     sset = fileio.read_scenario_file(args.scenarios)
     routes_dir = Path(args.routes_dir) if args.routes_dir else out_dir
     speed = args.speed_kmh if args.speed_kmh is not None else config.speed_kmh
@@ -329,8 +349,7 @@ def cmd_schedule(args, config: PipelineConfig) -> int:
         plan_path = routes_dir / f"routes_s{scenario.scenario_id}.json"
         plan = fileio.read_route_plan_file(plan_path)
         inputs.append(str(plan_path))
-        complete = _scenario_complete(net, sset.damaged, scenario)
-        chart = build_schedule(plan, scenario, complete, speed)
+        chart = build_schedule(plan, scenario, depots, speed)
         charts.append(chart)
         svg_name = f"gantt_s{scenario.scenario_id}.svg"
         fileio.write_gantt_svg(chart, out_dir / svg_name,

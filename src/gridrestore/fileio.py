@@ -59,14 +59,19 @@ def meters_str(length_m: float) -> str:
     return f"{sign}{mm // 1000}.{mm % 1000:03d}"
 
 
-def parse_meters(text: str, where: str = "") -> float:
+def _finite(value, where: str, what: str) -> float:
+    """``value`` as a finite float; a SchemaError naming ``where`` and ``what`` otherwise."""
     try:
-        value = float(text)
+        number = float(value)
     except (TypeError, ValueError):
-        raise SchemaError(f"{where}: bad distance {text!r}") from None
-    if not math.isfinite(value):
-        raise SchemaError(f"{where}: distance must be finite, got {text!r}")
-    return value
+        raise SchemaError(f"{where}: bad {what} {value!r}") from None
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: {what} must be finite, got {value!r}")
+    return number
+
+
+def parse_meters(text: str, where: str = "") -> float:
+    return _finite(text, where, "distance")
 
 
 def write_json_artifact(path: str | Path, obj) -> None:
@@ -106,15 +111,16 @@ def _ids(ids: Iterable[NodeId]) -> list[NodeId]:
 
 def _loads_kw(pairs: Iterable, path: str | Path) -> dict[NodeId, float]:
     """``[[node, kw], ...]`` as a map; every load must be a finite number."""
-    loads = {}
-    for node, kw in pairs:
-        try:
-            loads[node] = float(kw)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path}: bad loads_kw value {kw!r} for node {node!r}") from None
-        if not math.isfinite(loads[node]):
-            raise SchemaError(f"{path}: loads_kw for node {node!r} must be finite, got {kw!r}")
-    return loads
+    return {node: _finite(kw, f"{path}: node {node!r}", "loads_kw") for node, kw in pairs}
+
+
+def _road_nodes(rows: Iterable, path: str | Path) -> tuple[tuple[NodeId, float, float], ...]:
+    """``[[node, lat, lon], ...]`` with finite coordinates."""
+    nodes = []
+    for n, lat, lon in rows:
+        where = f"{path}: node {n!r}"
+        nodes.append((n, _finite(lat, where, "lat"), _finite(lon, where, "lon")))
+    return tuple(nodes)
 
 
 # --- CSV ingestion ---------------------------------------------------------
@@ -146,13 +152,7 @@ def _read_csv(path: str | Path, header: Sequence[str]):
 
 
 def _float_field(row: dict, key: str, path, lineno: int) -> float:
-    try:
-        value = float(row[key])
-    except ValueError:
-        raise SchemaError(f"{path}:{lineno}: bad {key} value {row[key]!r}") from None
-    if not math.isfinite(value):
-        raise SchemaError(f"{path}:{lineno}: {key} must be finite, got {row[key]!r}")
-    return value
+    return _finite(row[key], f"{path}:{lineno}", key)
 
 
 def _int_field(row: dict, key: str, path, lineno: int) -> int:
@@ -182,9 +182,9 @@ def read_road_edges_csv(path: str | Path) -> list[tuple[NodeId, NodeId, float]]:
 def read_road_graph_json(path: str | Path) -> RoadGraph:
     """Single structured road file holding both tables."""
     obj = read_json_artifact(path, SCHEMA_ROAD)
-    nodes = [(n, float(lat), float(lon)) for n, lat, lon in obj["nodes"]]
-    edges = [(u, v, parse_meters(m, str(path))) for u, v, m in obj["edges"]]
-    return RoadGraph(tuple(nodes), tuple(edges))
+    nodes = _road_nodes(obj["nodes"], path)
+    edges = tuple((u, v, parse_meters(m, str(path))) for u, v, m in obj["edges"])
+    return RoadGraph(nodes, edges)
 
 
 def write_road_graph_json(road: RoadGraph, path: str | Path) -> None:
@@ -274,7 +274,7 @@ def write_network_file(net: CoupledNetwork, path: str | Path) -> None:
 def read_network_file(path: str | Path) -> CoupledNetwork:
     obj = read_json_artifact(path, SCHEMA_NETWORK)
     road = RoadGraph(
-        tuple((n, float(lat), float(lon)) for n, lat, lon in obj["road"]["nodes"]),
+        _road_nodes(obj["road"]["nodes"], path),
         tuple((u, v, parse_meters(m, str(path))) for u, v, m in obj["road"]["edges"]),
     )
     return CoupledNetwork(
@@ -421,17 +421,15 @@ def read_allocation_file(path: str | Path):
 
 
 def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteGraph) -> None:
-    """Route plan with per-leg costs, distances and road-level paths (null
-    when the complete graph carries no predecessor data)."""
+    """Route plan with per-leg costs, distances and road-level paths; the
+    complete graph supplies only the paths (null without predecessor data)."""
     routes = []
     for k in sorted(plan.routes):
         r = plan.routes[k]
-        stops = r.stops()
         legs = []
-        for (u, v), cost in zip(zip(stops, stops[1:]), r.leg_costs):
+        for (u, v), cost, meters in zip(r.arcs(), r.leg_costs, r.leg_m):
             road_path = complete.path(u, v)
-            legs.append({"from": u, "to": v, "cost": cost,
-                         "distance_m": meters_str(complete.dist_m(u, v)),
+            legs.append({"from": u, "to": v, "cost": cost, "distance_m": meters_str(meters),
                          "road_path": list(road_path) if road_path is not None else None})
         routes.append(
             {
@@ -456,20 +454,33 @@ def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteG
     )
 
 
+def _leg_meters(rec: dict, path: str | Path) -> tuple[float, ...]:
+    """One route's ``distance_m`` per leg; the legs must chain its stops, one per arc."""
+    stops = [rec["depot_start"], *rec["visit_order"], rec["depot_end"]]
+    where = f"{path}: crew {rec['crew']!r}"
+    if [(leg["from"], leg["to"]) for leg in rec["legs"]] != list(zip(stops, stops[1:])):
+        raise SchemaError(f"{where}: legs do not chain depot_start, visit_order, depot_end")
+    return tuple(parse_meters(leg["distance_m"], where) for leg in rec["legs"])
+
+
 def read_route_plan_file(path: str | Path) -> RoutePlan:
     obj = read_json_artifact(path, SCHEMA_ROUTES)
     routes = {}
-    for rec in obj["routes"]:
-        routes[int(rec["crew"])] = Route(
-            crew=int(rec["crew"]),
-            depot_start=rec["depot_start"],
-            depot_end=rec["depot_end"],
-            visit_order=tuple(rec["visit_order"]),
-            leg_costs=tuple(float(c) for c in rec["leg_costs"]),
-            total_cost=float(rec["total_cost"]),
-            mtz_labels={i: int(u) for i, u in rec["mtz_labels"]},
-        )
-    return RoutePlan(scenario_id=int(obj["scenario_id"]), routes=routes)
+    try:
+        for rec in obj["routes"]:
+            routes[int(rec["crew"])] = Route(
+                crew=int(rec["crew"]),
+                depot_start=rec["depot_start"],
+                depot_end=rec["depot_end"],
+                visit_order=tuple(rec["visit_order"]),
+                leg_costs=tuple(float(c) for c in rec["leg_costs"]),
+                leg_m=_leg_meters(rec, path),
+                total_cost=float(rec["total_cost"]),
+                mtz_labels={i: int(u) for i, u in rec["mtz_labels"]},
+            )
+        return RoutePlan(scenario_id=int(obj["scenario_id"]), routes=routes)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed route plan ({exc})") from None
 
 
 # --- gantt csv / svg ----------------------------------------------------------

@@ -113,12 +113,14 @@ class Route:
     depot_end: NodeId
     visit_order: tuple[NodeId, ...]
     leg_costs: tuple[float, ...]
+    leg_m: tuple[float, ...]  # meters of each leg of stops()
     total_cost: float
     mtz_labels: Mapping[NodeId, int]
 
     def __post_init__(self):
         object.__setattr__(self, "visit_order", tuple(self.visit_order))
         object.__setattr__(self, "leg_costs", tuple(self.leg_costs))
+        object.__setattr__(self, "leg_m", tuple(self.leg_m))
         object.__setattr__(self, "mtz_labels", dict(self.mtz_labels))
 
     def stops(self) -> tuple[NodeId, ...]:
@@ -190,11 +192,13 @@ def _route_from_order(
     order: tuple[NodeId, ...],
 ) -> Route:
     stops = (d0, *order, d1)
-    legs = tuple(inst.arc_cost(u, v, crew) for u, v in zip(stops, stops[1:]))
+    arcs = tuple(zip(stops, stops[1:]))
+    legs = tuple(inst.arc_cost(u, v, crew) for u, v in arcs)
+    leg_m = tuple(inst.complete.dist_m(u, v) for u, v in arcs)
     total = 0.0
     for c in legs:
         total += c
-    return Route(crew, d0, d1, order, legs, total, _mtz_labels(order))
+    return Route(crew, d0, d1, order, legs, leg_m, total, _mtz_labels(order))
 
 
 def _arc_mm(inst: RoutingInstance, crew: int, stops: Sequence[NodeId]) -> np.ndarray:

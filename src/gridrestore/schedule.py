@@ -2,9 +2,11 @@
 
 Crews deploy in their fixed sequence at every node: a crew may start only
 after the previous crew type has finished there, with no overlap. All crews
-leave their depots at hour zero; travel time converts leg meters through a
-configurable average speed. Since crew k only ever waits on crews with a
-smaller index, one forward pass in crew order reaches the fixed point.
+leave their depots at hour zero; travel time converts each route's own leg
+meters (``Route.leg_m``, the distances stage 2 routed on) through a
+configurable average speed, so no shortest paths are recomputed here. Since
+crew k only ever waits on crews with a smaller index, one forward pass in
+crew order reaches the fixed point.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyChartError, InvalidPlanError, NonPositiveSpeedError
-from .network import CompleteGraph, NodeId, node_key
+from .network import NodeId, node_key
 from .routing import RoutePlan
 from .scenario import Scenario
 
@@ -56,19 +58,20 @@ class GanttChart:
 def build_schedule(
     plan: RoutePlan,
     scenario: Scenario,
-    complete: CompleteGraph,
+    depots: Iterable[NodeId],
     speed_kmh: float = DEFAULT_SPEED_KMH,
 ) -> GanttChart:
     """Simulate every crew along its route and emit the Gantt entries.
 
-    Arrival at the next stop is departure plus leg distance over speed;
-    work starts at max(arrival, predecessor crew's finish at that node) and
-    runs for exactly the scenario's repair time. Waiting happens in place,
-    which also delays the crew's later stops.
+    Arrival at the next stop is departure plus the route's leg meters over
+    speed; work starts at max(arrival, predecessor crew's finish at that
+    node) and runs for exactly the scenario's repair time. Waiting happens
+    in place, which also delays the crew's later stops. ``depots`` are the
+    network's depots, which every route must start and end at.
     """
     if speed_kmh <= 0:
         raise NonPositiveSpeedError(f"speed_kmh must be > 0, got {speed_kmh}")
-    _check_plan(plan, scenario, complete)
+    _check_plan(plan, scenario, frozenset(depots))
 
     meters_per_hour = speed_kmh * 1000.0
     entries: list[GanttEntry] = []
@@ -76,9 +79,9 @@ def build_schedule(
     for k in sorted(plan.routes):
         route = plan.routes[k]
         clock = 0.0
-        here = route.depot_start
-        for node in route.visit_order:
-            arrival = max(clock + complete.dist_m(here, node) / meters_per_hour, 0.0)
+        # leg i ends at visit_order[i]; the last leg, home to the depot, is not timed
+        for node, leg_m in zip(route.visit_order, route.leg_m):
+            arrival = clock + leg_m / meters_per_hour
             start = max(arrival, prev_finish.get(node, 0.0))
             finish = start + scenario.repair_time_h[(node, k)]
             entries.append(GanttEntry(plan.scenario_id, node, k, start, finish))
@@ -86,13 +89,15 @@ def build_schedule(
             # writer is the latest predecessor
             prev_finish[node] = finish
             clock = finish
-            here = node
     return GanttChart.from_entries(entries)
 
 
-def _check_plan(plan: RoutePlan, scenario: Scenario, complete: CompleteGraph) -> None:
-    terms = set(complete.terminals)
-    for k, nodes in scenario.required().items():
+def _check_plan(plan: RoutePlan, scenario: Scenario, depots: frozenset[NodeId]) -> None:
+    required = scenario.required()
+    unknown = sorted(set(plan.routes) - set(required))
+    if unknown:
+        raise InvalidPlanError(f"crew {unknown[0]}: route present for unknown crew")
+    for k, nodes in required.items():
         route = plan.routes.get(k)
         if route is None:
             if nodes:
@@ -102,12 +107,13 @@ def _check_plan(plan: RoutePlan, scenario: Scenario, complete: CompleteGraph) ->
             raise InvalidPlanError(
                 f"crew {k}: visit order does not match the scenario's demand-positive nodes"
             )
-        for stop in route.stops():
-            if stop not in terms:
-                raise InvalidPlanError(f"crew {k}: stop {stop!r} is not a terminal")
-        for u, v in route.arcs():
-            if not complete.is_reachable(u, v):
-                raise InvalidPlanError(f"crew {k}: leg {u!r} -> {v!r} is unreachable")
+        for depot in (route.depot_start, route.depot_end):
+            if depot not in depots:
+                raise InvalidPlanError(f"crew {k}: endpoint {depot!r} is not a network depot")
+        if len(route.leg_m) != len(route.visit_order) + 1 or not all(
+            0.0 <= m < float("inf") for m in route.leg_m
+        ):
+            raise InvalidPlanError(f"crew {k}: every leg needs one finite distance >= 0")
 
 
 def makespan(chart: GanttChart) -> float:

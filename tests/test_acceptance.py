@@ -119,7 +119,7 @@ def test_criterion_4_schedule_checkpoint():
     scenario = Scenario(0, times, demands, frozenset())
     inst = RoutingInstance(cg, {k: frozenset([node]) for k in range(4)},
                            frozenset(["depot"]))
-    chart = build_schedule(solve_routing(inst, 0), scenario, cg, speed_kmh=40.0)
+    chart = build_schedule(solve_routing(inst, 0), scenario, inst.depots, speed_kmh=40.0)
     crew3_start = next(e.start_h for e in chart.entries if e.crew == 3)
     assert crew3_start == pytest.approx(11.8, abs=0.05)
     print(f"PASS criterion 4: crew-3 start {crew3_start:.4f} h (target 11.8 +/- 0.05)")
@@ -142,7 +142,7 @@ def test_criterion_5_gantt_invariants():
         }
         scenario = Scenario(0, times, demands, frozenset())
         plan = solve_routing(inst, 0)
-        chart = build_schedule(plan, scenario, inst.complete,
+        chart = build_schedule(plan, scenario, inst.depots,
                                speed_kmh=float(rng.uniform(10.0, 90.0)))
         finished = {}
         for e in chart.entries:

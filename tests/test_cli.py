@@ -9,6 +9,7 @@ from gridrestore import cli, fileio
 from gridrestore.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
+    EXIT_INVALID_PLAN,
     EXIT_NO_DAMAGE,
     EXIT_OK,
     EXIT_UNBOUNDED,
@@ -407,6 +408,19 @@ class TestSolveAndSchedule:
                 assert code == EXIT_INPUT, (name, where, bad)
                 assert named in capsys.readouterr().err, (name, where, bad)
 
+    def test_non_finite_node_coordinate_rejected(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        obj = json.loads((out / "network.json").read_text())
+        node = obj["road"]["nodes"][3]
+        node[1] = float("nan")
+        (tmp_path / "network.json").write_text(json.dumps(obj))
+        code = main(["--out-dir", str(out), "gen-scenarios",
+                     "--network", str(tmp_path / "network.json"),
+                     "--events", str(fixture_dir / "events.csv")])
+        assert code == EXIT_INPUT
+        assert f"network.json: node {node[0]!r}: lat must be finite" in capsys.readouterr().err
+
     def test_unreachable_scenario_stops_solve(self, tmp_path, capsys):
         # scenario 1 cuts the only road to the damaged node c
         out = tmp_path / "out"
@@ -509,6 +523,62 @@ class TestSolveAndSchedule:
         ])
         assert code == 8
 
+    def test_schedule_builds_no_closure(self, fixture_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        charts = {p.name: p.read_bytes() for p in out.glob("gantt*")}
+        for p in out.glob("gantt*"):
+            p.unlink()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("schedule must travel the plans' distance_m")
+
+        # a call would exit 9 (internal error)
+        monkeypatch.setattr(cli, "apply_road_failures", forbidden)
+        monkeypatch.setattr(cli, "shortest_path_matrix", forbidden)
+        assert main([
+            "--out-dir", str(out), "schedule",
+            "--network", str(out / "network.json"),
+            "--scenarios", str(out / "scenarios.json"),
+        ]) == EXIT_OK
+        assert {p.name: p.read_bytes() for p in out.glob("gantt*")} == charts
+
+    def test_tampered_plan_rejected(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        plan_path = out / "routes_s0.json"
+        pristine = plan_path.read_text()
+
+        def reroute(route, start, order, end):
+            stops = [start, *order, end]
+            route.update(depot_start=start, visit_order=order, depot_end=end, legs=[
+                {"from": u, "to": v, "distance_m": "1.000"} for u, v in zip(stops, stops[1:])
+            ])
+
+        # (tampering of the first route, exit code, what the error must say)
+        cases = [
+            (lambda r: reroute(r, r["depot_start"], r["visit_order"][:-1], r["depot_end"]),
+             EXIT_INVALID_PLAN, "demand-positive nodes"),
+            (lambda r: reroute(r, "r0c1", r["visit_order"], r["depot_end"]),
+             EXIT_INVALID_PLAN, "'r0c1' is not a network depot"),
+            (lambda r: r["legs"][0].update({"from": r["legs"][0]["to"], "to": r["depot_start"]}),
+             EXIT_INPUT, "legs do not chain"),
+            (lambda r: r["legs"].pop(), EXIT_INPUT, "legs do not chain"),
+            (lambda r: r.pop("legs"), EXIT_INPUT, "malformed route plan"),
+            (lambda r: r["legs"][0].update(distance_m="Infinity"),
+             EXIT_INPUT, "distance must be finite"),
+        ]
+        for tamper, code, named in cases:
+            obj = json.loads(pristine)
+            tamper(obj["routes"][0])
+            plan_path.write_text(json.dumps(obj))
+            assert main([
+                "--out-dir", str(out), "schedule",
+                "--network", str(out / "network.json"),
+                "--scenarios", str(out / "scenarios.json"),
+            ]) == code, named
+            assert named in capsys.readouterr().err, named
+
     def test_render_rebuilds_svg(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         run_pipeline(fixture_dir, out)
@@ -549,13 +619,31 @@ class TestReproducibility:
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, fixture_dir, tmp_path, capsys):
-        # also every cost_rate_per_m that is not N_CREWS finite numbers >= 0
+        # also every value of the wrong type (a bool is no number) or out of
+        # range, e.g. a cost_rate_per_m that is not N_CREWS finite numbers >= 0
         for bad, named in [
             ({"no_such_knob": 1}, "no_such_knob"),
             ({"cost_rate_per_m": [float("nan"), 1, 1, 1]}, "cost_rate_per_m"),
             ({"cost_rate_per_m": [float("inf"), 1, 1, 1]}, "cost_rate_per_m"),
             ({"cost_rate_per_m": [1, 1]}, "cost_rate_per_m"),
             ({"cost_rate_per_m": [1, 1, 1, -1]}, "cost_rate_per_m"),
+            ({"n_scenarios": "3"}, "n_scenarios must be"),
+            ({"n_scenarios": True}, "n_scenarios must be"),
+            ({"n_scenarios": 2.0}, "n_scenarios must be"),
+            ({"n_scenarios": 0}, "n_scenarios must be"),
+            ({"demand_lo": -1}, "demand_lo must be"),
+            ({"repair_time_sigma": float("nan")}, "repair_time_sigma must be"),
+            ({"edge_fail_prob": 1.5}, "edge_fail_prob must be"),
+            ({"corridor_width_m": 0}, "corridor_width_m must be"),
+            ({"power_weight": "x"}, "power_weight must be"),
+            ({"time_weight": float("inf")}, "time_weight must be"),
+            ({"scale_c": False}, "scale_c must be"),
+            ({"crew_costs": [200, 65, 75]}, "crew_costs must be"),
+            ({"crew_costs": [200, 65, 75, 0]}, "crew_costs must be"),
+            ({"speed_kmh": "fast"}, "speed_kmh must be"),
+            ({"speed_kmh": 0}, "speed_kmh must be"),
+            # null where the default is null, and an integer for a float, pass
+            ({"scale_c": None, "crew_costs": None, "speed_kmh": 40}, None),
         ]:
             (tmp_path / "config.json").write_text(json.dumps({"schema": "config/1", **bad}))
             code = main([
@@ -567,8 +655,15 @@ class TestConfigFile:
                 "--power", str(fixture_dir / "power.csv"),
                 "--depots", "r0c0",
             ])
+            err = capsys.readouterr().err
+            if named is None:
+                assert code == EXIT_OK, (bad, err)
+                continue
             assert code == EXIT_INPUT, bad
-            assert named in capsys.readouterr().err, bad
+            assert named in err, bad
+
+    def test_every_field_has_a_rule(self):
+        assert set(cli._CONFIG_FIELDS) == set(cli.PipelineConfig.__dataclass_fields__)
 
     def test_unexpected_exception_exits_internal(self, tmp_path, monkeypatch, capsys):
         def boom(args, config):

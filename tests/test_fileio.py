@@ -245,3 +245,15 @@ class TestCsvIngestion:
         path = tmp_path / "road.json"
         fileio.write_road_graph_json(road, path)
         assert fileio.read_road_graph_json(path) == road
+
+    def test_road_graph_json_non_finite_coordinate_named(self, tmp_path):
+        road = load_road_network(NODES3, [("a", "b", 100.0)])
+        path = tmp_path / "road.json"
+        fileio.write_road_graph_json(road, path)
+        pristine = path.read_text()
+        for field, name, bad in ((1, "lat", float("nan")), (2, "lon", float("inf"))):
+            obj = json.loads(pristine)
+            obj["nodes"][1][field] = bad
+            path.write_text(json.dumps(obj))  # NaN / Infinity tokens
+            with pytest.raises(SchemaError, match=rf"road\.json: node 'b': {name} must be finite"):
+                fileio.read_road_graph_json(path)

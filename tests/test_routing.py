@@ -41,7 +41,8 @@ class TestRouteCost:
     def test_hand_summed_route(self):
         inst = _instance({("d", "a"): 2.0, ("a", "b"): 3.0, ("b", "d"): 4.0},
                          ["d"], {0: frozenset(["a", "b"])})
-        route = Route(0, "d", "d", ("a", "b"), (2.0, 3.0, 4.0), 9.0, {"a": 1, "b": 2})
+        route = Route(0, "d", "d", ("a", "b"), (2.0, 3.0, 4.0), (2.0, 3.0, 4.0), 9.0,
+                      {"a": 1, "b": 2})
         assert route_cost(route, inst) == 9.0
 
     def test_empty_required_set_no_route(self):
@@ -53,15 +54,17 @@ class TestRouteCost:
     def test_reversed_order_same_cost_with_symmetric_dists(self):
         inst = _instance({("d", "a"): 2.0, ("a", "b"): 3.0, ("b", "d"): 4.0},
                          ["d"], {0: frozenset(["a", "b"])})
-        fwd = Route(0, "d", "d", ("a", "b"), (2.0, 3.0, 4.0), 9.0, {"a": 1, "b": 2})
-        rev = Route(0, "d", "d", ("b", "a"), (4.0, 3.0, 2.0), 9.0, {"b": 1, "a": 2})
+        fwd = Route(0, "d", "d", ("a", "b"), (2.0, 3.0, 4.0), (2.0, 3.0, 4.0), 9.0,
+                    {"a": 1, "b": 2})
+        rev = Route(0, "d", "d", ("b", "a"), (4.0, 3.0, 2.0), (4.0, 3.0, 2.0), 9.0,
+                    {"b": 1, "a": 2})
         assert route_cost(fwd, inst) == route_cost(rev, inst)
 
     def test_unreachable_leg_raises(self):
         m = [[0.0, np.inf, 10.0], [np.inf, 0.0, 5.0], [10.0, 5.0, 0.0]]
         cg = CompleteGraph.from_distances(["a", "b", "d"], m)
         inst = RoutingInstance(cg, {0: frozenset(["a", "b"])}, frozenset(["d"]))
-        bad = Route(0, "d", "d", ("b", "a"), (), 0.0, {"b": 1, "a": 2})
+        bad = Route(0, "d", "d", ("b", "a"), (), (), 0.0, {"b": 1, "a": 2})
         with pytest.raises(UnreachableArcError):
             route_cost(bad, inst)
 
@@ -302,7 +305,7 @@ class TestValidation:
     def test_node_visited_twice_flagged(self):
         inst = _instance({("d", "a"): 1.0, ("d", "b"): 1.0, ("a", "b"): 1.0},
                          ["d"], {0: frozenset(["a", "b"])})
-        bad = Route(0, "d", "d", ("a", "b", "a"), (1.0,) * 4, 4.0,
+        bad = Route(0, "d", "d", ("a", "b", "a"), (1.0,) * 4, (1.0,) * 4, 4.0,
                     {"a": 1, "b": 2})
         report = validate_routes(RoutePlan(0, {0: bad}), inst)
         assert not report.passed
@@ -317,7 +320,7 @@ class TestValidation:
     def test_non_depot_endpoint_flagged(self):
         inst = _instance({("d", "a"): 1.0, ("d", "b"): 1.0, ("a", "b"): 1.0},
                          ["d"], {0: frozenset(["a"])})
-        bad = Route(0, "b", "d", ("a",), (1.0, 1.0), 2.0, {"a": 1})
+        bad = Route(0, "b", "d", ("a",), (1.0, 1.0), (1.0, 1.0), 2.0, {"a": 1})
         report = validate_routes(RoutePlan(0, {0: bad}), inst)
         assert any("not a depot" in v for v in report.violations["depot_endpoints"])
 
@@ -335,13 +338,13 @@ class TestValidation:
     def test_decreasing_labels_fail(self):
         inst = _instance({("d", "a"): 1.0, ("d", "b"): 1.0, ("a", "b"): 1.0},
                          ["d"], {0: frozenset(["a", "b"])})
-        bad = Route(0, "d", "d", ("a", "b"), (1.0, 1.0, 1.0), 3.0,
+        bad = Route(0, "d", "d", ("a", "b"), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 3.0,
                     {"a": 2, "b": 1})
         report = validate_routes(RoutePlan(0, {0: bad}), inst)
         assert report.violations["mtz"]
 
     def test_report_never_raises(self):
         inst = _instance({("d", "a"): 1.0}, ["d"], {0: frozenset(["a"])})
-        weird = Route(3, "x", "y", ("q",), (), 0.0, {})
+        weird = Route(3, "x", "y", ("q",), (), (), 0.0, {})
         report = validate_routes(RoutePlan(0, {3: weird}), inst)
         assert not report.passed

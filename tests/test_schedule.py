@@ -1,5 +1,7 @@
 """Gantt construction: precedence, durations, travel, makespan."""
 
+from dataclasses import replace
+
 import pytest
 
 from gridrestore import (
@@ -26,7 +28,7 @@ import refcase
 def _zero_travel_instance(node=37215):
     cg = CompleteGraph.from_distances(["depot", node], [[0.0, 0.0], [0.0, 0.0]])
     required = {k: frozenset([node]) for k in range(4)}
-    return cg, RoutingInstance(cg, required, frozenset(["depot"]))
+    return RoutingInstance(cg, required, frozenset(["depot"]))
 
 
 def _single_node_scenario(node=37215, s=0):
@@ -37,23 +39,23 @@ def _single_node_scenario(node=37215, s=0):
 
 class TestSingleNodeCheckpoint:
     def test_final_crew_starts_at_11_8(self):
-        cg, inst = _zero_travel_instance()
+        inst = _zero_travel_instance()
         scenario = _single_node_scenario()
         plan = solve_routing(inst, 0)
-        chart = build_schedule(plan, scenario, cg, speed_kmh=40.0)
+        chart = build_schedule(plan, scenario, inst.depots, speed_kmh=40.0)
         crew3 = next(e for e in chart.entries if e.crew == 3)
         # 5.5 + 4.7 + 1.6 with zero travel
         assert crew3.start_h == pytest.approx(11.8, abs=0.05)
 
     def test_makespan_is_sum_of_stage_times(self):
-        cg, inst = _zero_travel_instance()
+        inst = _zero_travel_instance()
         scenario = _single_node_scenario()
-        chart = build_schedule(solve_routing(inst, 0), scenario, cg)
+        chart = build_schedule(solve_routing(inst, 0), scenario, inst.depots)
         assert makespan(chart) == pytest.approx(5.5 + 4.7 + 1.6 + 4.1, abs=1e-9)
 
     def test_intervals_chain_without_overlap(self):
-        cg, inst = _zero_travel_instance()
-        chart = build_schedule(solve_routing(inst, 0), _single_node_scenario(), cg)
+        inst = _zero_travel_instance()
+        chart = build_schedule(solve_routing(inst, 0), _single_node_scenario(), inst.depots)
         by_crew = {e.crew: e for e in chart.entries}
         for k in range(1, 4):
             assert by_crew[k].start_h == pytest.approx(by_crew[k - 1].finish_h)
@@ -72,7 +74,7 @@ class TestTravelAndWaiting:
         scenario = Scenario(0, times, demands, frozenset())
         inst = RoutingInstance(cg, {0: frozenset(["a", "b"])}, frozenset(["d"]))
         plan = solve_routing(inst, 0)
-        chart = build_schedule(plan, scenario, cg, speed_kmh=40.0)
+        chart = build_schedule(plan, scenario, inst.depots, speed_kmh=40.0)
         first, second = sorted(
             (e for e in chart.entries), key=lambda e: e.start_h
         )
@@ -93,7 +95,7 @@ class TestTravelAndWaiting:
         inst = RoutingInstance(cg, {0: frozenset(["a", "b"]), 1: frozenset(["a", "b"])},
                                frozenset(["d"]))
         plan = solve_routing(inst, 0)
-        chart = build_schedule(plan, scenario, cg, speed_kmh=40.0)
+        chart = build_schedule(plan, scenario, inst.depots, speed_kmh=40.0)
         entries = {(e.node_id, e.crew): e for e in chart.entries}
         first_node = plan.routes[0].visit_order[0]
         # crew 0 at its first stop: arrives at 1 h, works 5 h
@@ -113,7 +115,7 @@ class TestTravelAndWaiting:
         inst = RoutingInstance(cg, {0: frozenset(["a", "b"]), 1: frozenset(["a", "b"])},
                                frozenset(["d"]))
         plan = solve_routing(inst, 0)
-        chart = build_schedule(plan, scenario, cg, speed_kmh=40.0)
+        chart = build_schedule(plan, scenario, inst.depots, speed_kmh=40.0)
         entries = {(e.node_id, e.crew): e for e in chart.entries}
         second_node = plan.routes[1].visit_order[1]
         # crew 1: waits till 6 at the first node, works 1 h, travels 1 h to
@@ -123,16 +125,33 @@ class TestTravelAndWaiting:
 
 class TestErrors:
     def test_non_positive_speed(self):
-        cg, inst = _zero_travel_instance()
+        inst = _zero_travel_instance()
         plan = solve_routing(inst, 0)
         with pytest.raises(NonPositiveSpeedError):
-            build_schedule(plan, _single_node_scenario(), cg, speed_kmh=0.0)
+            build_schedule(plan, _single_node_scenario(), inst.depots, speed_kmh=0.0)
 
     def test_invalid_plan_rejected(self):
-        cg, _ = _zero_travel_instance()
+        inst = _zero_travel_instance()
         scenario = _single_node_scenario()
         with pytest.raises(InvalidPlanError):
-            build_schedule(RoutePlan(0, {}), scenario, cg)
+            build_schedule(RoutePlan(0, {}), scenario, inst.depots)
+
+    def test_plan_checked_against_scenario_and_depots(self):
+        inst = _zero_travel_instance()
+        plan = solve_routing(inst, 0)
+        route = plan.routes[0]
+        tampered = [
+            replace(route, visit_order=()),                  # misses the damaged node
+            replace(route, depot_end=37215),                 # ends off a depot
+            replace(route, leg_m=route.leg_m[:1]),           # a leg without a distance
+            replace(route, leg_m=(float("inf"), 0.0)),       # an unreachable leg
+            replace(route, leg_m=(-1.0, 0.0)),               # a negative leg
+            replace(route, crew=7),                          # a crew that does not exist
+        ]
+        for bad in tampered:
+            routes = {**plan.routes, 0: bad} if bad.crew == 0 else {**plan.routes, 7: bad}
+            with pytest.raises(InvalidPlanError):
+                build_schedule(RoutePlan(0, routes), _single_node_scenario(), inst.depots)
 
     def test_makespan_of_empty_chart(self):
         with pytest.raises(EmptyChartError):
@@ -161,7 +180,7 @@ class TestChartInvariants:
             }
             scenario = Scenario(0, times, demands, frozenset())
             plan = solve_routing(inst, 0)
-            chart = build_schedule(plan, scenario, inst.complete,
+            chart = build_schedule(plan, scenario, inst.depots,
                                    speed_kmh=float(rng.uniform(10, 90)))
             by_node_crew = {(e.node_id, e.crew): e for e in chart.entries}
             for e in chart.entries:
@@ -184,7 +203,7 @@ class TestChartInvariants:
         }
         scenario = Scenario(0, times, demands, frozenset())
         plan = solve_routing(inst, 0)
-        chart = build_schedule(plan, scenario, inst.complete)
+        chart = build_schedule(plan, scenario, inst.depots)
         for k, route in plan.routes.items():
             starts = {e.node_id: e.start_h for e in chart.entries if e.crew == k}
             ordered = [starts[i] for i in route.visit_order]
@@ -205,12 +224,12 @@ class TestChartInvariants:
             }
             plan = solve_routing(inst, 0)
             base = build_schedule(plan, Scenario(0, times, demands, frozenset()),
-                                  inst.complete)
+                                  inst.depots)
             shorter = dict(times)
             key = sorted(shorter)[int(rng.integers(0, len(shorter)))]
             shorter[key] = times[key] / 2.0
             after = build_schedule(plan, Scenario(0, shorter, demands, frozenset()),
-                                   inst.complete)
+                                   inst.depots)
             assert after.makespan_h <= base.makespan_h + 1e-12
 
     def test_combine_charts(self):
@@ -236,6 +255,6 @@ class TestChartInvariants:
         }
         plan = solve_routing(inst, 0)
         chart = build_schedule(plan, Scenario(0, times, demands, frozenset()),
-                               inst.complete)
+                               inst.depots)
         scheduled = {(e.node_id, e.crew) for e in chart.entries}
         assert makespan(chart) >= max(times[key] for key in scheduled)
