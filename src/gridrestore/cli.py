@@ -138,6 +138,10 @@ class PipelineConfig:
                 raise SchemaError(f"{path}: {key} must be {wanted}"
                                   f"{' or null' if nullable else ''}, got {value!r}")
             setattr(cfg, key, value)
+        try:
+            cfg.scenario_config()  # relations between fields, e.g. demand_lo <= demand_hi
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
         return cfg
 
     def echo(self) -> dict:
@@ -240,6 +244,8 @@ def cmd_build_network(args, config: PipelineConfig) -> int:
 
 
 def cmd_gen_scenarios(args, config: PipelineConfig) -> int:
+    if args.n_scenarios is not None and args.n_scenarios < 1:
+        raise SchemaError(f"--n-scenarios must be an integer >= 1, got {args.n_scenarios}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net = fileio.read_network_file(args.network)
@@ -300,9 +306,16 @@ def cmd_solve(args, config: PipelineConfig) -> int:
     all_passed = True
     validation = []
     plans = []
+    # One closure per distinct failure set, kept only until its last scenario
+    last_use = {sc.failed_edges: sc.scenario_id for sc in sset.scenarios}
+    closures = {}
     for scenario in sset.scenarios:
-        complete = shortest_path_matrix(apply_road_failures(net.road, scenario.failed_edges),
-                                        terminals)
+        failed = scenario.failed_edges
+        complete = closures.pop(failed, None)
+        if complete is None:
+            complete = shortest_path_matrix(apply_road_failures(net.road, failed), terminals)
+        if last_use[failed] > scenario.scenario_id:
+            closures[failed] = complete
         rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates)
         plan = solve_routing(rinst, scenario.scenario_id)
         report = validate_routes(plan, rinst)
@@ -320,7 +333,7 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         all_passed &= report.passed
         print(f"  scenario {scenario.scenario_id}: route cost {plan.total_cost:.3f}, "
               f"validation {'pass' if report.passed else 'FAIL'}")
-        del complete, rinst  # free this closure before the next one is built
+        del complete, rinst  # a closure no later scenario needs is freed here
     fileio.write_json_artifact(
         out_dir / "validation.json",
         {"schema": "route_validation/1", "all_passed": all_passed, "scenarios": validation},

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -53,6 +54,14 @@ def mm_to_m(mm: int) -> float:
     return mm / 1000.0
 
 
+def require_finite(value: float, what: str) -> float:
+    """``value`` as a float; ValueError naming ``what`` when it is inf or nan."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class RoadGraph:
     """Undirected road network: nodes carry (lat, lon), edges carry meters.
@@ -75,7 +84,11 @@ class RoadGraph:
         for nid, lat, lon in self.nodes:
             if nid in coords:
                 raise ValueError(f"duplicate node_id {nid!r}")
-            coords[nid] = (float(lat), float(lon))
+            lat, lon = float(lat), float(lon)
+            if not math.isfinite(lat + lon):  # either is inf or nan; name which
+                for name, x in (("lat", lat), ("lon", lon)):
+                    require_finite(x, f"node {nid!r}: {name}")
+            coords[nid] = (lat, lon)
 
         edge_mm: dict[tuple[NodeId, NodeId], int] = {}
         for u, v, length_m in self.edges:
@@ -83,6 +96,10 @@ class RoadGraph:
                 raise DanglingEdgeError(f"edge ({u!r}, {v!r}) references unknown node {u!r}")
             if v not in coords:
                 raise DanglingEdgeError(f"edge ({u!r}, {v!r}) references unknown node {v!r}")
+            if not math.isfinite(float(length_m)):
+                raise NonPositiveLengthError(
+                    f"edge ({u!r}, {v!r}): length_m must be finite, got {length_m!r}"
+                )
             mm = quantize_m(length_m)
             if mm <= 0:
                 raise NonPositiveLengthError(
@@ -137,6 +154,33 @@ class RoadGraph:
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return edge_key(u, v) in self._edge_mm
 
+    def _without(self, failed: set[tuple[NodeId, NodeId]]) -> "RoadGraph":
+        """This graph minus ``failed``, a set of its own canonical edge keys.
+
+        Derived without re-validation: the nodes and coordinates are shared,
+        and only the endpoints of failed edges get a new adjacency tuple.
+        Filtering keeps every list in node_key order, so the result equals
+        ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it exactly
+        as on that rebuild.
+        """
+        edge_mm = dict(self._edge_mm)
+        cut: dict[NodeId, set[NodeId]] = {}
+        for u, v in failed:
+            del edge_mm[(u, v)]
+            cut.setdefault(u, set()).add(v)
+            cut.setdefault(v, set()).add(u)
+        adj = dict(self._adj)
+        for u, gone in cut.items():
+            adj[u] = tuple(nbr for nbr in adj[u] if nbr[0] not in gone)
+        g = object.__new__(RoadGraph)
+        # self.edges is canonical, so each (u, v) prefix is its edge key
+        object.__setattr__(g, "nodes", self.nodes)
+        object.__setattr__(g, "edges", tuple(e for e in self.edges if e[:2] not in failed))
+        object.__setattr__(g, "_coords", self._coords)
+        object.__setattr__(g, "_edge_mm", edge_mm)
+        object.__setattr__(g, "_adj", adj)
+        return g
+
 
 @dataclass(frozen=True)
 class PowerNode:
@@ -149,6 +193,8 @@ class PowerNode:
     component_kind: str
 
     def __post_init__(self):
+        for name in ("local_x", "local_y", "downstream_load_kw"):
+            require_finite(getattr(self, name), f"bus {self.bus_id!r}: {name}")
         if self.downstream_load_kw < 0:
             raise ValueError(f"bus {self.bus_id!r}: downstream_load_kw must be >= 0")
         if self.component_kind not in POWER_COMPONENT_KINDS:
@@ -348,18 +394,18 @@ def build_coupled_network(
 def apply_road_failures(
     road: RoadGraph, failed_edges: Iterable[tuple[NodeId, NodeId]]
 ) -> RoadGraph:
-    """Return a copy of the graph without the failed edges.
+    """The graph without the failed edges; ``road`` itself when none of them is in it.
 
     Pairs that match no edge are counted and reported via a warning, not an
     error: a scenario may name edges that an earlier failure already removed.
+    The result is derived from ``road`` without a rebuild (``RoadGraph._without``).
     """
     failed = {edge_key(u, v) for u, v in failed_edges}
-    ignored = len(failed.difference(road._edge_mm))
+    present = failed.intersection(road._edge_mm)
+    ignored = len(failed) - len(present)
     if ignored:
         logger.warning("apply_road_failures: %d failure pair(s) match no edge; ignored", ignored)
-    # road.edges is already canonical, so each (u, v) prefix is its edge key
-    kept = tuple(e for e in road.edges if e[:2] not in failed)
-    return RoadGraph(road.nodes, kept)
+    return road._without(present) if present else road
 
 
 def _dijkstra_mm(road: RoadGraph, source: NodeId) -> tuple[dict[NodeId, int], dict[NodeId, NodeId]]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidRangeError, NoDamagedNodesError
 from .geo import point_segment_distance_m
-from .network import CoupledNetwork, NodeId, edge_key, node_key
+from .network import CoupledNetwork, NodeId, edge_key, node_key, require_finite
 
 # Lognormal repair-time parameters and the sampling clamp window (hours).
 REPAIR_TIME_MU = -0.3072
@@ -74,7 +74,10 @@ class TornadoEvent:
     def __post_init__(self):
         if not 0 <= self.ef_rating <= 5:
             raise ValueError(f"ef_rating must be in 0..5, got {self.ef_rating}")
-        if self.corridor_width_m <= 0:
+        for name in ("path_start", "path_end"):
+            for x in getattr(self, name):
+                require_finite(x, name)
+        if require_finite(self.corridor_width_m, "corridor_width_m") <= 0:
             raise ValueError("corridor_width_m must be > 0")
 
 
@@ -167,6 +170,10 @@ class ScenarioConfig:
             raise ValueError("n_scenarios must be >= 1")
         if not 0.0 <= self.edge_fail_prob <= 1.0:
             raise ValueError("edge_fail_prob must be in [0, 1]")
+        for lo, hi in (("demand_lo", "demand_hi"), ("repair_time_min_h", "repair_time_max_h")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise ValueError(f"{lo} must be <= {hi}, got {getattr(self, lo)!r} > "
+                                 f"{getattr(self, hi)!r}")
 
 
 def scenario_stream(seed: int, scenario_id: int) -> np.random.Generator:

@@ -1,7 +1,10 @@
 """End-to-end pipeline: artifacts, summaries, exit codes, reproducibility."""
 
+import gc
 import json
+import logging
 import random
+import weakref
 
 import pytest
 
@@ -224,6 +227,20 @@ class TestGenScenarios:
         sset = fileio.read_scenario_file(out / "scenarios.json")
         assert sset.n_scenarios == 30
         assert [sc.scenario_id for sc in sset.scenarios] == list(range(30))
+
+    def test_n_scenarios_below_one_exits_input(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        for bad in ("0", "-1"):
+            code = main([
+                "--out-dir", str(tmp_path / "again"), "gen-scenarios",
+                "--network", str(out / "network.json"),
+                "--events", str(fixture_dir / "events.csv"),
+                "--n-scenarios", bad,
+            ])
+            assert code == EXIT_INPUT, bad
+            assert capsys.readouterr().err == (
+                f"error: --n-scenarios must be an integer >= 1, got {bad}\n")
 
     def test_corridor_missing_everything(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -464,6 +481,93 @@ class TestSolveAndSchedule:
         assert not (out / "routes_s1.json").exists()
         assert not (out / "validation.json").exists()
 
+    def test_one_closure_per_distinct_failure_set(self, fixture_dir, tmp_path,
+                                                  monkeypatch, capsys, caplog):
+        # a hand-authored scenario_set/1 whose failure sets repeat: A B A {} B A {}
+        out = tmp_path / "out"
+        assert main([
+            "--out-dir", str(out), "build-network",
+            "--road-nodes", str(fixture_dir / "road_nodes.csv"),
+            "--road-edges", str(fixture_dir / "road_edges.csv"),
+            "--power", str(fixture_dir / "power.csv"),
+            "--offset-x", "-97.0", "--offset-y", "32.9",
+            "--depots", "r0c0,r4c4", "--damaged", "r2c2,r1c3",
+        ]) == EXIT_OK
+        sets = {
+            "A": [["r2c2", "r2c3"], ["r1c2", "r2c2"], ["r0c0", "r4c4"]],  # last is no edge
+            "B": [["r1c3", "r1c2"]],  # reversed pair
+            "-": [],
+        }
+        rnd = random.Random(5)
+
+        def scenario(sid, key):
+            return {
+                "id": sid,
+                "repair_time_h": [[i, [round(rnd.uniform(0.5, 9.0), 3) for _ in range(4)]]
+                                  for i in ("r1c3", "r2c2")],
+                "repair_demand": [[i, [rnd.randint(0, 3) for _ in range(4)]]
+                                  for i in ("r1c3", "r2c2")],
+                "failed_edges": sets[key],
+            }
+
+        def scenario_file(path, scenarios):
+            path.write_text(json.dumps({
+                "schema": "scenario_set/1", "seed": None, "config": None,
+                "damaged": ["r1c3", "r2c2"],
+                "crews": [{"index": c.index, "name": c.name,
+                           "hourly_cost_per_person": c.hourly_cost_per_person}
+                          for c in cli.default_crews()],
+                "loads_kw": [["r1c3", 120.0], ["r2c2", 80.0]],
+                "scenarios": scenarios,
+            }))
+
+        order = "ABA-BA-"
+        scenarios = [scenario(s, key) for s, key in enumerate(order)]
+        scenario_file(tmp_path / "scenarios.json", scenarios)
+
+        calls, built, alive = [], [], []
+        original, write_plan = cli.shortest_path_matrix, fileio.write_route_plan_file
+
+        def counting(road, terminals):
+            calls.append(road.n_edges)
+            complete = original(road, terminals)
+            built.append(weakref.ref(complete))
+            return complete
+
+        def watching(plan, path, complete):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+            write_plan(plan, path, complete)
+
+        monkeypatch.setattr(cli, "shortest_path_matrix", counting)
+        monkeypatch.setattr(fileio, "write_route_plan_file", watching)
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="gridrestore.network"):
+            assert main(["--out-dir", str(out), "solve", "--network", str(out / "network.json"),
+                         "--scenarios", str(tmp_path / "scenarios.json")]) == EXIT_OK
+        assert calls == [38, 39, 40]  # first use of A, B, then the empty set
+        # a closure lives from its first scenario to its last, and no longer
+        assert alive == [1, 2, 2, 3, 3, 2, 1]
+        monkeypatch.setattr(fileio, "write_route_plan_file", write_plan)
+        # the ignored pair of A is reported once, when A's closure is built
+        assert caplog.text.count("1 failure pair(s) match no edge") == 1
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if "  scenario " in ln]
+
+        for s, rec in enumerate(scenarios):
+            single = tmp_path / f"single{s}"
+            scenario_file(tmp_path / f"one{s}.json", [{**rec, "id": 0}])
+            assert main(["--out-dir", str(single), "solve",
+                         "--network", str(out / "network.json"),
+                         "--scenarios", str(tmp_path / f"one{s}.json")]) == EXIT_OK
+            alone = (single / "routes_s0.json").read_bytes()
+            assert alone.count(b'"scenario_id": 0,') == 1
+            assert (out / f"routes_s{s}.json").read_bytes() == alone.replace(
+                b'"scenario_id": 0,', f'"scenario_id": {s},'.encode())
+            single_line = [ln for ln in capsys.readouterr().out.splitlines()
+                           if "  scenario 0:" in ln]
+            assert [lines[s].replace(f"scenario {s}:", "scenario 0:")] == single_line
+        assert len(calls) == 3 + len(order)
+
     def test_schedule_contains_checkpoint_hours(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         run_pipeline(fixture_dir, out)
@@ -642,6 +746,13 @@ class TestConfigFile:
             ({"crew_costs": [200, 65, 75, 0]}, "crew_costs must be"),
             ({"speed_kmh": "fast"}, "speed_kmh must be"),
             ({"speed_kmh": 0}, "speed_kmh must be"),
+            # relations between fields, checked after the per-field table
+            ({"demand_lo": 7, "demand_hi": 6}, "demand_lo must be <= demand_hi, got 7 > 6"),
+            ({"demand_hi": 3}, "demand_lo must be <= demand_hi, got 5 > 3"),  # default lo
+            ({"repair_time_min_h": 6.0, "repair_time_max_h": 2.0},
+             "repair_time_min_h must be <= repair_time_max_h, got 6.0 > 2.0"),
+            ({"demand_lo": 4, "demand_hi": 4, "repair_time_min_h": 2,
+              "repair_time_max_h": 2}, None),
             # null where the default is null, and an integer for a float, pass
             ({"scale_c": None, "crew_costs": None, "speed_kmh": 40}, None),
         ]:

@@ -12,6 +12,7 @@ from gridrestore import (
     CompleteGraph,
     CoupledNetwork,
     PowerNode,
+    RoadGraph,
     apply_road_failures,
     build_coupled_network,
     load_road_network,
@@ -25,7 +26,7 @@ from gridrestore.errors import (
     UnknownTerminalError,
 )
 from gridrestore.geo import haversine_m
-from gridrestore.network import node_key
+from gridrestore.network import edge_key, node_key
 
 from conftest import floyd_warshall_oracle, random_road_graph
 
@@ -56,6 +57,15 @@ class TestLoadRoadNetwork:
     def test_duplicate_node_id(self):
         with pytest.raises(ValueError, match="duplicate"):
             load_road_network(NODES3 + [("a", 33.0, -96.0)], [])
+
+    def test_non_finite_values_named(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="node 'b': lat must be finite"):
+                RoadGraph((NODES3[0], ("b", bad, -97.0)), ())
+            with pytest.raises(ValueError, match="node 'b': lon must be finite"):
+                RoadGraph((NODES3[0], ("b", 32.01, bad)), ())
+            with pytest.raises(NonPositiveLengthError, match="length_m must be finite"):
+                load_road_network(NODES3, [("a", "b", bad)])
 
     def test_lengths_quantized_to_millimeters(self):
         g = load_road_network(NODES3, [("a", "b", 123.4567)])
@@ -143,12 +153,18 @@ class TestProjection:
             PowerNode("b", 0, 0, -1.0, "line")
         with pytest.raises(ValueError):
             PowerNode("b", 0, 0, 1.0, "generator")
+        for bad in (math.inf, -math.inf, math.nan):
+            for field, args in (("local_x", (bad, 0, 1.0)), ("local_y", (0, bad, 1.0)),
+                                ("downstream_load_kw", (0, 0, bad))):
+                with pytest.raises(ValueError, match=f"bus 'b': {field} must be finite"):
+                    PowerNode("b", *args, "line")
 
 
 class TestRoadFailures:
     def test_empty_failure_set_is_identity(self):
         g = load_road_network(NODES3, [("a", "b", 100.0), ("b", "c", 200.0)])
         assert apply_road_failures(g, []) == g
+        assert apply_road_failures(g, [("c", "a")]) is g  # matches no edge
 
     def test_failing_only_path_disconnects(self):
         g = load_road_network(NODES3, [("a", "b", 100.0), ("b", "c", 200.0)])
@@ -180,6 +196,46 @@ class TestRoadFailures:
         g = load_road_network(NODES3, [("a", "b", 100.0)])
         apply_road_failures(g, [("a", "b")])
         assert g.n_edges == 1
+
+    def test_derived_graph_equals_rebuild(self, caplog):
+        # int ids, a string id (node_key orders it last), a self-loop and a
+        # parallel edge: the derived graph must match a from-scratch rebuild
+        # in every table and in every Dijkstra result, predecessors included
+        rnd = random.Random(11)
+        n = 4
+        nodes = [(r * n + c, 32.0 + 0.001 * r, -97.0 + 0.001 * c)
+                 for r in range(n) for c in range(n)] + [("hub", 32.0, -96.99)]
+        edges = [(r * n + c, r * n + c + 1, rnd.choice((90.0, 100.0, 110.0)))
+                 for r in range(n) for c in range(n - 1)]
+        edges += [(r * n + c, (r + 1) * n + c, rnd.choice((90.0, 100.0, 110.0)))
+                  for r in range(n - 1) for c in range(n)]
+        edges += [("hub", 0, 150.0), (15, "hub", 150.0), (5, 5, 10.0), (6, 5, 80.0)]
+        g = load_road_network(nodes, edges)
+        before = (dict(g._adj), dict(g._edge_mm), g.edges)
+        terminals = [0, 3, 12, 15, "hub"]
+        unknown = [(0, 15), ("ghost", 0), (3, 12)]
+        for _ in range(60):
+            pairs = [(u, v) if rnd.random() < 0.5 else (v, u)
+                     for u, v, _ in g.edges if rnd.random() < 0.3]
+            pairs += rnd.sample(unknown, rnd.randint(0, len(unknown)))
+            failed = {edge_key(u, v) for u, v in pairs}
+            with caplog.at_level(logging.WARNING, logger="gridrestore.network"):
+                caplog.clear()
+                derived = apply_road_failures(g, pairs)
+            ignored = len(failed.difference(g._edge_mm))
+            assert (f"{ignored} failure pair(s)" in caplog.text) == (ignored > 0)
+            rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges
+                                               if edge_key(e[0], e[1]) not in failed))
+            assert derived == rebuilt
+            assert derived._adj == rebuilt._adj
+            assert derived._edge_mm == rebuilt._edge_mm
+            assert derived._coords == rebuilt._coords
+            a = shortest_path_matrix(derived, terminals)
+            b = shortest_path_matrix(rebuilt, terminals)
+            assert np.array_equal(a.dist_mm, b.dist_mm)
+            assert np.array_equal(a.reachable, b.reachable)
+            assert a.preds == b.preds
+        assert (g._adj, g._edge_mm, g.edges) == before
 
     def test_failures_never_shorten_paths(self, rng):
         for _ in range(25):

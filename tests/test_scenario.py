@@ -29,6 +29,27 @@ from gridrestore.scenario import REPAIR_TIME_MU, REPAIR_TIME_SIGMA
 import refcase
 
 
+class TestConstructorChecks:
+    def test_tornado_event_non_finite_named(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="path_start must be finite"):
+                TornadoEvent(2, (bad, -97.0), (32.0, -96.9), 500.0)
+            with pytest.raises(ValueError, match="path_end must be finite"):
+                TornadoEvent(2, (32.0, -97.0), (32.0, bad), 500.0)
+            with pytest.raises(ValueError, match="corridor_width_m must be finite"):
+                TornadoEvent(2, (32.0, -97.0), (32.0, -96.9), bad)
+
+    def test_scenario_config_demand_window_ordered(self):
+        with pytest.raises(ValueError, match="demand_lo must be <= demand_hi"):
+            ScenarioConfig(n_scenarios=1, demand_lo=7, demand_hi=6)
+        ScenarioConfig(n_scenarios=1, demand_lo=6, demand_hi=6)
+
+    def test_scenario_config_repair_window_ordered(self):
+        with pytest.raises(ValueError, match="repair_time_min_h must be <= repair_time_max_h"):
+            ScenarioConfig(n_scenarios=1, repair_time_min_h=6.0, repair_time_max_h=2.0)
+        ScenarioConfig(n_scenarios=1, repair_time_min_h=2.0, repair_time_max_h=2.0)
+
+
 class TestCrewTypes:
     def test_default_taxonomy(self):
         crews = default_crews()
