@@ -167,6 +167,11 @@ def _update_manifest(out_dir: Path, command: str, seed: int, config: PipelineCon
                 "seed": seed, "config": config.echo(), "commands": {}}
     if path.exists():
         manifest = fileio.read_json_artifact(path, fileio.SCHEMA_MANIFEST)
+        if "commands" not in manifest:
+            raise SchemaError(f"{path}: missing key 'commands'")
+        if not isinstance(manifest["commands"], dict):
+            raise SchemaError(f"{path}: commands must be an object, "
+                              f"got {manifest['commands']!r}")
         manifest["tool_version"] = __version__
         manifest["seed"] = seed
         manifest["config"] = config.echo()

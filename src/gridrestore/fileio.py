@@ -6,6 +6,10 @@ sorted [id, value] pair lists, which keeps JSON round-trips type-faithful
 (integer ids stay integers). Distances are serialized as fixed-point meter
 strings with 3 decimals, matching the millimeter quantization used for all
 shortest-path arithmetic.
+
+Every artifact is written through ``_write_text``, which leaves a file that
+already holds the same bytes untouched and otherwise overwrites it in place,
+so re-running a stage frees no disk blocks.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -74,8 +79,27 @@ def parse_meters(text: str, where: str = "") -> float:
     return _finite(text, where, "distance")
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Make ``path`` hold exactly ``text`` as UTF-8, without opening it with O_TRUNC.
+
+    A file that already holds those bytes is left untouched (its mtime too).
+    Otherwise the bytes are written from offset 0 and the file is cut at their
+    length, so no block is freed unless the file shrinks. Truncating on open
+    frees every block of the old file, which is slow on filesystems mounted
+    with ``discard``. The size is compared before any read, so a new file or
+    one of another size is never read back.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as fh:
+        if os.fstat(fh.fileno()).st_size == len(data) and fh.read() == data:
+            return
+        fh.seek(0)
+        fh.write(data)
+        fh.truncate()
+
+
 def write_json_artifact(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def read_json_artifact(path: str | Path, expected_schema: str) -> dict:
@@ -490,7 +514,7 @@ def write_gantt_csv(chart: GanttChart, path: str | Path) -> None:
     lines = [",".join(GANTT_HEADER)]
     for e in chart.entries:
         lines.append(f"{e.scenario_id},{e.node_id},{e.crew},{e.start_h:.4f},{e.finish_h:.4f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_gantt_csv(path: str | Path) -> GanttChart:
@@ -526,6 +550,7 @@ def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew sche
                   key=lambda t: (node_key(t[0]), t[1]))
     scenario_ids = sorted({e.scenario_id for e in chart.entries})
     row_index = {rc: i for i, rc in enumerate(rows)}
+    lane_of = {sid: lane for lane, sid in enumerate(scenario_ids)}
     lane_count = max(1, len(scenario_ids))
 
     ml, mr, mt, mb = 180.0, 24.0, 48.0, 34.0
@@ -565,7 +590,7 @@ def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew sche
     lane_h = (row_h - 6.0) / lane_count
     for e in chart.entries:
         idx = row_index[(e.node_id, e.crew)]
-        lane = scenario_ids.index(e.scenario_id)
+        lane = lane_of[e.scenario_id]
         y0 = mt + idx * row_h + 3.0 + lane * lane_h
         color = _PALETTE[e.scenario_id % len(_PALETTE)]
         bar_w = max(x(e.finish_h) - x(e.start_h), 0.5)
@@ -581,4 +606,4 @@ def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew sche
         out.append(f'<rect x="{lx:.1f}" y="30" width="10" height="10" fill="{color}"/>')
         out.append(f'<text x="{lx + 14:.1f}" y="39">scenario {sid}</text>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(out) + "\n")

@@ -3,6 +3,8 @@
 import gc
 import json
 import logging
+import os
+import pathlib
 import random
 import weakref
 
@@ -720,6 +722,32 @@ class TestReproducibility:
         ]) == EXIT_OK
         assert (out / "scenarios.json").read_bytes() == blob
 
+    def test_rerun_in_place_keeps_files_untouched(self, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out, seed=5)
+        old_ns = 1_000_000_000_000_000_000  # a coarse clock cannot hide a rewrite
+        before = {}
+        for p in out.iterdir():
+            os.utime(p, ns=(old_ns, old_ns))
+            before[p.name] = p.read_bytes()
+        common = ["--out-dir", str(out), "--seed", "5"]
+        inputs = ["--network", str(out / "network.json"),
+                  "--scenarios", str(out / "scenarios.json")]
+        assert main(common + ["solve", *inputs]) == EXIT_OK
+        assert main(common + ["schedule", *inputs]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        for p in out.iterdir():
+            assert p.read_bytes() == before[p.name], p.name
+            assert p.stat().st_mtime_ns == old_ns, p.name
+
+    def test_no_artifact_writer_bypasses_the_in_place_writer(self, fixture_dir, tmp_path,
+                                                               monkeypatch):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"Path.write_text({self})")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", forbidden)
+        run_pipeline(fixture_dir, tmp_path / "out")
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, fixture_dir, tmp_path, capsys):
@@ -826,3 +854,26 @@ class TestManifest:
         for command in manifest["commands"].values():
             for digest in command["inputs"].values():
                 assert digest.startswith("sha256:")
+
+    @pytest.mark.parametrize("commands, message", [
+        ([], "commands must be an object, got []"),
+        (None, "missing key 'commands'"),
+    ], ids=["not-an-object", "missing"])
+    def test_malformed_commands_named(self, fixture_dir, tmp_path, capsys, commands, message):
+        out = tmp_path / "out"
+        argv = ["--out-dir", str(out), "build-network",
+                "--road-nodes", str(fixture_dir / "road_nodes.csv"),
+                "--road-edges", str(fixture_dir / "road_edges.csv"),
+                "--power", str(fixture_dir / "power.csv"), "--depots", "r0c0"]
+        assert main(argv) == EXIT_OK
+        path = out / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        if commands is None:
+            del manifest["commands"]
+        else:
+            manifest["commands"] = commands
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "run_manifest.json" in err and message in err, err

@@ -1,6 +1,8 @@
 """Artifact round-trips, fixed-point distances, and schema errors."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +259,56 @@ class TestCsvIngestion:
             path.write_text(json.dumps(obj))  # NaN / Infinity tokens
             with pytest.raises(SchemaError, match=rf"road\.json: node 'b': {name} must be finite"):
                 fileio.read_road_graph_json(path)
+
+
+class TestWriteText:
+    """The one writer behind every artifact: skip identical bytes, overwrite in place."""
+
+    OLD_NS = 1_000_000_000_000_000_000  # 2001-09-09, far from any clock reading
+
+    def test_new_file_gets_exactly_the_bytes(self, tmp_path):
+        path = tmp_path / "a.json"
+        fileio._write_text(path, "{\n  \"\u00e9\": 1\n}\n")
+        assert path.read_bytes() == "{\n  \"\u00e9\": 1\n}\n".encode("utf-8")
+
+    def test_same_bytes_leave_the_file_untouched(self, tmp_path):
+        path = tmp_path / "a.json"
+        fileio._write_text(path, "same\n")
+        os.utime(path, ns=(self.OLD_NS, self.OLD_NS))
+        before = os.stat(path)
+        fileio._write_text(path, "same\n")
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, self.OLD_NS)
+        assert path.read_bytes() == b"same\n"
+
+    def test_same_size_other_bytes_are_written(self, tmp_path):
+        path = tmp_path / "a.json"
+        fileio._write_text(path, "aaaa\n")
+        fileio._write_text(path, "abba\n")
+        assert path.read_bytes() == b"abba\n"
+
+    def test_longer_file_overwritten_with_shorter_has_no_stale_tail(self, tmp_path):
+        path = tmp_path / "a.json"
+        fileio._write_text(path, "x" * 10_000 + "\n")
+        fileio._write_text(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+
+    def test_shorter_file_overwritten_with_longer(self, tmp_path):
+        path = tmp_path / "a.json"
+        fileio._write_text(path, "short\n")
+        fileio._write_text(path, "y" * 10_000 + "\n")
+        assert path.read_bytes() == b"y" * 10_000 + b"\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/io").exists(), reason="needs /proc/self/io")
+    def test_file_of_another_size_is_not_read_back(self, tmp_path):
+        def bytes_read():
+            for line in Path("/proc/self/io").read_text().splitlines():
+                if line.startswith("rchar:"):
+                    return int(line.split()[1])
+
+        path = tmp_path / "a.json"
+        fileio._write_text(path, "z" * 4_000_000)
+        before = bytes_read()
+        fileio._write_text(path, "small\n")
+        assert bytes_read() - before < 1_000_000
+        assert path.read_bytes() == b"small\n"
