@@ -14,29 +14,39 @@ refuses unbounded instances up front instead of silently capping y.
 In the bounded regime the exact optimum has a closed form: x_k is the
 worst-case demand column sum, y equals demand plus any leftover capacity
 placed on the node with the best (pw*P - tw*T) margin when that margin is
-positive. ``enumerate_stage1`` is the independent oracle: it sweeps each
-capacity over a box around the feasibility bound and evaluates the inner
-assignment greedily, with no reliance on the closed form.
+positive. ``Stage1Instance`` derives that margin once, as one
+``(scenario, node, crew)`` array over the scenario set's dense view, and
+``marginal_gain`` and ``solve_stage1`` are a few array operations on it.
+``enumerate_stage1`` is the independent oracle: it sweeps each capacity
+over a box around the feasibility bound and evaluates the inner assignment
+greedily from the scenarios' dicts, with no reliance on the closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatchError,
     EmptyScenarioSetError,
+    NumericOverflowError,
     UnboundedObjectiveError,
 )
-from .network import NodeId, node_key
+from .network import NodeId, node_key, require_finite
 from .scenario import N_CREWS, ScenarioSet
 
 
 @dataclass(frozen=True)
 class Stage1Instance:
-    """Scenario data, restoration loads, crew costs, and the scale factor."""
+    """Scenario data, restoration loads, crew costs, and the scale factor.
+
+    ``margin[s, n, k]`` is pw*P - tw*T for crew k at the scenario set's node
+    ``nodes[n]`` in scenario s: what one unit of slack placed there gains.
+    """
 
     scenarios: ScenarioSet
     loads_kw: Mapping[NodeId, float]
@@ -44,11 +54,15 @@ class Stage1Instance:
     scale_c: float
     power_weight: float = 1.0
     time_weight: float = 1.0
+    margin: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads_kw", dict(self.loads_kw))
-        object.__setattr__(self, "crew_costs", tuple(float(c) for c in self.crew_costs))
-        if self.scale_c <= 0:
+        object.__setattr__(self, "crew_costs",
+                           tuple(require_finite(c, "crew cost") for c in self.crew_costs))
+        for name in ("power_weight", "time_weight"):
+            require_finite(getattr(self, name), name)
+        if require_finite(self.scale_c, "scale_c") <= 0:
             raise ValueError("scale_c must be > 0")
         if len(self.crew_costs) != N_CREWS:
             raise DimensionMismatchError(
@@ -56,7 +70,15 @@ class Stage1Instance:
             )
         if any(c <= 0 for c in self.crew_costs):
             raise ValueError("crew costs must be > 0")
-        _check_loads(self.scenarios, self.loads_kw)
+        nodes = self.scenarios.nodes
+        missing = [i for i in nodes if i not in self.loads_kw]
+        if missing:
+            raise DimensionMismatchError(f"loads_kw missing damaged node(s): {missing!r}")
+        loads = np.array([require_finite(self.loads_kw[i], f"loads_kw[{i!r}]") for i in nodes])
+        margin = (self.power_weight * loads[None, :, None]
+                  - self.time_weight * self.scenarios.repair_times)
+        margin.setflags(write=False)
+        object.__setattr__(self, "margin", margin)
 
     @classmethod
     def from_scenarios(
@@ -77,11 +99,11 @@ class Stage1Instance:
             if crew_costs is not None
             else tuple(c.hourly_cost_per_person for c in scenarios.crews)
         )
+        inst = cls(scenarios, loads_kw, costs, 1.0 if scale_c is None else scale_c,
+                   power_weight, time_weight)
         if scale_c is None:
-            _check_loads(scenarios, loads_kw)  # _gains reads every damaged node's load
-            gains = _gains(scenarios, loads_kw, power_weight, time_weight)
-            scale_c = default_scale_c(gains, costs)
-        return cls(scenarios, loads_kw, costs, scale_c, power_weight, time_weight)
+            inst = replace(inst, scale_c=default_scale_c(marginal_gain(inst), inst.crew_costs))
+        return inst
 
 
 @dataclass(frozen=True)
@@ -100,9 +122,8 @@ class CrewAllocation:
 
 
 def _iter_keys(scenarios: ScenarioSet):
-    nodes = sorted(scenarios.damaged, key=node_key)
     for s in range(scenarios.n_scenarios):
-        for i in nodes:
+        for i in scenarios.nodes:
             for k in range(N_CREWS):
                 yield s, i, k
 
@@ -135,41 +156,22 @@ def stage1_objective(alloc: CrewAllocation, inst: Stage1Instance) -> float:
     return cost_term - (inst.power_weight * restored - inst.time_weight * repair_time) / scen.n_scenarios
 
 
-def _check_loads(scenarios: ScenarioSet, loads_kw: Mapping[NodeId, float]) -> None:
-    missing = [i for i in sorted(scenarios.damaged, key=node_key) if i not in loads_kw]
-    if missing:
-        raise DimensionMismatchError(f"loads_kw missing damaged node(s): {missing!r}")
-
-
-def _gains(
-    scenarios: ScenarioSet,
-    loads_kw: Mapping[NodeId, float],
-    power_weight: float,
-    time_weight: float,
-) -> dict[int, float]:
-    nodes = sorted(scenarios.damaged, key=node_key)
-    gains: dict[int, float] = {}
-    for k in range(N_CREWS):
-        total = 0.0
-        for sc in scenarios.scenarios:
-            best = 0.0
-            for i in nodes:
-                margin = power_weight * loads_kw[i] - time_weight * sc.repair_time_h[(i, k)]
-                if margin > best:
-                    best = margin
-            total += best
-        gains[k] = total / scenarios.n_scenarios if scenarios.n_scenarios else 0.0
-    return gains
-
-
 def marginal_gain(inst: Stage1Instance) -> dict[int, float]:
     """Objective improvement per extra unit of capacity, by crew.
 
     g_k = (1/|S|) * sum_s max(0, max_i (pw*P_i - tw*T[s,i,k])): one more
     crew member buys one more unit of slack y in every scenario, optimally
-    placed on the most profitable node.
+    placed on the most profitable node. Scenarios are added left to right.
     """
-    return _gains(inst.scenarios, inst.loads_kw, inst.power_weight, inst.time_weight)
+    n = inst.scenarios.n_scenarios
+    if n == 0:
+        return {k: 0.0 for k in range(N_CREWS)}
+    best = np.where(inst.margin > 0.0, inst.margin, 0.0).max(axis=1, initial=0.0)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        # cumsum adds in order; a 1-D sum would pair terms and round differently
+        gains = (np.cumsum(best, axis=0)[-1] / n).tolist()
+    _require_finite("marginal gain", gains)
+    return dict(enumerate(gains))
 
 
 def default_scale_c(gains: Mapping[int, float], crew_costs: Sequence[float]) -> float:
@@ -180,10 +182,18 @@ def default_scale_c(gains: Mapping[int, float], crew_costs: Sequence[float]) -> 
     ratio = max(gains.values()) / min(crew_costs)
     if ratio <= 0.0:
         return 1.0
-    c = 10.0 ** (math.floor(math.log10(ratio)) + 1)
+    try:
+        c = 10.0 ** (math.floor(math.log10(ratio)) + 1)
+    except OverflowError:  # the ratio, or its power of 10, is past float64
+        raise NumericOverflowError("default scale_c") from None
     while c <= ratio:  # guard against log10 rounding at exact powers
         c *= 10.0
     return c
+
+
+def _require_finite(what: str, values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise NumericOverflowError(what)
 
 
 def _check_bounded(inst: Stage1Instance, gains: Mapping[int, float]) -> None:
@@ -192,40 +202,6 @@ def _check_bounded(inst: Stage1Instance, gains: Mapping[int, float]) -> None:
         weighted = inst.scale_c * inst.crew_costs[k]
         if weighted <= gains[k]:
             raise UnboundedObjectiveError(k, gains[k], weighted, min_c)
-
-
-def _demand_column_sums(scenarios: ScenarioSet) -> list[list[int]]:
-    """sums[s][k] = total demand of crew k in scenario s."""
-    nodes = sorted(scenarios.damaged, key=node_key)
-    return [
-        [sum(sc.repair_demand[(i, k)] for i in nodes) for k in range(N_CREWS)]
-        for sc in scenarios.scenarios
-    ]
-
-
-def _place_slack(
-    inst: Stage1Instance,
-    assignment: dict[tuple[int, NodeId, int], float],
-    s: int,
-    k: int,
-    slack: int,
-) -> None:
-    """Drop leftover capacity on the most profitable node, if any profits."""
-    if slack <= 0:
-        return
-    sc = inst.scenarios.scenarios[s]
-    best_node = None
-    best_margin = 0.0
-    for i in sorted(inst.scenarios.damaged, key=node_key):
-        margin = (
-            inst.power_weight * inst.loads_kw[i]
-            - inst.time_weight * sc.repair_time_h[(i, k)]
-        )
-        if margin > best_margin:
-            best_margin = margin
-            best_node = i
-    if best_node is not None:
-        assignment[(s, best_node, k)] += float(slack)
 
 
 def solve_stage1(inst: Stage1Instance) -> CrewAllocation:
@@ -242,21 +218,21 @@ def solve_stage1(inst: Stage1Instance) -> CrewAllocation:
         return CrewAllocation((0,) * N_CREWS, {}, 0.0)
 
     gains = marginal_gain(inst)
+    _require_finite("scale_c * crew cost", [inst.scale_c * c for c in inst.crew_costs])
     _check_bounded(inst, gains)
 
-    sums = _demand_column_sums(scen)
-    capacity = tuple(max(sums[s][k] for s in range(scen.n_scenarios)) for k in range(N_CREWS))
+    sums = scen.repair_demands.sum(axis=1)  # (scenario, crew)
+    capacity = sums.max(axis=0)
+    # leftover capacity goes to the first node of best margin, if that margin pays
+    s_idx, k_idx = np.nonzero((sums < capacity) & (inst.margin.max(axis=1) > 0.0))
+    y = scen.repair_demands.astype(np.float64)
+    y[s_idx, inst.margin.argmax(axis=1)[s_idx, k_idx], k_idx] += (capacity - sums)[s_idx, k_idx]
 
-    assignment: dict[tuple[int, NodeId, int], float] = {
-        (s, i, k): float(scen.scenarios[s].repair_demand[(i, k)])
-        for s, i, k in _iter_keys(scen)
-    }
-    for s in range(scen.n_scenarios):
-        for k in range(N_CREWS):
-            _place_slack(inst, assignment, s, k, capacity[k] - sums[s][k])
-
+    capacity = tuple(capacity.tolist())
+    assignment = dict(zip(_iter_keys(scen), y.ravel().tolist()))
     alloc = CrewAllocation(capacity, assignment, 0.0)
     obj = stage1_objective(alloc, inst)
+    _require_finite("objective", [obj])
     alloc = CrewAllocation(capacity, assignment, obj)
     violations = verify_allocation(alloc, inst)
     if violations:  # pragma: no cover - solver postcondition
@@ -281,8 +257,9 @@ def enumerate_stage1(inst: Stage1Instance, extra_capacity: int = 10) -> CrewAllo
     gains = marginal_gain(inst)
     _check_bounded(inst, gains)
 
-    nodes = sorted(scen.damaged, key=node_key)
-    sums = _demand_column_sums(scen)
+    nodes = scen.nodes
+    sums = [[sum(sc.repair_demand[(i, k)] for i in nodes) for k in range(N_CREWS)]
+            for sc in scen.scenarios]
     n_s = scen.n_scenarios
 
     capacity: list[int] = []
@@ -333,12 +310,11 @@ def verify_allocation(alloc: CrewAllocation, inst: Stage1Instance) -> tuple[str,
     for k, xk in enumerate(alloc.capacity):
         if isinstance(xk, bool) or not isinstance(xk, int) or xk < 0:
             problems.append(f"capacity[{k}] = {xk!r} is not a non-negative integer")
-    nodes = sorted(scen.damaged, key=node_key)
     for s in range(scen.n_scenarios):
         sc = scen.scenarios[s]
         for k in range(N_CREWS):
             total = 0.0
-            for i in nodes:
+            for i in scen.nodes:
                 y = alloc.assignment.get((s, i, k), 0.0)
                 total += y
                 if y < sc.repair_demand[(i, k)]:

@@ -52,6 +52,14 @@ class EmptyScenarioSetError(GridRestoreError):
     """The scenario set holds no scenarios."""
 
 
+class NumericOverflowError(GridRestoreError):
+    """Stage-1 arithmetic on finite inputs leaves the float64 range."""
+
+    def __init__(self, what: str):
+        super().__init__(f"stage 1: {what} overflows float64; scale loads, repair times, "
+                         "weights or crew costs down")
+
+
 class UnboundedObjectiveError(GridRestoreError):
     """Capacity slack pays for itself; the allocation objective is unbounded.
 

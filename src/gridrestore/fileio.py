@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -102,6 +103,17 @@ def write_json_artifact(path: str | Path, obj) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+@contextmanager
+def _malformed(path: str | Path, what: str):
+    """Report a missing key, a wrong type or a rejected value as a SchemaError naming ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{path}: malformed {what} (missing key {exc})") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed {what} ({exc})") from None
+
+
 def read_json_artifact(path: str | Path, expected_schema: str) -> dict:
     p = Path(path)
     try:
@@ -138,13 +150,22 @@ def _loads_kw(pairs: Iterable, path: str | Path) -> dict[NodeId, float]:
     return {node: _finite(kw, f"{path}: node {node!r}", "loads_kw") for node, kw in pairs}
 
 
-def _road_nodes(rows: Iterable, path: str | Path) -> tuple[tuple[NodeId, float, float], ...]:
-    """``[[node, lat, lon], ...]`` with finite coordinates."""
+def _road_json(road: RoadGraph) -> dict:
+    """The ``nodes`` and ``edges`` tables that ``road_graph/1`` and ``coupled_network/1`` share."""
+    return {
+        "nodes": [[n, lat, lon] for n, lat, lon in road.nodes],
+        "edges": [[u, v, meters_str(m)] for u, v, m in road.edges],
+    }
+
+
+def _road_from_json(obj: dict, path: str | Path) -> RoadGraph:
+    """Inverse of ``_road_json``; node coordinates and edge distances must be finite."""
     nodes = []
-    for n, lat, lon in rows:
+    for n, lat, lon in obj["nodes"]:
         where = f"{path}: node {n!r}"
         nodes.append((n, _finite(lat, where, "lat"), _finite(lon, where, "lon")))
-    return tuple(nodes)
+    edges = tuple((u, v, parse_meters(m, str(path))) for u, v, m in obj["edges"])
+    return RoadGraph(tuple(nodes), edges)
 
 
 # --- CSV ingestion ---------------------------------------------------------
@@ -206,20 +227,12 @@ def read_road_edges_csv(path: str | Path) -> list[tuple[NodeId, NodeId, float]]:
 def read_road_graph_json(path: str | Path) -> RoadGraph:
     """Single structured road file holding both tables."""
     obj = read_json_artifact(path, SCHEMA_ROAD)
-    nodes = _road_nodes(obj["nodes"], path)
-    edges = tuple((u, v, parse_meters(m, str(path))) for u, v, m in obj["edges"])
-    return RoadGraph(nodes, edges)
+    with _malformed(path, "road graph"):
+        return _road_from_json(obj, path)
 
 
 def write_road_graph_json(road: RoadGraph, path: str | Path) -> None:
-    write_json_artifact(
-        path,
-        {
-            "schema": SCHEMA_ROAD,
-            "nodes": [[n, lat, lon] for n, lat, lon in road.nodes],
-            "edges": [[u, v, meters_str(m)] for u, v, m in road.edges],
-        },
-    )
+    write_json_artifact(path, {"schema": SCHEMA_ROAD, **_road_json(road)})
 
 
 def read_power_nodes_csv(path: str | Path) -> list[PowerNode]:
@@ -283,10 +296,7 @@ def write_network_file(net: CoupledNetwork, path: str | Path) -> None:
         path,
         {
             "schema": SCHEMA_NETWORK,
-            "road": {
-                "nodes": [[n, lat, lon] for n, lat, lon in net.road.nodes],
-                "edges": [[u, v, meters_str(m)] for u, v, m in net.road.edges],
-            },
+            "road": _road_json(net.road),
             "power_to_road": _pairs(net.power_to_road),
             "depots": _ids(net.depots),
             "damaged": _ids(net.damaged),
@@ -297,41 +307,33 @@ def write_network_file(net: CoupledNetwork, path: str | Path) -> None:
 
 def read_network_file(path: str | Path) -> CoupledNetwork:
     obj = read_json_artifact(path, SCHEMA_NETWORK)
-    road = RoadGraph(
-        _road_nodes(obj["road"]["nodes"], path),
-        tuple((u, v, parse_meters(m, str(path))) for u, v, m in obj["road"]["edges"]),
-    )
-    return CoupledNetwork(
-        road=road,
-        power_to_road={bus: node for bus, node in obj["power_to_road"]},
-        depots=frozenset(obj["depots"]),
-        damaged=frozenset(obj["damaged"]),
-        loads_kw=_loads_kw(obj["loads_kw"], path),
-    )
+    with _malformed(path, "network"):
+        return CoupledNetwork(
+            road=_road_from_json(obj["road"], path),
+            power_to_road={bus: node for bus, node in obj["power_to_road"]},
+            depots=frozenset(obj["depots"]),
+            damaged=frozenset(obj["damaged"]),
+            loads_kw=_loads_kw(obj["loads_kw"], path),
+        )
 
 
 # --- scenario set artifact ---------------------------------------------------
 
 
 def write_scenario_file(sset: ScenarioSet, path: str | Path) -> None:
-    scenarios = []
-    for sc in sset.scenarios:
-        nodes = sorted({i for i, _ in sc.repair_time_h}, key=node_key)
-        scenarios.append(
-            {
-                "id": sc.scenario_id,
-                "repair_time_h": [
-                    [i, [sc.repair_time_h[(i, k)] for k in range(N_CREWS)]] for i in nodes
-                ],
-                "repair_demand": [
-                    [i, [sc.repair_demand[(i, k)] for k in range(N_CREWS)]] for i in nodes
-                ],
-                "failed_edges": [
-                    list(e)
-                    for e in sorted(sc.failed_edges, key=lambda e: (node_key(e[0]), node_key(e[1])))
-                ],
-            }
-        )
+    scenarios = [
+        {
+            "id": sc.scenario_id,
+            "repair_time_h": list(zip(sset.nodes, times)),
+            "repair_demand": list(zip(sset.nodes, demands)),
+            "failed_edges": [
+                list(e)
+                for e in sorted(sc.failed_edges, key=lambda e: (node_key(e[0]), node_key(e[1])))
+            ],
+        }
+        for sc, times, demands in zip(sset.scenarios, sset.repair_times.tolist(),
+                                      sset.repair_demands.tolist())
+    ]
     write_json_artifact(
         path,
         {
@@ -355,21 +357,18 @@ def write_scenario_file(sset: ScenarioSet, path: str | Path) -> None:
 
 def read_scenario_file(path: str | Path) -> ScenarioSet:
     obj = read_json_artifact(path, SCHEMA_SCENARIOS)
-    try:
+    with _malformed(path, "scenario set"):
         crews = tuple(
             CrewType(c["index"], c["name"], float(c["hourly_cost_per_person"]))
             for c in obj["crews"]
         )
         scenarios = []
         for rec in obj["scenarios"]:
-            times = {}
-            demands = {}
-            for i, per_crew in rec["repair_time_h"]:
-                for k, t in enumerate(per_crew):
-                    times[(i, k)] = float(t)
-            for i, per_crew in rec["repair_demand"]:
-                for k, d in enumerate(per_crew):
-                    demands[(i, k)] = int(d)
+            # values pass through as parsed: Scenario rejects a bool, a fraction or a string
+            times = {(i, k): t for i, per_crew in rec["repair_time_h"]
+                     for k, t in enumerate(per_crew)}
+            demands = {(i, k): d for i, per_crew in rec["repair_demand"]
+                       for k, d in enumerate(per_crew)}
             failed = frozenset(edge_key(u, v) for u, v in rec["failed_edges"])
             scenarios.append(Scenario(int(rec["id"]), times, demands, failed))
         loads = obj.get("loads_kw")
@@ -381,8 +380,6 @@ def read_scenario_file(path: str | Path) -> ScenarioSet:
             config=obj.get("config"),
             loads_kw=_loads_kw(loads, path) if loads is not None else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed scenario set ({exc})") from None
 
 
 # --- allocation artifact -----------------------------------------------------
@@ -490,7 +487,7 @@ def _leg_meters(rec: dict, path: str | Path) -> tuple[float, ...]:
 def read_route_plan_file(path: str | Path) -> RoutePlan:
     obj = read_json_artifact(path, SCHEMA_ROUTES)
     routes = {}
-    try:
+    with _malformed(path, "route plan"):
         for rec in obj["routes"]:
             routes[int(rec["crew"])] = Route(
                 crew=int(rec["crew"]),
@@ -503,8 +500,6 @@ def read_route_plan_file(path: str | Path) -> RoutePlan:
                 mtz_labels={i: int(u) for i, u in rec["mtz_labels"]},
             )
         return RoutePlan(scenario_id=int(obj["scenario_id"]), routes=routes)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed route plan ({exc})") from None
 
 
 # --- gantt csv / svg ----------------------------------------------------------

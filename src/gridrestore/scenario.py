@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +28,8 @@ REPAIR_TIME_MAX_H = 12.0
 # Demand sampling window (persons), sized to span realistic crew calls.
 DEMAND_LO = 5
 DEMAND_HI = 19
+# Largest demand a scenario accepts, so that demand sums stay exact in int64.
+MAX_REPAIR_DEMAND = 2**31 - 1
 
 CREW_NAMES = ("initial_inspection", "tree", "line", "final_inspection")
 # Hourly cost per person: inspections are specialized technicians, tree and
@@ -50,7 +53,7 @@ class CrewType:
             raise ValueError(
                 f"crew {self.index} must be named {CREW_NAMES[self.index]!r}, got {self.name!r}"
             )
-        if self.hourly_cost_per_person <= 0:
+        if require_finite(self.hourly_cost_per_person, "hourly_cost_per_person") <= 0:
             raise ValueError("hourly_cost_per_person must be > 0")
 
 
@@ -97,11 +100,12 @@ class Scenario:
             self, "failed_edges", frozenset(edge_key(u, v) for u, v in self.failed_edges)
         )
         for key, t in self.repair_time_h.items():
-            if not (math.isfinite(t) and t > 0):
+            if isinstance(t, bool) or not isinstance(t, Real) or not (math.isfinite(t) and t > 0):
                 raise ValueError(f"repair_time_h{key!r} must be finite and > 0, got {t!r}")
         for key, d in self.repair_demand.items():
-            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-                raise ValueError(f"repair_demand{key!r} must be a non-negative integer, got {d!r}")
+            if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= MAX_REPAIR_DEMAND:
+                raise ValueError(f"repair_demand{key!r} must be an integer in "
+                                 f"[0, {MAX_REPAIR_DEMAND}], got {d!r}")
 
     def required(self) -> dict[int, frozenset[NodeId]]:
         """Nodes with positive repair demand, per crew index."""
@@ -118,6 +122,12 @@ class ScenarioSet:
     ``loads_kw`` optionally embeds restoration value per damaged node so a
     hand-authored file is a self-contained solver input; ``config`` echoes
     the generation parameters when the set was sampled.
+
+    Construction derives a read-only dense view of the scenarios' dicts:
+    ``nodes`` is the damaged set sorted by ``node_key``, and
+    ``repair_times[s, n, k]`` (float64) and ``repair_demands[s, n, k]``
+    (int64) hold scenario ``s``'s values for ``(nodes[n], k)``. The view is
+    left out of ``==`` and ``repr``.
     """
 
     scenarios: tuple[Scenario, ...]
@@ -126,6 +136,9 @@ class ScenarioSet:
     crews: tuple[CrewType, ...] = field(default_factory=default_crews)
     config: Mapping[str, object] | None = None
     loads_kw: Mapping[NodeId, float] | None = None
+    nodes: tuple[NodeId, ...] = field(init=False, repr=False, compare=False)
+    repair_times: np.ndarray = field(init=False, repr=False, compare=False)
+    repair_demands: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
@@ -137,19 +150,39 @@ class ScenarioSet:
             object.__setattr__(self, "loads_kw", dict(self.loads_kw))
         if tuple(c.index for c in self.crews) != tuple(range(N_CREWS)):
             raise ValueError("crews must be the four canonical types in order 0..3")
+        nodes = tuple(sorted(self.damaged, key=node_key))
+        keys = [(i, k) for i in nodes for k in range(N_CREWS)]
+        times, demands = [], []
         for s, sc in enumerate(self.scenarios):
             if sc.scenario_id != s:
                 raise ValueError(f"scenario ids must be 0..{len(self.scenarios) - 1}")
-            expected = {(i, k) for i in self.damaged for k in range(N_CREWS)}
-            if set(sc.repair_time_h) != expected or set(sc.repair_demand) != expected:
-                raise ValueError(
-                    f"scenario {s} must define repair time and demand for every "
-                    "(damaged node, crew) pair and nothing else"
-                )
+            times.append(_values_at(sc.repair_time_h, keys, s))
+            demands.append(_values_at(sc.repair_demand, keys, s))
+        shape = (len(self.scenarios), len(nodes), N_CREWS)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "repair_times", _read_only(times, np.float64, shape))
+        object.__setattr__(self, "repair_demands", _read_only(demands, np.int64, shape))
 
     @property
     def n_scenarios(self) -> int:
         return len(self.scenarios)
+
+
+def _values_at(table: Mapping, keys: list, s: int) -> list:
+    """``table``'s values in ``keys`` order; ValueError unless its keys are exactly ``keys``."""
+    if len(table) == len(keys):
+        try:
+            return [table[key] for key in keys]
+        except KeyError:
+            pass
+    raise ValueError(f"scenario {s} must define repair time and demand for every "
+                     "(damaged node, crew) pair and nothing else")
+
+
+def _read_only(rows: list, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    array = np.array(rows, dtype=dtype).reshape(shape)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)

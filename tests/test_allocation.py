@@ -1,5 +1,8 @@
 """First-stage capacity/assignment: objective, boundedness, exactness."""
 
+import math
+
+import numpy as np
 import pytest
 
 from gridrestore import (
@@ -17,6 +20,7 @@ from gridrestore import (
 from gridrestore.errors import (
     DimensionMismatchError,
     EmptyScenarioSetError,
+    NumericOverflowError,
     UnboundedObjectiveError,
 )
 
@@ -105,6 +109,63 @@ class TestMarginalGain:
             assert gains[k] == pytest.approx(expected, rel=1e-12)
 
 
+    def test_equals_a_sequential_loop_exactly(self):
+        # scenarios are added left to right: a pairwise (1-D numpy) sum or
+        # a compensated one rounds differently and fails this with ==
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            n_s = int(rng.integers(9, 51))
+            sset = random_scenario_set(rng, n_nodes=int(rng.integers(1, 6)), n_scenarios=n_s)
+            pw, tw = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0))
+            inst = Stage1Instance(sset, sset.loads_kw, (1.0,) * 4, 1.0, pw, tw)
+            expected = {}
+            for k in range(4):
+                total = 0.0
+                for sc in sset.scenarios:
+                    best = 0.0
+                    for i in sorted(sset.damaged):
+                        margin = pw * sset.loads_kw[i] - tw * sc.repair_time_h[(i, k)]
+                        if margin > best:
+                            best = margin
+                    total += best
+                expected[k] = total / n_s
+            assert marginal_gain(inst) == expected
+
+
+class TestNonFiniteInputsRejected:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_named_in_the_error(self, bad):
+        sset = refcase.scenario_set()
+        loads = dict(refcase.LOADS_KW)
+        loads[36856] = bad
+        cases = [
+            ("scale_c must be finite", {"scale_c": bad}),
+            ("power_weight must be finite", {"power_weight": bad}),
+            ("time_weight must be finite", {"time_weight": bad}),
+            ("crew cost must be finite", {"crew_costs": (bad, 1.0, 1.0, 1.0)}),
+            (r"loads_kw\[36856\] must be finite", {"loads_kw": loads}),
+        ]
+        for message, kwargs in cases:
+            with pytest.raises(ValueError, match=message):
+                Stage1Instance.from_scenarios(sset, **kwargs)
+
+
+class TestOverflow:
+    def test_finite_inputs_past_float64_are_named(self):
+        loads = dict(refcase.LOADS_KW)
+        loads[36856] = 1e308
+        with pytest.raises(NumericOverflowError, match="marginal gain overflows"):
+            Stage1Instance.from_scenarios(refcase.scenario_set(), loads_kw=loads)
+        inst = Stage1Instance.from_scenarios(refcase.scenario_set(), crew_costs=(1e308,) * 4,
+                                             scale_c=10.0)
+        with pytest.raises(NumericOverflowError, match=r"scale_c \* crew cost overflows"):
+            solve_stage1(inst)
+        with pytest.raises(NumericOverflowError, match="objective overflows"):
+            solve_stage1(_single_node_instance(time_h=1e308))
+        with pytest.raises(NumericOverflowError, match="default scale_c overflows"):
+            default_scale_c({k: 1e300 for k in range(4)}, (1e-10,) * 4)
+
+
 class TestDefaultScaleC:
     def test_power_of_ten_rule(self):
         assert default_scale_c({0: 285.5, 1: 100.0, 2: 0.0, 3: 0.0},
@@ -173,6 +234,21 @@ class TestSolveStage1:
             assert alloc.assignment[(1, "a", k)] == 1.0 + 8.0  # demand + slack
             assert alloc.assignment[(1, "b", k)] == 1.0
             assert alloc.assignment[(0, "a", k)] == 5.0
+
+    def test_slack_tie_goes_to_the_first_node(self):
+        # equal margins on 10, "a" and "b": the slack lands on the smallest node id
+        nodes = ("b", 10, "a")
+        times = {(i, k): 1.0 for i in nodes for k in range(4)}
+        d0 = {(i, k): 2 for i in nodes for k in range(4)}
+        d1 = {(i, k): 1 for i in nodes for k in range(4)}
+        sset = ScenarioSet(
+            (Scenario(0, times, d0, frozenset()), Scenario(1, times, d1, frozenset())),
+            seed=None, damaged=frozenset(nodes),
+        )
+        inst = Stage1Instance(sset, {i: 5.0 for i in nodes}, (100.0,) * 4, 1.0)
+        alloc = solve_stage1(inst)
+        assert alloc == enumerate_stage1(inst)
+        assert [alloc.assignment[(1, i, 0)] for i in (10, "a", "b")] == [4.0, 1.0, 1.0]
 
     def test_feasibility_checked_mechanically(self, rng):
         for _ in range(20):

@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from gridrestore import cli, fileio
+from gridrestore import cli, fileio, load_road_network
 from gridrestore.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -184,6 +184,45 @@ class TestBuildNetwork:
             ])
             assert code == EXIT_INPUT, (length, load)
             assert named in capsys.readouterr().err, (length, load)
+
+
+def _row(rows, n):
+    rows[0] = rows[0][:n]
+
+
+@pytest.mark.parametrize("kind, tamper, named", [
+    ("network", lambda o: o.pop("road"), "missing key 'road'"),
+    ("network", lambda o: _row(o["road"]["nodes"], 2), "not enough values"),
+    ("network", lambda o: o.update(depots=5), "not iterable"),
+    ("network", lambda o: _row(o["power_to_road"], 1), "not enough values"),
+    ("network", lambda o: _row(o["loads_kw"], 1), "not enough values"),
+    ("network", lambda o: o.update(damaged=["nowhere"]), "'nowhere' is not a road node"),
+    ("road", lambda o: _row(o["nodes"], 2), "not enough values"),
+], ids=["no-road", "node-row", "depots-int", "power-pair", "load-pair", "damaged-off-road",
+        "road-graph-node-row"])
+def test_malformed_network_files_exit_input(fixture_dir, tmp_path, capsys, kind, tamper, named):
+    """A malformed coupled_network/1 or road_graph/1 exits 3 naming the file."""
+    out = tmp_path / "out"
+    road = load_road_network(fileio.read_road_nodes_csv(fixture_dir / "road_nodes.csv"),
+                             fileio.read_road_edges_csv(fixture_dir / "road_edges.csv"))
+    fileio.write_road_graph_json(road, tmp_path / "road.json")
+    build = ["--out-dir", str(out), "build-network", "--power", str(fixture_dir / "power.csv"),
+             "--offset-x", "-97.0", "--offset-y", "32.9", "--depots", "r0c0"]
+    assert main([*build, "--road", str(tmp_path / "road.json")]) == EXIT_OK
+    path = tmp_path / f"{kind}.json" if kind == "road" else out / "network.json"
+    obj = json.loads(path.read_text())
+    tamper(obj)
+    bad = tmp_path / f"bad_{kind}.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    if kind == "road":
+        code = main([*build, "--road", str(bad)])
+    else:
+        code = main(["--out-dir", str(out), "gen-scenarios", "--network", str(bad),
+                     "--events", str(fixture_dir / "events.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT, err
+    assert f"{bad}: malformed" in err and named in err, err
 
 
 class TestGenScenarios:
@@ -426,6 +465,33 @@ class TestSolveAndSchedule:
                              "--scenarios", str(files["scenarios.json"])])
                 assert code == EXIT_INPUT, (name, where, bad)
                 assert named in capsys.readouterr().err, (name, where, bad)
+
+    @pytest.mark.parametrize("where, bad, named", [
+        (("crews", 1, "hourly_cost_per_person"), "inf", "hourly_cost_per_person must be finite"),
+        (("crews", 1, "hourly_cost_per_person"), "nan", "hourly_cost_per_person must be finite"),
+        (("scenarios", 0, "repair_demand", 0, 1, 2), 2.5, "repair_demand"),
+        (("scenarios", 0, "repair_demand", 0, 1, 2), True, "repair_demand"),
+        (("scenarios", 0, "repair_time_h", 0, 1, 2), True, "repair_time_h"),
+        (("loads_kw", 0, 1), 1e308, "stage 1: marginal gain overflows float64"),
+    ], ids=["cost-inf", "cost-nan", "demand-fraction", "demand-bool", "time-bool",
+            "load-overflow"])
+    def test_bad_scenario_values_exit_input(self, fixture_dir, tmp_path, capsys, where, bad,
+                                            named):
+        """Each exits 3 naming the field, or stage 1 when finite inputs overflow."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        obj = json.loads((out / "scenarios.json").read_text())
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = bad
+        (tmp_path / "scenarios.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["--out-dir", str(out), "solve", "--network", str(out / "network.json"),
+                     "--scenarios", str(tmp_path / "scenarios.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        assert named in err and ("scenarios.json" in err or "stage 1" in named), err
 
     def test_non_finite_node_coordinate_rejected(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,0 +1,83 @@
+"""Fuzzing the scenario reader through ``solve``: a bad value is an exit code, never a crash."""
+
+import contextlib
+import io
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridrestore import CoupledNetwork, Scenario, ScenarioSet, fileio, load_road_network
+from gridrestore.cli import EXIT_DOC, EXIT_INTERNAL, EXIT_OK, main
+
+# what one leaf of scenarios.json is replaced with
+BAD_VALUES = (None, True, -1, 2.5, "x", [], {}, 1e308, "nan", "inf")
+DOCUMENTED = {int(line.split()[0]) for line in EXIT_DOC.splitlines()[1:] if line.strip()}
+# a fresh file per example: creating one is cheaper than truncating one on some filesystems
+_FILE_NO = itertools.count()
+
+
+def _leaves(obj, path=()):
+    """Paths to every scalar or empty container in a parsed JSON document."""
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return [path]
+    found = [leaf for key, child in children for leaf in _leaves(child, path + (key,))]
+    return found or [path]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A triangle road with one depot, two damaged nodes and two scenarios that solve."""
+    root = tmp_path_factory.mktemp("fuzz")
+    road = load_road_network([("a", 32.0, -97.0), ("b", 32.01, -97.0), ("c", 32.0, -97.01)],
+                             [("a", "b", 1200.0), ("b", "c", 1500.0), ("a", "c", 900.0)])
+    net = CoupledNetwork(road, {"bus1": "a", "bus2": "c"}, frozenset(["b"]),
+                         frozenset(["a", "c"]), {"a": 40.0, "c": 25.0})
+    fileio.write_network_file(net, root / "network.json")
+    scenarios = tuple(
+        Scenario(s, {(i, k): 1.5 + s + k for i in "ac" for k in range(4)},
+                 {(i, k): (s + k) % 3 for i in "ac" for k in range(4)}, failed)
+        for s, failed in enumerate((frozenset(), frozenset([("a", "b")])))
+    )
+    sset = ScenarioSet(scenarios, seed=0, damaged=frozenset("ac"), config={"n_scenarios": 2},
+                       loads_kw={"a": 40.0, "c": 25.0})
+    fileio.write_scenario_file(sset, root / "scenarios.json")
+    pristine = json.loads((root / "scenarios.json").read_text())
+    assert _solve(root, root / "scenarios.json")[0] == EXIT_OK
+    # leaves grouped by role (list indices blanked), so a rare role is drawn as often
+    # as the 32 repair-time and demand cells
+    roles = {}
+    for path in _leaves(pristine):
+        roles.setdefault(tuple("*" if isinstance(k, int) else k for k in path), []).append(path)
+    return root, pristine, list(roles.values())
+
+
+def _solve(root, scenarios):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--out-dir", str(root / "out"), "solve",
+                     "--network", str(root / "network.json"), "--scenarios", str(scenarios)])
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(data=st.data())
+def test_one_bad_leaf_never_exits_internal(inputs, data):
+    root, pristine, roles = inputs
+    where = data.draw(st.sampled_from(data.draw(st.sampled_from(roles))), label="leaf")
+    value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+    obj = json.loads(json.dumps(pristine))
+    parent = obj
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    bad = root / f"bad_{next(_FILE_NO)}.json"
+    bad.write_text(json.dumps(obj))
+    code, err = _solve(root, bad)
+    assert code in DOCUMENTED - {EXIT_INTERNAL}, err
+    assert "Traceback" not in err, err

@@ -65,6 +65,9 @@ class TestCrewTypes:
     def test_non_positive_cost_rejected(self):
         with pytest.raises(ValueError):
             CrewType(1, "tree", 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="hourly_cost_per_person must be finite"):
+                CrewType(1, "tree", bad)
 
 
 class TestRepairTimeSampling:
@@ -323,14 +326,65 @@ class TestScenarioSetValidation:
         sc = Scenario(0, {("n", 0): 1.0}, {("n", 0): 1}, frozenset())
         with pytest.raises(ValueError, match="every"):
             ScenarioSet((sc,), seed=None, damaged=frozenset(["n"]))
+        full_t = {("n", k): 1.0 for k in range(4)}
+        full_d = {("n", k): 1 for k in range(4)}
+        for times, demands in (
+            (full_t | {("m", 0): 1.0}, full_d),                    # extra time key
+            (full_t, full_d | {("m", 0): 1}),                      # extra demand key
+            (full_t, {("n", k): 1 for k in range(3)} | {("m", 0): 1}),  # swapped key
+        ):
+            with pytest.raises(ValueError, match="every"):
+                ScenarioSet((Scenario(0, times, demands, frozenset()),),
+                            seed=None, damaged=frozenset(["n"]))
+
+    def test_dense_view_matches_dicts(self):
+        sset = refcase.scenario_set()
+        assert sset.nodes == tuple(sorted(refcase.NODES))
+        assert sset.repair_times.shape == sset.repair_demands.shape == (3, 4, 4)
+        assert sset.repair_times.dtype == np.float64
+        assert sset.repair_demands.dtype == np.int64
+        for s, sc in enumerate(sset.scenarios):
+            for n, i in enumerate(sset.nodes):
+                for k in range(4):
+                    assert sset.repair_times[s, n, k] == sc.repair_time_h[(i, k)]
+                    assert sset.repair_demands[s, n, k] == sc.repair_demand[(i, k)]
+        for array in (sset.repair_times, sset.repair_demands):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1
+
+    def test_dense_view_left_out_of_eq_and_repr(self):
+        a, b = refcase.scenario_set(), refcase.scenario_set()
+        assert a == b and a.repair_times is not b.repair_times
+        object.__setattr__(b, "repair_times", np.zeros_like(a.repair_times))
+        assert a == b
+        assert "repair_times" not in repr(a) and "nodes=" not in repr(a)
+
+    def test_node_index_sorts_ints_before_strings(self):
+        nodes = ["b", 10, "a", 2]
+        sc = Scenario(0, {(i, k): 1.0 for i in nodes for k in range(4)},
+                      {(i, k): 1 for i in nodes for k in range(4)}, frozenset())
+        sset = ScenarioSet((sc,), seed=None, damaged=frozenset(nodes))
+        assert sset.nodes == (2, 10, "a", "b")
+
+    def test_empty_sets_give_empty_views(self):
+        none = ScenarioSet((), seed=None, damaged=frozenset(["n"]))
+        assert none.repair_times.shape == (0, 1, 4)
+        sc = Scenario(0, {}, {}, frozenset())
+        nothing_damaged = ScenarioSet((sc,), seed=None, damaged=frozenset())
+        assert nothing_damaged.repair_demands.shape == (1, 0, 4)
 
     def test_non_positive_time_rejected(self):
-        with pytest.raises(ValueError):
-            Scenario(0, {("n", 0): 0.0}, {("n", 0): 1}, frozenset())
+        for hours in (0.0, True, "2", None):
+            with pytest.raises(ValueError, match="repair_time_h"):
+                Scenario(0, {("n", 0): hours}, {("n", 0): 1}, frozenset())
+        Scenario(0, {("n", 0): 2}, {("n", 0): 1}, frozenset())  # int hours are fine
 
     def test_non_integer_demand_rejected(self):
-        with pytest.raises(ValueError):
-            Scenario(0, {("n", 0): 1.0}, {("n", 0): 1.5}, frozenset())
+        # the cap, 2**31 - 1, keeps every demand sum of the int64 view exact
+        for demand in (1.5, True, 2.0, -1, 2**31):
+            with pytest.raises(ValueError, match="repair_demand"):
+                Scenario(0, {("n", 0): 1.0}, {("n", 0): demand}, frozenset())
+        Scenario(0, {("n", 0): 1.0}, {("n", 0): 2**31 - 1}, frozenset())
 
     def test_reference_fixture_loads(self):
         sset = refcase.scenario_set()
