@@ -117,9 +117,6 @@ class CrewAllocation:
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
 
-    def capacity_of(self, crew: int) -> int:
-        return self.capacity[crew]
-
 
 def _iter_keys(scenarios: ScenarioSet):
     for s in range(scenarios.n_scenarios):

@@ -68,6 +68,8 @@ def meters_str(length_m: float) -> str:
 def _finite(value, where: str, what: str) -> float:
     """``value`` as a finite float; a SchemaError naming ``where`` and ``what`` otherwise."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: bad {what} {value!r}") from None
@@ -359,18 +361,19 @@ def read_scenario_file(path: str | Path) -> ScenarioSet:
     obj = read_json_artifact(path, SCHEMA_SCENARIOS)
     with _malformed(path, "scenario set"):
         crews = tuple(
-            CrewType(c["index"], c["name"], float(c["hourly_cost_per_person"]))
+            CrewType(c["index"], c["name"], c["hourly_cost_per_person"])
             for c in obj["crews"]
         )
         scenarios = []
         for rec in obj["scenarios"]:
-            # values pass through as parsed: Scenario rejects a bool, a fraction or a string
+            # values pass through as parsed: CrewType and Scenario reject a bool, a
+            # fraction or a string
             times = {(i, k): t for i, per_crew in rec["repair_time_h"]
                      for k, t in enumerate(per_crew)}
             demands = {(i, k): d for i, per_crew in rec["repair_demand"]
                        for k, d in enumerate(per_crew)}
             failed = frozenset(edge_key(u, v) for u, v in rec["failed_edges"])
-            scenarios.append(Scenario(int(rec["id"]), times, demands, failed))
+            scenarios.append(Scenario(rec["id"], times, demands, failed))
         loads = obj.get("loads_kw")
         return ScenarioSet(
             scenarios=tuple(scenarios),

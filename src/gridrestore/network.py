@@ -10,7 +10,6 @@ fixed-point meters with 3 decimals, which round-trips the quantization.
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -77,7 +76,8 @@ class RoadGraph:
 
     _coords: dict = field(init=False, repr=False, compare=False)
     _edge_mm: dict = field(init=False, repr=False, compare=False)
-    _adj: dict = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _adj: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords: dict[NodeId, tuple[float, float]] = {}
@@ -119,16 +119,20 @@ class RoadGraph:
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_edge_mm", edge_mm)
 
+        # A node's index is its position in the node_key-sorted ``nodes``.
         # Walking the sorted canonical pairs gives each node its smaller
         # neighbours first, then its larger ones, both ascending: node_key order.
-        adj: dict[NodeId, list[tuple[NodeId, int]]] = {n: [] for n in coords}
+        index = {row[0]: i for i, row in enumerate(norm_nodes)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in norm_nodes]
         for u, v in pairs:
             if u == v:
                 continue  # self-loops never shorten a path
             mm = edge_mm[(u, v)]
-            adj[u].append((v, mm))
-            adj[v].append((u, mm))
-        object.__setattr__(self, "_adj", {n: tuple(nbrs) for n, nbrs in adj.items()})
+            iu, iv = index[u], index[v]
+            adj[iu].append((iv, mm))
+            adj[iv].append((iu, mm))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_adj", tuple(tuple(nbrs) for nbrs in adj))
 
     @property
     def n_nodes(self) -> int:
@@ -146,39 +150,40 @@ class RoadGraph:
 
     def neighbors(self, node: NodeId) -> tuple[tuple[NodeId, int], ...]:
         """Adjacent (node, length_mm) pairs."""
-        return self._adj[node]
+        nodes = self.nodes
+        return tuple((nodes[j][0], mm) for j, mm in self._adj[self._index[node]])
 
     def edge_length_m(self, u: NodeId, v: NodeId) -> float:
         return mm_to_m(self._edge_mm[edge_key(u, v)])
 
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return edge_key(u, v) in self._edge_mm
-
     def _without(self, failed: set[tuple[NodeId, NodeId]]) -> "RoadGraph":
         """This graph minus ``failed``, a set of its own canonical edge keys.
 
-        Derived without re-validation: the nodes and coordinates are shared,
-        and only the endpoints of failed edges get a new adjacency tuple.
-        Filtering keeps every list in node_key order, so the result equals
-        ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it exactly
-        as on that rebuild.
+        Derived without re-validation: the nodes, coordinates and index are
+        shared, and only the endpoints of failed edges get a new adjacency
+        tuple. Filtering keeps every tuple in node_key order, so the result
+        equals ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it
+        exactly as on that rebuild.
         """
         edge_mm = dict(self._edge_mm)
-        cut: dict[NodeId, set[NodeId]] = {}
+        index = self._index
+        cut: dict[int, set[int]] = {}
         for u, v in failed:
             del edge_mm[(u, v)]
-            cut.setdefault(u, set()).add(v)
-            cut.setdefault(v, set()).add(u)
-        adj = dict(self._adj)
-        for u, gone in cut.items():
-            adj[u] = tuple(nbr for nbr in adj[u] if nbr[0] not in gone)
+            iu, iv = index[u], index[v]
+            cut.setdefault(iu, set()).add(iv)
+            cut.setdefault(iv, set()).add(iu)
+        adj = list(self._adj)
+        for iu, gone in cut.items():
+            adj[iu] = tuple(nbr for nbr in adj[iu] if nbr[0] not in gone)
         g = object.__new__(RoadGraph)
         # self.edges is canonical, so each (u, v) prefix is its edge key
         object.__setattr__(g, "nodes", self.nodes)
         object.__setattr__(g, "edges", tuple(e for e in self.edges if e[:2] not in failed))
         object.__setattr__(g, "_coords", self._coords)
         object.__setattr__(g, "_edge_mm", edge_mm)
-        object.__setattr__(g, "_adj", adj)
+        object.__setattr__(g, "_index", index)
+        object.__setattr__(g, "_adj", tuple(adj))
         return g
 
 
@@ -248,14 +253,18 @@ class CompleteGraph:
 
     ``dist_mm`` is the integer-millimeter matrix (-1 where unreachable);
     ``dist`` is the float view in meters with inf where unreachable. When
-    built from a road graph, per-source predecessor maps allow road-level
-    path reconstruction.
+    built from a road graph, ``preds[i]`` lists each road node's predecessor
+    on a shortest path from terminal i, both as positions in ``road_nodes``;
+    ``positions`` holds each terminal's own position there. Together they
+    allow road-level path reconstruction.
     """
 
     terminals: tuple[NodeId, ...]
     dist_mm: np.ndarray
     reachable: np.ndarray
-    preds: tuple[Mapping[NodeId, NodeId], ...] | None = None
+    preds: tuple[Sequence[int], ...] | None = None
+    road_nodes: tuple[tuple[NodeId, float, float], ...] = ()
+    positions: tuple[int, ...] = ()
 
     _index: dict = field(init=False, repr=False)
     _dist_m: np.ndarray = field(init=False, repr=False)
@@ -313,18 +322,18 @@ class CompleteGraph:
         """One shortest road path from u to v, or None without predecessor data."""
         if self.preds is None:
             return None
-        iu = self.index(u)
-        self.index(v)
-        if not self.is_reachable(u, v):
+        iu, iv = self.index(u), self.index(v)
+        if not self.reachable[iu, iv]:
             return None
         if u == v:
             return (u,)
         pred = self.preds[iu]
-        seq = [v]
-        while seq[-1] != u:
+        start = self.positions[iu]
+        seq = [self.positions[iv]]
+        while seq[-1] != start:
             seq.append(pred[seq[-1]])
-        seq.reverse()
-        return tuple(seq)
+        nodes = self.road_nodes
+        return tuple(nodes[p][0] for p in reversed(seq))
 
 
 def load_road_network(
@@ -408,24 +417,42 @@ def apply_road_failures(
     return road._without(present) if present else road
 
 
-def _dijkstra_mm(road: RoadGraph, source: NodeId) -> tuple[dict[NodeId, int], dict[NodeId, NodeId]]:
-    """Single-source exact shortest paths over millimeter weights."""
-    dist: dict[NodeId, int] = {source: 0}
-    pred: dict[NodeId, NodeId] = {}
-    counter = itertools.count()
-    heap: list[tuple[int, int, NodeId]] = [(0, next(counter), source)]
-    done: set[NodeId] = set()
+def _dijkstra_mm(
+    road: RoadGraph, source: int, terminals: frozenset[int]
+) -> tuple[list[int], list[int]]:
+    """Single-source exact shortest paths over millimeter weights, on positions.
+
+    Returns the ``dist`` (-1 where unreached) and ``pred`` lists, indexed by
+    position in ``road.nodes``. The search stops once every position in
+    ``terminals`` is settled: a settled node's distance and predecessor chain
+    are final, so every terminal entry is the same as after a full settle.
+    """
+    adj = road._adj
+    dist = [-1] * len(adj)
+    pred = [-1] * len(adj)
+    done = bytearray(len(adj))
+    dist[source] = 0
+    left = len(terminals)
+    pushed = 0  # heap tie-break: equal distances pop in push order
+    heap: list[tuple[int, int, int]] = [(0, pushed, source)]
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
+        d, _, u = heappop(heap)
+        if done[u]:
             continue
-        done.add(u)
-        for v, w in road.neighbors(u):
+        done[u] = 1
+        if u in terminals:
+            left -= 1
+            if not left:
+                break
+        for v, w in adj[u]:
             nd = d + w
-            if v not in dist or nd < dist[v]:
+            dv = dist[v]
+            if dv < 0 or nd < dv:
                 dist[v] = nd
                 pred[v] = u
-                heapq.heappush(heap, (nd, next(counter), v))
+                pushed += 1
+                heappush(heap, (nd, pushed, v))
     return dist, pred
 
 
@@ -443,13 +470,14 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
         raise ValueError("terminals must be distinct")
 
     n = len(terminals)
+    positions = tuple(road._index[t] for t in terminals)
+    targets = frozenset(positions)
     dist_mm = np.full((n, n), -1, dtype=np.int64)
-    preds: list[Mapping[NodeId, NodeId]] = []
-    for i, t in enumerate(terminals):
-        dist, pred = _dijkstra_mm(road, t)
+    preds: list[list[int]] = []
+    for i, p in enumerate(positions):
+        dist, pred = _dijkstra_mm(road, p, targets)
         preds.append(pred)
-        for j, u in enumerate(terminals):
-            if u in dist:
-                dist_mm[i, j] = dist[u]
+        dist_mm[i] = [dist[q] for q in positions]
     reachable = dist_mm >= 0
-    return CompleteGraph(terminals, dist_mm, reachable, preds=tuple(preds))
+    return CompleteGraph(terminals, dist_mm, reachable, preds=tuple(preds),
+                         road_nodes=road.nodes, positions=positions)

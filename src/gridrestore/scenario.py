@@ -53,8 +53,12 @@ class CrewType:
             raise ValueError(
                 f"crew {self.index} must be named {CREW_NAMES[self.index]!r}, got {self.name!r}"
             )
-        if require_finite(self.hourly_cost_per_person, "hourly_cost_per_person") <= 0:
+        cost = self.hourly_cost_per_person
+        if require_finite(cost, "hourly_cost_per_person") <= 0:
             raise ValueError("hourly_cost_per_person must be > 0")
+        if isinstance(cost, bool) or not isinstance(cost, Real):
+            raise ValueError(f"hourly_cost_per_person must be a number, got {cost!r}")
+        object.__setattr__(self, "hourly_cost_per_person", float(cost))
 
 
 def default_crews(hourly_costs: Sequence[float] | None = None) -> tuple[CrewType, ...]:
@@ -94,6 +98,8 @@ class Scenario:
     failed_edges: frozenset[tuple[NodeId, NodeId]]
 
     def __post_init__(self):
+        if isinstance(self.scenario_id, bool) or not isinstance(self.scenario_id, int):
+            raise ValueError(f"scenario_id must be an integer, got {self.scenario_id!r}")
         object.__setattr__(self, "repair_time_h", dict(self.repair_time_h))
         object.__setattr__(self, "repair_demand", dict(self.repair_demand))
         object.__setattr__(
@@ -148,6 +154,9 @@ class ScenarioSet:
             object.__setattr__(self, "config", dict(self.config))
         if self.loads_kw is not None:
             object.__setattr__(self, "loads_kw", dict(self.loads_kw))
+            for node in sorted(self.loads_kw, key=node_key):
+                if node not in self.damaged:
+                    raise ValueError(f"loads_kw node {node!r} is not a damaged node")
         if tuple(c.index for c in self.crews) != tuple(range(N_CREWS)):
             raise ValueError("crews must be the four canonical types in order 0..3")
         nodes = tuple(sorted(self.damaged, key=node_key))

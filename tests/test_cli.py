@@ -473,8 +473,14 @@ class TestSolveAndSchedule:
         (("scenarios", 0, "repair_demand", 0, 1, 2), True, "repair_demand"),
         (("scenarios", 0, "repair_time_h", 0, 1, 2), True, "repair_time_h"),
         (("loads_kw", 0, 1), 1e308, "stage 1: marginal gain overflows float64"),
+        (("crews", 1, "hourly_cost_per_person"), True, "hourly_cost_per_person must be a number"),
+        (("crews", 1, "hourly_cost_per_person"), "12", "hourly_cost_per_person must be a number"),
+        (("scenarios", 1, "id"), True, "scenario_id must be an integer"),
+        (("scenarios", 1, "id"), 1.5, "scenario_id must be an integer"),
+        (("loads_kw", 0, 1), True, "bad loads_kw True"),
     ], ids=["cost-inf", "cost-nan", "demand-fraction", "demand-bool", "time-bool",
-            "load-overflow"])
+            "load-overflow", "cost-bool", "cost-string", "id-bool", "id-fraction",
+            "load-bool"])
     def test_bad_scenario_values_exit_input(self, fixture_dir, tmp_path, capsys, where, bad,
                                             named):
         """Each exits 3 naming the field, or stage 1 when finite inputs overflow."""
@@ -492,6 +498,19 @@ class TestSolveAndSchedule:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT, err
         assert named in err and ("scenarios.json" in err or "stage 1" in named), err
+
+    def test_load_of_a_node_that_is_not_damaged_named(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        obj = json.loads((out / "scenarios.json").read_text())
+        obj["loads_kw"].append(["r0c0", 5.0])  # a depot
+        (tmp_path / "scenarios.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["--out-dir", str(out), "solve", "--network", str(out / "network.json"),
+                     "--scenarios", str(tmp_path / "scenarios.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        assert "loads_kw node 'r0c0' is not a damaged node" in err, err
 
     def test_non_finite_node_coordinate_rejected(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -73,6 +73,15 @@ class TestNetworkFile:
         fileio.write_network_file(net, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bool_load_rejected(self, tmp_path):
+        path = tmp_path / "network.json"
+        fileio.write_network_file(_network(), path)
+        obj = json.loads(path.read_text())
+        obj["loads_kw"][0][1] = True
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match="node 'a': bad loads_kw True"):
+            fileio.read_network_file(path)
+
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"schema": "something_else/9"}')

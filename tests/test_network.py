@@ -1,5 +1,6 @@
 """Road graph construction, projection, failures, and metric closure."""
 
+import heapq
 import itertools
 import logging
 import math
@@ -31,6 +32,28 @@ from gridrestore.network import edge_key, node_key
 from conftest import floyd_warshall_oracle, random_road_graph
 
 NODES3 = [("a", 32.0, -97.0), ("b", 32.01, -97.0), ("c", 32.02, -97.0)]
+
+
+def reference_dijkstra_mm(road, source):
+    """Id-keyed Dijkstra that settles every reachable node: the reference the
+    index-based, early-stopping closure must reproduce exactly."""
+    dist = {source: 0}
+    pred = {}
+    counter = itertools.count()
+    heap = [(0, next(counter), source)]
+    done = set()
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in road.neighbors(u):
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, next(counter), v))
+    return dist, pred
 
 
 class TestLoadRoadNetwork:
@@ -211,7 +234,7 @@ class TestRoadFailures:
                   for r in range(n - 1) for c in range(n)]
         edges += [("hub", 0, 150.0), (15, "hub", 150.0), (5, 5, 10.0), (6, 5, 80.0)]
         g = load_road_network(nodes, edges)
-        before = (dict(g._adj), dict(g._edge_mm), g.edges)
+        before = (g._adj, dict(g._edge_mm), g.edges)
         terminals = [0, 3, 12, 15, "hub"]
         unknown = [(0, 15), ("ghost", 0), (3, 12)]
         for _ in range(60):
@@ -292,6 +315,36 @@ class TestShortestPathMatrix:
         ids = [n for n, _, _ in g.nodes]
         cg = shortest_path_matrix(g, ids[:8])
         assert np.array_equal(cg.dist_mm, cg.dist_mm.T)
+
+    def test_equals_full_settle_reference(self):
+        # tie-heavy 1-2 m lengths, int and str ids, self-loops, parallel edges,
+        # isolated nodes and graphs derived by failures: every distance,
+        # reachability flag and terminal-pair road path equals the reference's
+        rnd = random.Random(23)
+        for trial in range(40):
+            ids = rnd.sample(range(60), rnd.randint(2, 14))
+            ids += [f"s{i}" for i in range(rnd.randint(0, 10))]
+            nodes = [(n, 32.0, -97.0) for n in ids]
+            edges = [(rnd.choice(ids), rnd.choice(ids), rnd.choice((1.0, 1.5, 2.0)))
+                     for _ in range(rnd.randint(0, 3 * len(ids)))]
+            g = load_road_network(nodes, [e for e in edges if e[0] != e[1] or rnd.random() < 0.5])
+            graphs = [g] + [apply_road_failures(g, [e[:2] for e in g.edges if rnd.random() < 0.3])
+                            for _ in range(3)]
+            terminals = rnd.sample(ids, rnd.randint(1, min(len(ids), 6)))
+            for road in graphs:
+                cg = shortest_path_matrix(road, terminals)
+                for i, t in enumerate(terminals):
+                    dist, pred = reference_dijkstra_mm(road, t)
+                    for j, u in enumerate(terminals):
+                        assert cg.reachable[i, j] == (u in dist), (trial, t, u)
+                        assert cg.dist_mm[i, j] == dist.get(u, -1), (trial, t, u)
+                        want = None
+                        if u in dist:
+                            want = [u]
+                            while want[-1] != t:
+                                want.append(pred[want[-1]])
+                            want = tuple(reversed(want))
+                        assert cg.path(t, u) == want, (trial, t, u)
 
     def test_path_reconstruction(self):
         g = load_road_network(NODES3, [("a", "b", 100.0), ("b", "c", 200.0)])
