@@ -15,6 +15,7 @@ so re-running a stage frees no disk blocks.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -116,6 +117,18 @@ def _malformed(path: str | Path, what: str):
         raise SchemaError(f"{path}: malformed {what} ({exc})") from None
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, and restore the caller's state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_json_artifact(path: str | Path, expected_schema: str) -> dict:
     p = Path(path)
     try:
@@ -162,12 +175,25 @@ def _road_json(road: RoadGraph) -> dict:
 
 def _road_from_json(obj: dict, path: str | Path) -> RoadGraph:
     """Inverse of ``_road_json``; node coordinates and edge distances must be finite."""
+    # A float coordinate and a distance string that parses to a finite float
+    # pass straight through; anything else goes to _finite / parse_meters,
+    # which accept or reject it, so error text is built only for a bad value.
     nodes = []
     for n, lat, lon in obj["nodes"]:
-        where = f"{path}: node {n!r}"
-        nodes.append((n, _finite(lat, where, "lat"), _finite(lon, where, "lon")))
-    edges = tuple((u, v, parse_meters(m, str(path))) for u, v, m in obj["edges"])
-    return RoadGraph(tuple(nodes), edges)
+        if not (type(lat) is float and type(lon) is float and math.isfinite(lat + lon)):
+            where = f"{path}: node {n!r}"
+            lat, lon = _finite(lat, where, "lat"), _finite(lon, where, "lon")
+        nodes.append((n, lat, lon))
+    edges = []
+    for u, v, m in obj["edges"]:
+        try:
+            meters = float(m) if type(m) is str else math.nan
+        except ValueError:
+            meters = math.nan
+        if not math.isfinite(meters):
+            meters = parse_meters(m, str(path))
+        edges.append((u, v, meters))
+    return RoadGraph(tuple(nodes), tuple(edges))
 
 
 # --- CSV ingestion ---------------------------------------------------------
@@ -308,6 +334,13 @@ def write_network_file(net: CoupledNetwork, path: str | Path) -> None:
 
 
 def read_network_file(path: str | Path) -> CoupledNetwork:
+    # Decoding and building the road graph allocate many objects and no cycles.
+    # The decoded document is freed before the collector resumes.
+    with _gc_paused():
+        return _network_from_file(path)
+
+
+def _network_from_file(path: str | Path) -> CoupledNetwork:
     obj = read_json_artifact(path, SCHEMA_NETWORK)
     with _malformed(path, "network"):
         return CoupledNetwork(
@@ -491,18 +524,20 @@ def read_route_plan_file(path: str | Path) -> RoutePlan:
     obj = read_json_artifact(path, SCHEMA_ROUTES)
     routes = {}
     with _malformed(path, "route plan"):
+        # values pass through as parsed: Route and RoutePlan reject a bool, a
+        # fraction where an integer belongs, or a string
         for rec in obj["routes"]:
-            routes[int(rec["crew"])] = Route(
-                crew=int(rec["crew"]),
+            routes[rec["crew"]] = Route(
+                crew=rec["crew"],
                 depot_start=rec["depot_start"],
                 depot_end=rec["depot_end"],
                 visit_order=tuple(rec["visit_order"]),
-                leg_costs=tuple(float(c) for c in rec["leg_costs"]),
+                leg_costs=rec["leg_costs"],
                 leg_m=_leg_meters(rec, path),
-                total_cost=float(rec["total_cost"]),
-                mtz_labels={i: int(u) for i, u in rec["mtz_labels"]},
+                total_cost=rec["total_cost"],
+                mtz_labels={i: u for i, u in rec["mtz_labels"]},
             )
-        return RoutePlan(scenario_id=int(obj["scenario_id"]), routes=routes)
+        return RoutePlan(scenario_id=obj["scenario_id"], routes=routes)
 
 
 # --- gantt csv / svg ----------------------------------------------------------

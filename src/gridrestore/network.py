@@ -90,49 +90,57 @@ class RoadGraph:
                     require_finite(x, f"node {nid!r}: {name}")
             coords[nid] = (lat, lon)
 
+        # node_key orders str ids as the strs themselves order, so when every id
+        # is a str the ids serve as their own keys and no key is computed. Other
+        # graphs key each endpoint with node_key: an int id can equal a node of
+        # another type (1.0, True) whose key differs.
+        plain = all(type(n) is str for n in coords)
+
         edge_mm: dict[tuple[NodeId, NodeId], int] = {}
         for u, v, length_m in self.edges:
             if u not in coords:
                 raise DanglingEdgeError(f"edge ({u!r}, {v!r}) references unknown node {u!r}")
             if v not in coords:
                 raise DanglingEdgeError(f"edge ({u!r}, {v!r}) references unknown node {v!r}")
-            if not math.isfinite(float(length_m)):
+            m = float(length_m)
+            if not math.isfinite(m):
                 raise NonPositiveLengthError(
                     f"edge ({u!r}, {v!r}): length_m must be finite, got {length_m!r}"
                 )
-            mm = quantize_m(length_m)
+            mm = int(round(m * 1000.0))  # quantize_m
             if mm <= 0:
                 raise NonPositiveLengthError(
                     f"edge ({u!r}, {v!r}) has non-positive length {length_m!r} m"
                 )
-            key = edge_key(u, v)
+            if plain:
+                key = (u, v) if u <= v else (v, u)
+            else:
+                key = edge_key(u, v)
             prev = edge_mm.get(key)
             if prev is None or mm < prev:
                 edge_mm[key] = mm
 
-        norm_nodes = tuple(sorted(((n, coords[n][0], coords[n][1]) for n in coords),
-                                  key=lambda row: node_key(row[0])))
-        pairs = sorted(edge_mm, key=lambda e: (node_key(e[0]), node_key(e[1])))
-        norm_edges = tuple((u, v, mm_to_m(edge_mm[(u, v)])) for u, v in pairs)
-        object.__setattr__(self, "nodes", norm_nodes)
-        object.__setattr__(self, "edges", norm_edges)
-        object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "_edge_mm", edge_mm)
-
         # A node's index is its position in the node_key-sorted ``nodes``.
         # Walking the sorted canonical pairs gives each node its smaller
         # neighbours first, then its larger ones, both ascending: node_key order.
+        order = sorted(coords, key=None if plain else node_key)
+        norm_nodes = tuple((n, *coords[n]) for n in order)
         index = {row[0]: i for i, row in enumerate(norm_nodes)}
+        pair_key = None if plain else lambda item: (node_key(item[0][0]), node_key(item[0][1]))
+        norm_edges: list[tuple[NodeId, NodeId, float]] = []
         adj: list[list[tuple[int, int]]] = [[] for _ in norm_nodes]
-        for u, v in pairs:
-            if u == v:
-                continue  # self-loops never shorten a path
-            mm = edge_mm[(u, v)]
-            iu, iv = index[u], index[v]
-            adj[iu].append((iv, mm))
-            adj[iv].append((iu, mm))
+        for (u, v), mm in sorted(edge_mm.items(), key=pair_key):
+            norm_edges.append((u, v, mm / 1000.0))  # mm_to_m
+            if u != v:  # self-loops never shorten a path
+                iu, iv = index[u], index[v]
+                adj[iu].append((iv, mm))
+                adj[iv].append((iu, mm))
+        object.__setattr__(self, "nodes", norm_nodes)
+        object.__setattr__(self, "edges", tuple(norm_edges))
+        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_edge_mm", edge_mm)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj", tuple(tuple(nbrs) for nbrs in adj))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
     @property
     def n_nodes(self) -> int:

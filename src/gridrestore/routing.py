@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,6 +105,15 @@ class RoutingInstance:
         return self.complete.dist_m(u, v) * self.rate(crew)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A real number other than a bool; a plain float is let through first."""
+    return type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class Route:
     """A depot-to-depot path for one crew with its subtour-free certificate."""
@@ -122,6 +132,19 @@ class Route:
         object.__setattr__(self, "leg_costs", tuple(self.leg_costs))
         object.__setattr__(self, "leg_m", tuple(self.leg_m))
         object.__setattr__(self, "mtz_labels", dict(self.mtz_labels))
+        if not _is_int(self.crew):
+            raise ValueError(f"crew must be an integer, got {self.crew!r}")
+        for i, cost in enumerate(self.leg_costs):
+            if not _is_number(cost):
+                raise ValueError(f"crew {self.crew}: leg_costs[{i}] must be a number, "
+                                 f"got {cost!r}")
+        if not _is_number(self.total_cost):
+            raise ValueError(f"crew {self.crew}: total_cost must be a number, "
+                             f"got {self.total_cost!r}")
+        for node, label in self.mtz_labels.items():
+            if not _is_int(label):
+                raise ValueError(f"crew {self.crew}: mtz_labels[{node!r}] must be an integer, "
+                                 f"got {label!r}")
 
     def stops(self) -> tuple[NodeId, ...]:
         return (self.depot_start, *self.visit_order, self.depot_end)
@@ -139,6 +162,8 @@ class RoutePlan:
     routes: Mapping[int, Route]
 
     def __post_init__(self):
+        if not _is_int(self.scenario_id):
+            raise ValueError(f"scenario_id must be an integer, got {self.scenario_id!r}")
         object.__setattr__(self, "routes", dict(self.routes))
 
     @property

@@ -93,6 +93,9 @@ def build_schedule(
 
 
 def _check_plan(plan: RoutePlan, scenario: Scenario, depots: frozenset[NodeId]) -> None:
+    if plan.scenario_id != scenario.scenario_id:
+        raise InvalidPlanError(f"route plan is for scenario {plan.scenario_id!r}, "
+                               f"not scenario {scenario.scenario_id!r}")
     required = scenario.required()
     unknown = sorted(set(plan.routes) - set(required))
     if unknown:

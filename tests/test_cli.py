@@ -770,6 +770,56 @@ class TestSolveAndSchedule:
             ]) == code, named
             assert named in capsys.readouterr().err, named
 
+    def test_plan_for_another_scenario_rejected(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        plan_path = out / "routes_s0.json"
+        relabelled = json.loads(plan_path.read_text())
+        relabelled["scenario_id"] = 3
+        # (what replaces routes_s0.json, the plan's scenario id)
+        cases = [((out / "routes_s1.json").read_text(), 1), (json.dumps(relabelled), 3)]
+        for text, plan_id in cases:
+            plan_path.write_text(text)
+            assert main([
+                "--out-dir", str(out), "schedule",
+                "--network", str(out / "network.json"),
+                "--scenarios", str(out / "scenarios.json"),
+            ]) == EXIT_INVALID_PLAN
+            err = capsys.readouterr().err
+            assert f"route plan is for scenario {plan_id}, not scenario 0" in err, err
+
+    @pytest.mark.parametrize("where, bad, named", [
+        (("routes", 0, "crew"), "0", "crew must be an integer, got '0'"),
+        (("routes", 0, "crew"), 0.0, "crew must be an integer, got 0.0"),
+        (("routes", 0, "crew"), True, "crew must be an integer, got True"),
+        (("scenario_id",), "0", "scenario_id must be an integer, got '0'"),
+        (("scenario_id",), 0.0, "scenario_id must be an integer, got 0.0"),
+        (("routes", 0, "leg_costs", 0), True, "leg_costs[0] must be a number, got True"),
+        (("routes", 0, "leg_costs", 0), "1.5", "leg_costs[0] must be a number, got '1.5'"),
+        (("routes", 0, "total_cost"), "9", "total_cost must be a number, got '9'"),
+        (("routes", 0, "mtz_labels", 0, 1), "1", "must be an integer, got '1'"),
+        (("routes", 0, "mtz_labels", 0, 1), 1.0, "must be an integer, got 1.0"),
+    ], ids=["crew-string", "crew-float", "crew-bool", "id-string", "id-float", "leg-bool",
+            "leg-string", "total-string", "label-string", "label-float"])
+    def test_bad_route_plan_values_exit_input(self, fixture_dir, tmp_path, capsys, where, bad,
+                                              named):
+        """The route plan reader coerces nothing: each exits 3 naming the file and the field."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        plan_path = out / "routes_s0.json"
+        obj = json.loads(plan_path.read_text())
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = bad
+        plan_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["--out-dir", str(out), "schedule", "--network", str(out / "network.json"),
+                     "--scenarios", str(out / "scenarios.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        assert "routes_s0.json: malformed route plan" in err and named in err, err
+
     def test_render_rebuilds_svg(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         run_pipeline(fixture_dir, out)

@@ -1,4 +1,5 @@
-"""Fuzzing the scenario reader through ``solve``: a bad value is an exit code, never a crash."""
+"""Fuzzing the artifact readers through the stages that read them: a bad value is an
+exit code, never a crash."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gridrestore import CoupledNetwork, Scenario, ScenarioSet, fileio, load_road_network
 from gridrestore.cli import EXIT_DOC, EXIT_INTERNAL, EXIT_OK, main
 
-# what one leaf of scenarios.json is replaced with
+# what one leaf of an artifact is replaced with
 BAD_VALUES = (None, True, -1, 2.5, "x", [], {}, 1e308, "nan", "inf")
 DOCUMENTED = {int(line.split()[0]) for line in EXIT_DOC.splitlines()[1:] if line.strip()}
 # a fresh file per example: creating one is cheaper than truncating one on some filesystems
@@ -30,9 +31,37 @@ def _leaves(obj, path=()):
     return found or [path]
 
 
+def _roles(doc):
+    """Leaf paths of ``doc`` grouped by role (list indices blanked), so a rare role is
+    drawn as often as a role with many cells."""
+    roles = {}
+    for path in _leaves(doc):
+        roles.setdefault(tuple("*" if isinstance(k, int) else k for k in path), []).append(path)
+    return list(roles.values())
+
+
+def _bad_file(inputs, data, name):
+    """A fresh file holding the artifact ``name`` with one leaf (a role, then a leaf
+    of that role) replaced by one of BAD_VALUES."""
+    root, pristine = inputs
+    doc, roles = pristine[name]
+    where = data.draw(st.sampled_from(data.draw(st.sampled_from(roles))), label="leaf")
+    value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+    obj = json.loads(json.dumps(doc))
+    parent = obj
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    bad = root / f"bad_{next(_FILE_NO)}.json"
+    bad.write_text(json.dumps(obj))
+    return bad
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A triangle road with one depot, two damaged nodes and two scenarios that solve."""
+    """A triangle road with one depot, two damaged nodes and two scenarios that solve
+    and schedule; the routes stay in ``routes/``. Each artifact's parsed document
+    and leaf roles come along."""
     root = tmp_path_factory.mktemp("fuzz")
     road = load_road_network([("a", 32.0, -97.0), ("b", 32.01, -97.0), ("c", 32.0, -97.01)],
                              [("a", "b", 1200.0), ("b", "c", 1500.0), ("a", "c", 900.0)])
@@ -47,37 +76,42 @@ def inputs(tmp_path_factory):
     sset = ScenarioSet(scenarios, seed=0, damaged=frozenset("ac"), config={"n_scenarios": 2},
                        loads_kw={"a": 40.0, "c": 25.0})
     fileio.write_scenario_file(sset, root / "scenarios.json")
-    pristine = json.loads((root / "scenarios.json").read_text())
-    assert _solve(root, root / "scenarios.json")[0] == EXIT_OK
-    # leaves grouped by role (list indices blanked), so a rare role is drawn as often
-    # as the 32 repair-time and demand cells
-    roles = {}
-    for path in _leaves(pristine):
-        roles.setdefault(tuple("*" if isinstance(k, int) else k for k in path), []).append(path)
-    return root, pristine, list(roles.values())
+    assert _stage(root, "routes", "solve")[0] == EXIT_OK
+    assert _stage(root, "routes", "schedule")[0] == EXIT_OK
+    docs = {name: json.loads((root / name).read_text())
+            for name in ("network.json", "scenarios.json")}
+    return root, {name: (doc, _roles(doc)) for name, doc in docs.items()}
 
 
-def _solve(root, scenarios):
+def _stage(root, out, stage, network="network.json", scenarios="scenarios.json"):
+    """Run one stage on the files in ``root``; its exit code and stderr."""
+    argv = ["--out-dir", str(root / out), stage, "--network", str(root / network),
+            "--scenarios", str(root / scenarios)]
+    if stage == "schedule":
+        argv += ["--routes-dir", str(root / "routes")]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["--out-dir", str(root / "out"), "solve",
-                     "--network", str(root / "network.json"), "--scenarios", str(scenarios)])
+        code = main(argv)
     return code, err.getvalue()
+
+
+def _assert_documented(outcome):
+    code, err = outcome
+    assert code in DOCUMENTED - {EXIT_INTERNAL}, err
+    assert "Traceback" not in err, err
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
 @given(data=st.data())
 def test_one_bad_leaf_never_exits_internal(inputs, data):
-    root, pristine, roles = inputs
-    where = data.draw(st.sampled_from(data.draw(st.sampled_from(roles))), label="leaf")
-    value = data.draw(st.sampled_from(BAD_VALUES), label="value")
-    obj = json.loads(json.dumps(pristine))
-    parent = obj
-    for key in where[:-1]:
-        parent = parent[key]
-    parent[where[-1]] = value
-    bad = root / f"bad_{next(_FILE_NO)}.json"
-    bad.write_text(json.dumps(obj))
-    code, err = _solve(root, bad)
-    assert code in DOCUMENTED - {EXIT_INTERNAL}, err
-    assert "Traceback" not in err, err
+    bad = _bad_file(inputs, data, "scenarios.json")
+    _assert_documented(_stage(inputs[0], "out", "solve", scenarios=bad.name))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_one_bad_network_leaf_never_exits_internal(inputs, data):
+    """``network.json`` with one bad leaf, through ``solve`` and ``schedule``."""
+    bad = _bad_file(inputs, data, "network.json")
+    for stage in ("solve", "schedule"):
+        _assert_documented(_stage(inputs[0], "out", stage, network=bad.name))

@@ -153,6 +153,12 @@ class TestErrors:
             with pytest.raises(InvalidPlanError):
                 build_schedule(RoutePlan(0, routes), _single_node_scenario(), inst.depots)
 
+    def test_plan_for_another_scenario_rejected(self):
+        inst = _zero_travel_instance()
+        plan = solve_routing(inst, 1)
+        with pytest.raises(InvalidPlanError, match="route plan is for scenario 1, not scenario 0"):
+            build_schedule(plan, _single_node_scenario(s=0), inst.depots)
+
     def test_makespan_of_empty_chart(self):
         with pytest.raises(EmptyChartError):
             makespan(GanttChart.from_entries([]))
