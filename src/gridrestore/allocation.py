@@ -36,7 +36,7 @@ from .errors import (
     NumericOverflowError,
     UnboundedObjectiveError,
 )
-from .network import NodeId, node_key, require_finite
+from .network import NodeId, is_int, node_key, require_finite
 from .scenario import N_CREWS, ScenarioSet
 
 
@@ -94,12 +94,9 @@ class Stage1Instance:
         and scale_c from the boundedness rule."""
         if loads_kw is None:
             loads_kw = scenarios.loads_kw or {}
-        costs = (
-            tuple(float(c) for c in crew_costs)
-            if crew_costs is not None
-            else tuple(c.hourly_cost_per_person for c in scenarios.crews)
-        )
-        inst = cls(scenarios, loads_kw, costs, 1.0 if scale_c is None else scale_c,
+        if crew_costs is None:
+            crew_costs = tuple(c.hourly_cost_per_person for c in scenarios.crews)
+        inst = cls(scenarios, loads_kw, crew_costs, 1.0 if scale_c is None else scale_c,
                    power_weight, time_weight)
         if scale_c is None:
             inst = replace(inst, scale_c=default_scale_c(marginal_gain(inst), inst.crew_costs))
@@ -305,7 +302,7 @@ def verify_allocation(alloc: CrewAllocation, inst: Stage1Instance) -> tuple[str,
     scen = inst.scenarios
     problems: list[str] = []
     for k, xk in enumerate(alloc.capacity):
-        if isinstance(xk, bool) or not isinstance(xk, int) or xk < 0:
+        if not (is_int(xk) and xk >= 0):
             problems.append(f"capacity[{k}] = {xk!r} is not a non-negative integer")
     for s in range(scen.n_scenarios):
         sc = scen.scenarios[s]

@@ -31,12 +31,14 @@ from . import fileio
 from .network import (
     apply_road_failures,
     build_coupled_network,
+    is_int,
+    is_number,
     load_road_network,
     node_key,
     shortest_path_matrix,
 )
 from .routing import RoutingInstance, expected_cost, solve_routing, validate_routes
-from .scenario import N_CREWS, ScenarioConfig, default_crews, generate_scenarios
+from .scenario import CREW_NAMES, N_CREWS, ScenarioConfig, generate_scenarios
 from .schedule import DEFAULT_SPEED_KMH, build_schedule, combine_charts
 
 EXIT_OK = 0
@@ -91,14 +93,37 @@ _CONFIG_FIELDS = {
 }
 
 
+# numeric command-line flag (its argparse dest) -> (type, range test, what the
+# error asks for), as in _CONFIG_FIELDS; a flag left unset (None) is not checked.
+# --speed-kmh is left to build_schedule, which refuses a bad speed with exit 8.
+_FLAG_FIELDS = {
+    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
+    "n_scenarios": _CONFIG_FIELDS["n_scenarios"],
+    "offset_x": (float, lambda v: True, "a finite number"),
+    "offset_y": (float, lambda v: True, "a finite number"),
+}
+
+
 def _fits(value, kind, in_range) -> bool:
     """``value`` is a finite ``kind`` (a bool is no number) that passes ``in_range``."""
     if kind is list:
         return (isinstance(value, list) and len(value) == N_CREWS
                 and all(_fits(v, float, in_range) for v in value))
-    return (isinstance(value, int if kind is int else (int, float))
-            and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)) and in_range(value))
+    if kind is int:
+        return is_int(value) and in_range(value)
+    try:
+        return is_number(value) and math.isfinite(value) and in_range(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _check_flags(args) -> None:
+    """A SchemaError naming the first numeric flag that does not fit its _FLAG_FIELDS entry."""
+    for name, (kind, in_range, wanted) in _FLAG_FIELDS.items():
+        value = getattr(args, name, None)
+        if value is not None and not _fits(value, kind, in_range):
+            flag = "--" + name.replace("_", "-")
+            raise SchemaError(f"{flag} must be {wanted}, got {value!r}")
 
 
 @dataclass
@@ -249,8 +274,6 @@ def cmd_build_network(args, config: PipelineConfig) -> int:
 
 
 def cmd_gen_scenarios(args, config: PipelineConfig) -> int:
-    if args.n_scenarios is not None and args.n_scenarios < 1:
-        raise SchemaError(f"--n-scenarios must be an integer >= 1, got {args.n_scenarios}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net = fileio.read_network_file(args.network)
@@ -283,15 +306,10 @@ def cmd_solve(args, config: PipelineConfig) -> int:
     loads = dict(net.loads_kw)
     if sset.loads_kw:
         loads.update(sset.loads_kw)
-    crew_costs = (
-        tuple(float(c) for c in config.crew_costs)
-        if config.crew_costs is not None
-        else tuple(c.hourly_cost_per_person for c in sset.crews)
-    )
     inst = Stage1Instance.from_scenarios(
         sset,
         loads_kw=loads,
-        crew_costs=crew_costs,
+        crew_costs=config.crew_costs,
         scale_c=config.scale_c,
         power_weight=config.power_weight,
         time_weight=config.time_weight,
@@ -302,8 +320,8 @@ def cmd_solve(args, config: PipelineConfig) -> int:
                                  gains, inst.crew_costs)
     print(f"wrote {out_dir / 'allocation.json'}")
     print(f"scale_c: {inst.scale_c:g}")
-    for crew in default_crews(crew_costs):
-        print(f"  crew {crew.index} ({crew.name}): capacity {alloc.capacity[crew.index]}")
+    for k, name in enumerate(CREW_NAMES):
+        print(f"  crew {k} ({name}): capacity {alloc.capacity[k]}")
 
     rates = {k: float(r) for k, r in enumerate(config.cost_rate_per_m)}
     terminals = sorted(net.depots | net.damaged | sset.damaged, key=node_key)
@@ -367,8 +385,9 @@ def cmd_schedule(args, config: PipelineConfig) -> int:
         plan_path = routes_dir / f"routes_s{scenario.scenario_id}.json"
         plan = fileio.read_route_plan_file(plan_path)
         inputs.append(str(plan_path))
-        chart = build_schedule(plan, scenario, depots, speed)
-        charts.append(chart)
+        charts.append(build_schedule(plan, scenario, depots, speed))
+    # every chart is built, and so checked, before the first file is written
+    for scenario, chart in zip(sset.scenarios, charts):
         svg_name = f"gantt_s{scenario.scenario_id}.svg"
         fileio.write_gantt_svg(chart, out_dir / svg_name,
                                title=f"Crew schedule, scenario {scenario.scenario_id}")
@@ -458,6 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = PipelineConfig.load(args.config)
+        _check_flags(args)
         return args.func(args, config)
     except GridRestoreError as exc:
         for classes, code in _EXIT_CODES:

@@ -22,7 +22,7 @@ import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .errors import SchemaError
 from .network import (
@@ -32,6 +32,8 @@ from .network import (
     PowerNode,
     RoadGraph,
     edge_key,
+    is_int,
+    is_number,
     node_key,
 )
 from .routing import Route, RoutePlan
@@ -66,21 +68,42 @@ def meters_str(length_m: float) -> str:
     return f"{sign}{mm // 1000}.{mm % 1000:03d}"
 
 
-def _finite(value, where: str, what: str) -> float:
-    """``value`` as a finite float; a SchemaError naming ``where`` and ``what`` otherwise."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
+# A parsed JSON value that must be a number goes through _number, and a text
+# value (a CSV cell, or a distance_m) through _parse_number. Both name the
+# value's place as ``where.format(*args)``, text that is built only for a value
+# that fails.
+
+
+def _number(value, what: str, where: str, *args) -> float:
+    """A parsed JSON number as a float; a SchemaError unless it is finite (a bool or a
+    string is no number)."""
+    if is_number(value):
         number = float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: bad {what} {value!r}") from None
+        if math.isfinite(number):
+            return number
+    _reject(value, what, where, args, number=is_number(value))
+
+
+def _parse_number(value, what: str, where: str, *args) -> float:
+    """A text value as a finite float: a string that ``float`` parses, or a number, as
+    ``_number`` takes it; a SchemaError otherwise."""
+    if type(value) is not str:
+        return _number(value, what, where, *args)
+    try:
+        number = float(value)
+    except ValueError:
+        _reject(value, what, where, args, number=False)
     if not math.isfinite(number):
-        raise SchemaError(f"{where}: {what} must be finite, got {value!r}")
+        _reject(value, what, where, args, number=True)
     return number
 
 
-def parse_meters(text: str, where: str = "") -> float:
-    return _finite(text, where, "distance")
+def _reject(value, what: str, where: str, args: tuple, number: bool) -> NoReturn:
+    """The SchemaError for ``value``: a ``number`` that is not finite, or no number."""
+    where = where.format(*args)
+    if number:
+        raise SchemaError(f"{where}: {what} must be finite, got {value!r}")
+    raise SchemaError(f"{where}: bad {what} {value!r}")
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -162,7 +185,7 @@ def _ids(ids: Iterable[NodeId]) -> list[NodeId]:
 
 def _loads_kw(pairs: Iterable, path: str | Path) -> dict[NodeId, float]:
     """``[[node, kw], ...]`` as a map; every load must be a finite number."""
-    return {node: _finite(kw, f"{path}: node {node!r}", "loads_kw") for node, kw in pairs}
+    return {node: _number(kw, "loads_kw", "{}: node {!r}", path, node) for node, kw in pairs}
 
 
 def _road_json(road: RoadGraph) -> dict:
@@ -175,24 +198,14 @@ def _road_json(road: RoadGraph) -> dict:
 
 def _road_from_json(obj: dict, path: str | Path) -> RoadGraph:
     """Inverse of ``_road_json``; node coordinates and edge distances must be finite."""
-    # A float coordinate and a distance string that parses to a finite float
-    # pass straight through; anything else goes to _finite / parse_meters,
-    # which accept or reject it, so error text is built only for a bad value.
     nodes = []
     for n, lat, lon in obj["nodes"]:
+        # a pair of floats whose sum is finite passes straight through
         if not (type(lat) is float and type(lon) is float and math.isfinite(lat + lon)):
-            where = f"{path}: node {n!r}"
-            lat, lon = _finite(lat, where, "lat"), _finite(lon, where, "lon")
+            lat = _number(lat, "lat", "{}: node {!r}", path, n)
+            lon = _number(lon, "lon", "{}: node {!r}", path, n)
         nodes.append((n, lat, lon))
-    edges = []
-    for u, v, m in obj["edges"]:
-        try:
-            meters = float(m) if type(m) is str else math.nan
-        except ValueError:
-            meters = math.nan
-        if not math.isfinite(meters):
-            meters = parse_meters(m, str(path))
-        edges.append((u, v, meters))
+    edges = [(u, v, _parse_number(m, "distance", "{}", path)) for u, v, m in obj["edges"]]
     return RoadGraph(tuple(nodes), tuple(edges))
 
 
@@ -225,7 +238,7 @@ def _read_csv(path: str | Path, header: Sequence[str]):
 
 
 def _float_field(row: dict, key: str, path, lineno: int) -> float:
-    return _finite(row[key], f"{path}:{lineno}", key)
+    return _parse_number(row[key], key, "{}:{}", path, lineno)
 
 
 def _int_field(row: dict, key: str, path, lineno: int) -> int:
@@ -461,17 +474,26 @@ def read_allocation_file(path: str | Path):
     from .allocation import CrewAllocation
 
     obj = read_json_artifact(path, SCHEMA_ALLOCATION)
-    assignment = {}
-    for s, rows in obj["assignment"]:
-        for i, per_crew in rows:
-            for k, y in enumerate(per_crew):
-                if y:
-                    assignment[(int(s), i, k)] = float(y)
-    return CrewAllocation(
-        capacity=tuple(int(x) for x in obj["capacity"]),
-        assignment=assignment,
-        objective_value=float(obj["objective_value"]),
-    )
+    with _malformed(path, "allocation"):
+        capacity = obj["capacity"]
+        if not (isinstance(capacity, list) and len(capacity) == N_CREWS
+                and all(is_int(x) and x >= 0 for x in capacity)):
+            raise SchemaError(f"{path}: capacity must be a list of {N_CREWS} integers >= 0, "
+                              f"got {capacity!r}")
+        assignment = {}
+        for s, rows in obj["assignment"]:
+            if not is_int(s):
+                raise SchemaError(f"{path}: assignment scenario must be an integer, got {s!r}")
+            for i, per_crew in rows:
+                for k, y in enumerate(per_crew):
+                    y = _number(y, "assignment", "{}: scenario {}, node {!r}", path, s, i)
+                    if y:
+                        assignment[(s, i, k)] = y
+        return CrewAllocation(
+            capacity=tuple(capacity),
+            assignment=assignment,
+            objective_value=_number(obj["objective_value"], "objective_value", "{}", path),
+        )
 
 
 # --- route plan artifact ------------------------------------------------------
@@ -514,10 +536,11 @@ def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteG
 def _leg_meters(rec: dict, path: str | Path) -> tuple[float, ...]:
     """One route's ``distance_m`` per leg; the legs must chain its stops, one per arc."""
     stops = [rec["depot_start"], *rec["visit_order"], rec["depot_end"]]
-    where = f"{path}: crew {rec['crew']!r}"
     if [(leg["from"], leg["to"]) for leg in rec["legs"]] != list(zip(stops, stops[1:])):
-        raise SchemaError(f"{where}: legs do not chain depot_start, visit_order, depot_end")
-    return tuple(parse_meters(leg["distance_m"], where) for leg in rec["legs"])
+        raise SchemaError(f"{path}: crew {rec['crew']!r}: legs do not chain depot_start, "
+                          "visit_order, depot_end")
+    return tuple(_parse_number(leg["distance_m"], "distance", "{}: crew {!r}", path, rec["crew"])
+                 for leg in rec["legs"])
 
 
 def read_route_plan_file(path: str | Path) -> RoutePlan:

@@ -13,6 +13,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,11 +54,30 @@ def mm_to_m(mm: int) -> float:
     return mm / 1000.0
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def is_number(value) -> bool:
+    """A real number that is not a bool; a plain float is let through first."""
+    return type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
+
+
 def require_finite(value: float, what: str) -> float:
-    """``value`` as a float; ValueError naming ``what`` when it is inf or nan."""
-    number = float(value)
+    """``value`` as a float; ValueError naming ``what`` unless it is a finite number.
+
+    A value that reads as inf or nan, a string such as ``"inf"`` too, is named as
+    not finite.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = 0.0  # no number at all: named below
     if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
+    if not is_number(value):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     return number
 
 
@@ -84,10 +104,9 @@ class RoadGraph:
         for nid, lat, lon in self.nodes:
             if nid in coords:
                 raise ValueError(f"duplicate node_id {nid!r}")
-            lat, lon = float(lat), float(lon)
-            if not math.isfinite(lat + lon):  # either is inf or nan; name which
-                for name, x in (("lat", lat), ("lon", lon)):
-                    require_finite(x, f"node {nid!r}: {name}")
+            if not (type(lat) is float and type(lon) is float and math.isfinite(lat + lon)):
+                lat = require_finite(lat, f"node {nid!r}: lat")
+                lon = require_finite(lon, f"node {nid!r}: lon")
             coords[nid] = (lat, lon)
 
         # node_key orders str ids as the strs themselves order, so when every id

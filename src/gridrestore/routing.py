@@ -25,13 +25,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import NodeUnreachableError, TooManyNodesError, UnreachableArcError
-from .network import CompleteGraph, NodeId, node_key
+from .network import CompleteGraph, NodeId, is_int, is_number, node_key
 from .scenario import N_CREWS, Scenario
 
 SOLVE_NODE_CAP = 15
@@ -72,6 +71,8 @@ class RoutingInstance:
                 raise ValueError(f"required nodes for crew {k} must lie in the damaged set")
         if self.depots & self.damaged:
             raise ValueError("depots cannot be damaged nodes")
+        if not all(map(is_number, self.cost_rate_per_m.values())):
+            raise ValueError("cost rates must be numbers")
         if not all(math.isfinite(r) for r in self.cost_rate_per_m.values()):
             raise ValueError("cost rates must be finite")
         if any(r < 0 for r in self.cost_rate_per_m.values()):
@@ -105,15 +106,6 @@ class RoutingInstance:
         return self.complete.dist_m(u, v) * self.rate(crew)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A real number other than a bool; a plain float is let through first."""
-    return type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
-
-
 @dataclass(frozen=True)
 class Route:
     """A depot-to-depot path for one crew with its subtour-free certificate."""
@@ -132,17 +124,17 @@ class Route:
         object.__setattr__(self, "leg_costs", tuple(self.leg_costs))
         object.__setattr__(self, "leg_m", tuple(self.leg_m))
         object.__setattr__(self, "mtz_labels", dict(self.mtz_labels))
-        if not _is_int(self.crew):
+        if not is_int(self.crew):
             raise ValueError(f"crew must be an integer, got {self.crew!r}")
         for i, cost in enumerate(self.leg_costs):
-            if not _is_number(cost):
+            if not is_number(cost):
                 raise ValueError(f"crew {self.crew}: leg_costs[{i}] must be a number, "
                                  f"got {cost!r}")
-        if not _is_number(self.total_cost):
+        if not is_number(self.total_cost):
             raise ValueError(f"crew {self.crew}: total_cost must be a number, "
                              f"got {self.total_cost!r}")
         for node, label in self.mtz_labels.items():
-            if not _is_int(label):
+            if not is_int(label):
                 raise ValueError(f"crew {self.crew}: mtz_labels[{node!r}] must be an integer, "
                                  f"got {label!r}")
 
@@ -162,7 +154,7 @@ class RoutePlan:
     routes: Mapping[int, Route]
 
     def __post_init__(self):
-        if not _is_int(self.scenario_id):
+        if not is_int(self.scenario_id):
             raise ValueError(f"scenario_id must be an integer, got {self.scenario_id!r}")
         object.__setattr__(self, "routes", dict(self.routes))
 

@@ -10,14 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidRangeError, NoDamagedNodesError
 from .geo import point_segment_distance_m
-from .network import CoupledNetwork, NodeId, edge_key, node_key, require_finite
+from .network import (
+    CoupledNetwork,
+    NodeId,
+    edge_key,
+    is_int,
+    is_number,
+    node_key,
+    require_finite,
+)
 
 # Lognormal repair-time parameters and the sampling clamp window (hours).
 REPAIR_TIME_MU = -0.3072
@@ -47,18 +54,16 @@ class CrewType:
     hourly_cost_per_person: float
 
     def __post_init__(self):
-        if not 0 <= self.index < N_CREWS:
+        if not (is_int(self.index) and 0 <= self.index < N_CREWS):
             raise ValueError(f"crew index must be in 0..{N_CREWS - 1}, got {self.index}")
         if self.name != CREW_NAMES[self.index]:
             raise ValueError(
                 f"crew {self.index} must be named {CREW_NAMES[self.index]!r}, got {self.name!r}"
             )
-        cost = self.hourly_cost_per_person
-        if require_finite(cost, "hourly_cost_per_person") <= 0:
+        cost = require_finite(self.hourly_cost_per_person, "hourly_cost_per_person")
+        if cost <= 0:
             raise ValueError("hourly_cost_per_person must be > 0")
-        if isinstance(cost, bool) or not isinstance(cost, Real):
-            raise ValueError(f"hourly_cost_per_person must be a number, got {cost!r}")
-        object.__setattr__(self, "hourly_cost_per_person", float(cost))
+        object.__setattr__(self, "hourly_cost_per_person", cost)
 
 
 def default_crews(hourly_costs: Sequence[float] | None = None) -> tuple[CrewType, ...]:
@@ -66,7 +71,7 @@ def default_crews(hourly_costs: Sequence[float] | None = None) -> tuple[CrewType
     costs = tuple(hourly_costs) if hourly_costs is not None else DEFAULT_HOURLY_COSTS
     if len(costs) != N_CREWS:
         raise ValueError(f"expected {N_CREWS} crew costs, got {len(costs)}")
-    return tuple(CrewType(k, CREW_NAMES[k], float(costs[k])) for k in range(N_CREWS))
+    return tuple(CrewType(k, CREW_NAMES[k], costs[k]) for k in range(N_CREWS))
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,7 @@ class TornadoEvent:
     corridor_width_m: float
 
     def __post_init__(self):
-        if not 0 <= self.ef_rating <= 5:
+        if not (is_int(self.ef_rating) and 0 <= self.ef_rating <= 5):
             raise ValueError(f"ef_rating must be in 0..5, got {self.ef_rating}")
         for name in ("path_start", "path_end"):
             for x in getattr(self, name):
@@ -98,7 +103,7 @@ class Scenario:
     failed_edges: frozenset[tuple[NodeId, NodeId]]
 
     def __post_init__(self):
-        if isinstance(self.scenario_id, bool) or not isinstance(self.scenario_id, int):
+        if not is_int(self.scenario_id):
             raise ValueError(f"scenario_id must be an integer, got {self.scenario_id!r}")
         object.__setattr__(self, "repair_time_h", dict(self.repair_time_h))
         object.__setattr__(self, "repair_demand", dict(self.repair_demand))
@@ -106,10 +111,10 @@ class Scenario:
             self, "failed_edges", frozenset(edge_key(u, v) for u, v in self.failed_edges)
         )
         for key, t in self.repair_time_h.items():
-            if isinstance(t, bool) or not isinstance(t, Real) or not (math.isfinite(t) and t > 0):
+            if not (is_number(t) and math.isfinite(t) and t > 0):
                 raise ValueError(f"repair_time_h{key!r} must be finite and > 0, got {t!r}")
         for key, d in self.repair_demand.items():
-            if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= MAX_REPAIR_DEMAND:
+            if not (is_int(d) and 0 <= d <= MAX_REPAIR_DEMAND):
                 raise ValueError(f"repair_demand{key!r} must be an integer in "
                                  f"[0, {MAX_REPAIR_DEMAND}], got {d!r}")
 
@@ -248,7 +253,7 @@ def sample_repair_demand(
 ):
     """Uniform integer persons in [lo, hi] inclusive."""
     for bound in (lo, hi):
-        if isinstance(bound, bool) or not isinstance(bound, int):
+        if not is_int(bound):
             raise InvalidRangeError(f"demand bounds must be integers, got {bound!r}")
     if not 0 <= lo <= hi:
         raise InvalidRangeError(f"demand bounds must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")

@@ -11,11 +11,12 @@ crew order reaches the fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyChartError, InvalidPlanError, NonPositiveSpeedError
-from .network import NodeId, node_key
+from .network import NodeId, is_number, node_key
 from .routing import RoutePlan
 from .scenario import Scenario
 
@@ -33,6 +34,9 @@ class GanttEntry:
     finish_h: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_h) and math.isfinite(self.finish_h)):
+            raise ValueError(f"start_h and finish_h must be finite, got {self.start_h!r} "
+                             f"and {self.finish_h!r}")
         if self.start_h < 0:
             raise ValueError("start_h must be >= 0")
         if self.finish_h < self.start_h:
@@ -69,6 +73,8 @@ def build_schedule(
     in place, which also delays the crew's later stops. ``depots`` are the
     network's depots, which every route must start and end at.
     """
+    if not (is_number(speed_kmh) and math.isfinite(speed_kmh)):
+        raise NonPositiveSpeedError(f"speed_kmh must be a finite number, got {speed_kmh!r}")
     if speed_kmh <= 0:
         raise NonPositiveSpeedError(f"speed_kmh must be > 0, got {speed_kmh}")
     _check_plan(plan, scenario, frozenset(depots))
@@ -84,6 +90,9 @@ def build_schedule(
             arrival = clock + leg_m / meters_per_hour
             start = max(arrival, prev_finish.get(node, 0.0))
             finish = start + scenario.repair_time_h[(node, k)]
+            if not math.isfinite(finish):  # 0 <= start <= finish, so start is finite too
+                raise InvalidPlanError(f"scenario {plan.scenario_id}: crew {k}: work at node "
+                                       f"{node!r} does not finish in finite time")
             entries.append(GanttEntry(plan.scenario_id, node, k, start, finish))
             # finish times are monotone over the crew sequence, so the last
             # writer is the latest predecessor

@@ -3,6 +3,7 @@
 import gc
 import json
 import logging
+import math
 import os
 import pathlib
 import random
@@ -10,7 +11,7 @@ import weakref
 
 import pytest
 
-from gridrestore import cli, fileio, load_road_network
+from gridrestore import cli, default_crews, fileio, load_road_network
 from gridrestore.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -135,6 +136,20 @@ class TestBuildNetwork:
         ])
         assert code == EXIT_OK
         assert "3 road nodes / 2 road edges" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, bad", [("--offset-x", "nan"), ("--offset-x", "inf"),
+                                           ("--offset-y", "-inf")])
+    def test_offset_that_is_not_finite_exits_input(self, fixture_dir, tmp_path, capsys,
+                                                   flag, bad):
+        argv = ["--out-dir", str(tmp_path / "out"), "build-network",
+                "--road-nodes", str(fixture_dir / "road_nodes.csv"),
+                "--road-edges", str(fixture_dir / "road_edges.csv"),
+                "--power", str(fixture_dir / "power.csv"),
+                "--offset-x", "-97.0", "--offset-y", "32.9", "--depots", "r0c0", f"{flag}={bad}"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be a finite number, got {float(bad)!r}\n")
+        assert not (tmp_path / "out" / "network.json").exists()
 
     def test_missing_depot_id_names_it(self, fixture_dir, tmp_path, capsys):
         code = main([
@@ -282,6 +297,19 @@ class TestGenScenarios:
             assert code == EXIT_INPUT, bad
             assert capsys.readouterr().err == (
                 f"error: --n-scenarios must be an integer >= 1, got {bad}\n")
+
+    def test_negative_seed_exits_input(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        capsys.readouterr()
+        code = main([
+            "--out-dir", str(tmp_path / "again"), "--seed", "-1", "gen-scenarios",
+            "--network", str(out / "network.json"),
+            "--events", str(fixture_dir / "events.csv"),
+        ])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "again").exists()
 
     def test_corridor_missing_everything(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -603,7 +631,7 @@ class TestSolveAndSchedule:
                 "damaged": ["r1c3", "r2c2"],
                 "crews": [{"index": c.index, "name": c.name,
                            "hourly_cost_per_person": c.hourly_cost_per_person}
-                          for c in cli.default_crews()],
+                          for c in default_crews()],
                 "loads_kw": [["r1c3", 120.0], ["r2c2", 80.0]],
                 "scenarios": scenarios,
             }))
@@ -713,6 +741,75 @@ class TestSolveAndSchedule:
             "--speed-kmh", "0",
         ])
         assert code == 8
+
+    def test_speed_that_is_not_finite_writes_nothing(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        capsys.readouterr()
+        code = main([
+            "--out-dir", str(tmp_path / "sched"), "schedule",
+            "--network", str(out / "network.json"),
+            "--scenarios", str(out / "scenarios.json"),
+            "--routes-dir", str(out), "--speed-kmh", "nan",
+        ])
+        assert code == 8
+        assert capsys.readouterr().err == (
+            "error: speed_kmh must be a finite number, got nan\n")
+        assert list((tmp_path / "sched").iterdir()) == []
+
+    def test_time_past_the_float_range_writes_nothing(self, fixture_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        """A speed in range whose travel times are not: exit 8 before any chart is drawn."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        draw = fileio.write_gantt_svg
+
+        def finite_only(chart, *args, **kwargs):
+            # ticks are drawn up to the makespan: an infinite one would never end
+            assert math.isfinite(chart.makespan_h), "an infinite chart reached the SVG writer"
+            draw(chart, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "write_gantt_svg", finite_only)
+        config = tmp_path / "slow.json"
+        config.write_text(json.dumps({"schema": "config/1", "speed_kmh": 1e-320}))
+        capsys.readouterr()
+        code = main([
+            "--out-dir", str(tmp_path / "sched"), "--config", str(config), "schedule",
+            "--network", str(out / "network.json"),
+            "--scenarios", str(out / "scenarios.json"), "--routes-dir", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 8, err
+        assert err.startswith("error: scenario 0: crew ") and "finite time" in err, err
+        assert list((tmp_path / "sched").iterdir()) == []
+
+    @pytest.mark.parametrize("name, where, bad, named", [
+        ("network.json", ("loads_kw", 0, 1), "123.4", "bad loads_kw '123.4'"),
+        ("network.json", ("road", "nodes", 3, 1), "32.9", "bad lat '32.9'"),
+        ("scenarios.json", ("loads_kw", 0, 1), "123.4", "bad loads_kw '123.4'"),
+    ], ids=["network-load", "network-lat", "scenario-load"])
+    def test_string_number_exits_input(self, fixture_dir, tmp_path, capsys, name, where, bad,
+                                       named):
+        """``solve`` and ``schedule`` refuse a number written as a string, naming it."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        obj = json.loads((out / name).read_text())
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = bad
+        (tmp_path / name).write_text(json.dumps(obj))
+        files = {n: out / n for n in ("network.json", "scenarios.json")}
+        files[name] = tmp_path / name
+        for stage in ("solve", "schedule"):
+            capsys.readouterr()
+            code = main(["--out-dir", str(tmp_path / stage), stage,
+                         "--network", str(files["network.json"]),
+                         "--scenarios", str(files["scenarios.json"]),
+                         *(["--routes-dir", str(out)] if stage == "schedule" else [])])
+            err = capsys.readouterr().err
+            assert code == EXIT_INPUT, (stage, err)
+            assert f"{tmp_path / name}: node " in err and named in err, (stage, err)
 
     def test_schedule_builds_no_closure(self, fixture_dir, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -909,6 +1006,7 @@ class TestConfigFile:
             ({"crew_costs": [200, 65, 75, 0]}, "crew_costs must be"),
             ({"speed_kmh": "fast"}, "speed_kmh must be"),
             ({"speed_kmh": 0}, "speed_kmh must be"),
+            ({"speed_kmh": 10**400}, "speed_kmh must be"),  # an int past the float range
             # relations between fields, checked after the per-field table
             ({"demand_lo": 7, "demand_hi": 6}, "demand_lo must be <= demand_hi, got 7 > 6"),
             ({"demand_hi": 3}, "demand_lo must be <= demand_hi, got 5 > 3"),  # default lo

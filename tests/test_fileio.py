@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,8 @@ class TestMetersFixedPoint:
 
     def test_roundtrip_through_parse(self):
         for value in (0.001, 12.5, 1234.568, 99999.999):
-            assert fileio.parse_meters(fileio.meters_str(value)) == pytest.approx(value)
+            text = fileio.meters_str(value)
+            assert fileio._parse_number(text, "distance", "") == pytest.approx(value)
 
 
 class TestNetworkFile:
@@ -132,6 +134,42 @@ class TestAllocationFile:
         assert loaded.objective_value == alloc.objective_value
         nonzero = {k: v for k, v in alloc.assignment.items() if v}
         assert loaded.assignment == nonzero
+
+    @pytest.mark.parametrize("where, bad, named", [
+        (("capacity", 0), True, "capacity must be a list of 4 integers >= 0"),
+        (("capacity", 0), 2.7, "capacity must be a list of 4 integers >= 0"),
+        (("capacity", 0), -1, "capacity must be a list of 4 integers >= 0"),
+        (("capacity",), {}, "capacity must be a list of 4 integers >= 0"),
+        (("assignment", 0, 0), 0.0, "assignment scenario must be an integer, got 0.0"),
+        (("assignment", 0, 1, 0, 1, 0), "5", "bad assignment '5'"),
+        (("assignment", 0, 1, 0, 1, 0), True, "bad assignment True"),
+        (("objective_value",), "nan", "bad objective_value 'nan'"),
+    ], ids=["capacity-bool", "capacity-fraction", "capacity-negative", "capacity-object",
+            "scenario-float", "value-string", "value-bool", "objective-string"])
+    def test_value_of_the_wrong_kind_rejected(self, tmp_path, where, bad, named):
+        inst = Stage1Instance.from_scenarios(refcase.scenario_set())
+        path = tmp_path / "allocation.json"
+        fileio.write_allocation_file(solve_stage1(inst), path, inst.scale_c,
+                                     marginal_gain(inst), inst.crew_costs)
+        obj = json.loads(path.read_text())
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = bad
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match=re.escape(named)):
+            fileio.read_allocation_file(path)
+
+    def test_missing_key_rejected(self, tmp_path):
+        inst = Stage1Instance.from_scenarios(refcase.scenario_set())
+        path = tmp_path / "allocation.json"
+        fileio.write_allocation_file(solve_stage1(inst), path, inst.scale_c,
+                                     marginal_gain(inst), inst.crew_costs)
+        obj = json.loads(path.read_text())
+        del obj["capacity"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match="malformed allocation .missing key 'capacity'."):
+            fileio.read_allocation_file(path)
 
     def test_boundedness_report_embedded(self, tmp_path):
         inst = Stage1Instance.from_scenarios(refcase.scenario_set())
@@ -268,6 +306,33 @@ class TestCsvIngestion:
             path.write_text(json.dumps(obj))  # NaN / Infinity tokens
             with pytest.raises(SchemaError, match=rf"road\.json: node 'b': {name} must be finite"):
                 fileio.read_road_graph_json(path)
+
+
+class TestJsonNumbers:
+    """A number in a JSON artifact is a JSON number; only distance_m may also be text."""
+
+    def test_string_where_a_number_belongs_rejected(self, tmp_path):
+        net_path, sc_path = tmp_path / "network.json", tmp_path / "scenarios.json"
+        fileio.write_network_file(_network(), net_path)
+        fileio.write_scenario_file(refcase.scenario_set(), sc_path)
+        cases = [
+            (net_path, ("loads_kw", 0, 1), "123.4", "node 'a': bad loads_kw '123.4'"),
+            (net_path, ("road", "nodes", 1, 1), "32.0", "node 'b': bad lat '32.0'"),
+            (net_path, ("road", "nodes", 1, 2), "-97.0", "node 'b': bad lon '-97.0'"),
+            (sc_path, ("loads_kw", 0, 1), "123.4", "node 23214: bad loads_kw '123.4'"),
+        ]
+        for path, where, bad, named in cases:
+            obj = json.loads(path.read_text())
+            parent = obj
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = bad
+            bad_path = tmp_path / f"bad_{path.name}"
+            bad_path.write_text(json.dumps(obj))
+            read = (fileio.read_network_file if path is net_path
+                    else fileio.read_scenario_file)
+            with pytest.raises(SchemaError, match=re.escape(f"{bad_path}: {named}")):
+                read(bad_path)
 
 
 class TestWriteText:

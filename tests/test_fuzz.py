@@ -1,16 +1,26 @@
 """Fuzzing the artifact readers through the stages that read them: a bad value is an
-exit code, never a crash."""
+exit code, never a crash. ``allocation.json``, which no stage reads, is fuzzed through
+its reader: a bad value is a SchemaError."""
 
 import contextlib
 import io
 import itertools
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridrestore import CoupledNetwork, Scenario, ScenarioSet, fileio, load_road_network
+from gridrestore import (
+    CoupledNetwork,
+    CrewAllocation,
+    Scenario,
+    ScenarioSet,
+    fileio,
+    load_road_network,
+)
 from gridrestore.cli import EXIT_DOC, EXIT_INTERNAL, EXIT_OK, main
+from gridrestore.errors import SchemaError
 
 # what one leaf of an artifact is replaced with
 BAD_VALUES = (None, True, -1, 2.5, "x", [], {}, 1e308, "nan", "inf")
@@ -60,8 +70,8 @@ def _bad_file(inputs, data, name):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A triangle road with one depot, two damaged nodes and two scenarios that solve
-    and schedule; the routes stay in ``routes/``. Each artifact's parsed document
-    and leaf roles come along."""
+    and schedule; the routes and the allocation stay in ``routes/``. Each artifact's
+    parsed document and leaf roles come along."""
     root = tmp_path_factory.mktemp("fuzz")
     road = load_road_network([("a", 32.0, -97.0), ("b", 32.01, -97.0), ("c", 32.0, -97.01)],
                              [("a", "b", 1200.0), ("b", "c", 1500.0), ("a", "c", 900.0)])
@@ -78,17 +88,19 @@ def inputs(tmp_path_factory):
     fileio.write_scenario_file(sset, root / "scenarios.json")
     assert _stage(root, "routes", "solve")[0] == EXIT_OK
     assert _stage(root, "routes", "schedule")[0] == EXIT_OK
-    docs = {name: json.loads((root / name).read_text())
-            for name in ("network.json", "scenarios.json")}
+    docs = {path.name: json.loads(path.read_text())
+            for path in (root / "network.json", root / "scenarios.json",
+                         root / "routes" / "routes_s0.json", root / "routes" / "allocation.json")}
     return root, {name: (doc, _roles(doc)) for name, doc in docs.items()}
 
 
-def _stage(root, out, stage, network="network.json", scenarios="scenarios.json"):
+def _stage(root, out, stage, network="network.json", scenarios="scenarios.json",
+           routes="routes"):
     """Run one stage on the files in ``root``; its exit code and stderr."""
     argv = ["--out-dir", str(root / out), stage, "--network", str(root / network),
             "--scenarios", str(root / scenarios)]
     if stage == "schedule":
-        argv += ["--routes-dir", str(root / "routes")]
+        argv += ["--routes-dir", str(root / routes)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -115,3 +127,27 @@ def test_one_bad_network_leaf_never_exits_internal(inputs, data):
     bad = _bad_file(inputs, data, "network.json")
     for stage in ("solve", "schedule"):
         _assert_documented(_stage(inputs[0], "out", stage, network=bad.name))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(data=st.data())
+def test_one_bad_route_leaf_never_exits_internal(inputs, data):
+    """``routes_s0.json`` with one bad leaf, through ``schedule``, in a routes dir of its own."""
+    root = inputs[0]
+    bad = _bad_file(inputs, data, "routes_s0.json")
+    routes = bad.with_suffix("")
+    routes.mkdir()
+    shutil.copy(root / "routes" / "routes_s1.json", routes)
+    bad.rename(routes / "routes_s0.json")
+    _assert_documented(_stage(root, "out", "schedule", routes=routes.name))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_one_bad_allocation_leaf_is_a_value_or_schema_error(inputs, data):
+    bad = _bad_file(inputs, data, "allocation.json")
+    try:
+        alloc = fileio.read_allocation_file(bad)
+    except SchemaError:
+        return
+    assert isinstance(alloc, CrewAllocation)

@@ -27,7 +27,7 @@ from gridrestore.errors import (
     UnknownTerminalError,
 )
 from gridrestore.geo import haversine_m
-from gridrestore.network import edge_key, node_key
+from gridrestore.network import edge_key, is_int, is_number, node_key, require_finite
 
 from conftest import floyd_warshall_oracle, random_road_graph
 
@@ -89,6 +89,15 @@ class TestLoadRoadNetwork:
                 RoadGraph((NODES3[0], ("b", 32.01, bad)), ())
             with pytest.raises(NonPositiveLengthError, match="length_m must be finite"):
                 load_road_network(NODES3, [("a", "b", bad)])
+
+    def test_coordinate_that_is_not_a_number_named(self):
+        for bad in (True, "32.0", None):
+            with pytest.raises(ValueError, match="node 'b': lat must be a number"):
+                RoadGraph((NODES3[0], ("b", bad, -97.0)), ())
+            with pytest.raises(ValueError, match="node 'b': lon must be a number"):
+                RoadGraph((NODES3[0], ("b", 32.01, bad)), ())
+        g = RoadGraph((NODES3[0], ("b", 32, np.float64(-97.0))), ())
+        assert g.coord("b") == (32.0, -97.0) and type(g.coord("b")[0]) is float
 
     def test_lengths_quantized_to_millimeters(self):
         g = load_road_network(NODES3, [("a", "b", 123.4567)])
@@ -405,3 +414,25 @@ class TestCoupledNetwork:
         road = load_road_network(NODES3, [("a", "b", 100.0), ("b", "c", 200.0)])
         net = CoupledNetwork(road, {}, frozenset(["c"]), frozenset(["a"]))
         assert net.terminals() == ("a", "c")
+
+
+class TestNumberRule:
+    """A number is an int or a float, never a bool; an integer is an int, never a bool."""
+
+    def test_predicates(self):
+        ints = (0, -3, 2**80)
+        numbers = (1.5, -0.0, math.inf, math.nan, np.float64(2.5), np.int64(3), 2**80)
+        neither = (True, False, np.bool_(True), "1", "1.5", None, [], {}, 1j)
+        assert all(is_int(v) for v in ints)
+        assert not any(is_int(v) for v in (1.0, np.int64(3), *neither))
+        assert all(is_number(v) for v in ints + numbers)
+        assert not any(is_number(v) for v in neither)
+
+    def test_require_finite(self):
+        assert require_finite(3, "x") == 3.0 and type(require_finite(3, "x")) is float
+        for bad in (True, "1.5", None, [1.0]):
+            with pytest.raises(ValueError, match=r"^x must be a number, got "):
+                require_finite(bad, "x")
+        for bad in (math.inf, math.nan, "inf", "nan"):
+            with pytest.raises(ValueError, match=r"^x must be finite, got "):
+                require_finite(bad, "x")

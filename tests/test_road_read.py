@@ -4,7 +4,9 @@
 the ids themselves, and ``fileio._road_from_json`` builds error text only for a
 bad value. Both must give exactly what the per-edge ``node_key`` / ``_finite``
 versions below give: the same normalized tables, node positions and
-adjacency, and the same exception type and message for every bad input.
+adjacency, and the same exception type and message for every bad input. The
+one exception is a string coordinate, which the reference parsed and the
+reader now refuses (``EXPECTED``).
 ``read_network_file`` pauses the cyclic garbage collector and must leave its
 state as it found it.
 """
@@ -19,6 +21,19 @@ import pytest
 from gridrestore import CoupledNetwork, RoadGraph, fileio
 from gridrestore.errors import DanglingEdgeError, NonPositiveLengthError, SchemaError
 from gridrestore.network import edge_key, mm_to_m, node_key, quantize_m, require_finite
+
+
+def reference_finite(value, where, what):
+    """The value check the road reader used, which also parsed a string."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: bad {what} {value!r}") from None
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: {what} must be finite, got {value!r}")
+    return number
 
 
 class ReferenceRoadGraph(RoadGraph):
@@ -82,8 +97,8 @@ def reference_road_from_json(obj, path):
     nodes = []
     for n, lat, lon in obj["nodes"]:
         where = f"{path}: node {n!r}"
-        nodes.append((n, fileio._finite(lat, where, "lat"), fileio._finite(lon, where, "lon")))
-    edges = tuple((u, v, fileio.parse_meters(m, str(path))) for u, v, m in obj["edges"])
+        nodes.append((n, reference_finite(lat, where, "lat"), reference_finite(lon, where, "lon")))
+    edges = tuple((u, v, reference_finite(m, str(path), "distance")) for u, v, m in obj["edges"])
     return ReferenceRoadGraph(tuple(nodes), edges)
 
 
@@ -231,13 +246,26 @@ DOCUMENTS = {
     "node-short-row": with_node(1, ["b", 32.0]),
 }
 
+# A coordinate is a JSON number: the reference parsed these strings, the reader refuses them.
+EXPECTED = {
+    "lat-string": "{}: node 'b': bad lat '32.0'",
+    "lat-string-nan": "{}: node 'b': bad lat 'nan'",
+}
+
+
+def expected_outcome(name, reference, *args):
+    """The reference's outcome, or the SchemaError that ``EXPECTED`` names for ``name``."""
+    if name in EXPECTED:
+        return SchemaError, EXPECTED[name].format(args[-1])
+    return outcome(reference, *args)
+
 
 class TestReaderExactness:
     @pytest.mark.parametrize("name", sorted(DOCUMENTS))
     def test_same_graph_or_same_error(self, name):
         doc = json.loads(json.dumps(DOCUMENTS[name]))  # what a file would decode to
         got = outcome(fileio._road_from_json, doc, "net.json")
-        want = outcome(reference_road_from_json, doc, "net.json")
+        want = expected_outcome(name, reference_road_from_json, doc, "net.json")
         if isinstance(want, ReferenceRoadGraph):
             assert_same_graph(got, want)
         else:
@@ -250,7 +278,7 @@ class TestReaderExactness:
                                         "power_to_road": [], "depots": [], "damaged": [],
                                         "loads_kw": []}))
             got = outcome(fileio.read_network_file, path)
-            want = outcome(reference_read_network_file, path)
+            want = expected_outcome(name, reference_read_network_file, path)
             if isinstance(want, CoupledNetwork):
                 assert_same_graph(got.road, want.road)
             else:

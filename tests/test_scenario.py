@@ -39,6 +39,11 @@ class TestConstructorChecks:
             with pytest.raises(ValueError, match="corridor_width_m must be finite"):
                 TornadoEvent(2, (32.0, -97.0), (32.0, -96.9), bad)
 
+    def test_tornado_event_rating_is_an_integer(self):
+        for bad in (True, 2.5, "2", 6):
+            with pytest.raises(ValueError, match="ef_rating must be in 0..5"):
+                TornadoEvent(bad, (32.0, -97.0), (32.0, -96.9), 500.0)
+
     def test_scenario_config_demand_window_ordered(self):
         with pytest.raises(ValueError, match="demand_lo must be <= demand_hi"):
             ScenarioConfig(n_scenarios=1, demand_lo=7, demand_hi=6)
@@ -61,6 +66,11 @@ class TestCrewTypes:
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError):
             CrewType(0, "tree", 65.0)
+
+    def test_index_must_be_an_integer(self):
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="crew index must be in 0..3, got"):
+                CrewType(bad, "tree", 65.0)
 
     def test_non_positive_cost_rejected(self):
         with pytest.raises(ValueError):

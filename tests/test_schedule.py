@@ -159,6 +159,29 @@ class TestErrors:
         with pytest.raises(InvalidPlanError, match="route plan is for scenario 1, not scenario 0"):
             build_schedule(plan, _single_node_scenario(s=0), inst.depots)
 
+    def test_speed_that_is_not_a_finite_number_rejected(self):
+        inst = _zero_travel_instance()
+        plan = solve_routing(inst, 0)
+        for bad in (float("nan"), float("inf"), -float("inf"), True, "40"):
+            with pytest.raises(NonPositiveSpeedError, match="speed_kmh must be a finite number"):
+                build_schedule(plan, _single_node_scenario(), inst.depots, speed_kmh=bad)
+
+    def test_times_past_the_float_range_rejected(self):
+        # 1 km legs at 1e-320 km/h take longer than any float; so does a node
+        # whose crews each need 1e308 h
+        cg = CompleteGraph.from_distances(["depot", 37215], [[0.0, 1000.0], [1000.0, 0.0]])
+        inst = RoutingInstance(cg, {k: frozenset([37215]) for k in range(4)},
+                               frozenset(["depot"]))
+        plan = solve_routing(inst, 0)
+        slow = "scenario 0: crew 0: work at node 37215 does not finish in finite time"
+        with pytest.raises(InvalidPlanError, match=slow):
+            build_schedule(plan, _single_node_scenario(), inst.depots, speed_kmh=1e-320)
+        huge = replace(_single_node_scenario(),
+                       repair_time_h={(37215, k): 1e308 for k in range(4)})
+        long = "scenario 0: crew 1: work at node 37215 does not finish in finite time"
+        with pytest.raises(InvalidPlanError, match=long):
+            build_schedule(plan, huge, inst.depots)
+
     def test_makespan_of_empty_chart(self):
         with pytest.raises(EmptyChartError):
             makespan(GanttChart.from_entries([]))
@@ -168,6 +191,12 @@ class TestErrors:
             GanttEntry(0, "n", 0, -1.0, 2.0)
         with pytest.raises(ValueError):
             GanttEntry(0, "n", 0, 3.0, 2.0)
+
+    def test_entry_times_must_be_finite(self):
+        inf, nan = float("inf"), float("nan")
+        for start, finish in ((0.0, inf), (inf, inf), (0.0, nan), (nan, 1.0)):
+            with pytest.raises(ValueError, match="start_h and finish_h must be finite"):
+                GanttEntry(0, "n", 0, start, finish)
 
 
 class TestChartInvariants:
