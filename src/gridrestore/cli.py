@@ -9,7 +9,6 @@ reproduces it byte-for-byte. Every random draw descends from the single
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,8 +30,8 @@ from . import fileio
 from .network import (
     apply_road_failures,
     build_coupled_network,
+    is_finite_number,
     is_int,
-    is_number,
     load_road_network,
     node_key,
     shortest_path_matrix,
@@ -111,10 +110,7 @@ def _fits(value, kind, in_range) -> bool:
                 and all(_fits(v, float, in_range) for v in value))
     if kind is int:
         return is_int(value) and in_range(value)
-    try:
-        return is_number(value) and math.isfinite(value) and in_range(value)
-    except OverflowError:  # an int past the float range
-        return False
+    return is_finite_number(value) and in_range(value)
 
 
 def _check_flags(args) -> None:
@@ -324,7 +320,9 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         print(f"  crew {k} ({name}): capacity {alloc.capacity[k]}")
 
     rates = {k: float(r) for k, r in enumerate(config.cost_rate_per_m)}
-    terminals = sorted(net.depots | net.damaged | sset.damaged, key=node_key)
+    # depots first: their searches reach every stop anyway (shortest_path_matrix)
+    terminals = (sorted(net.depots, key=node_key)
+                 + sorted((net.damaged | sset.damaged) - net.depots, key=node_key))
     outputs = ["allocation.json", "validation.json"]
     all_passed = True
     validation = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Iterable, Mapping, Sequence
@@ -64,21 +65,30 @@ def is_number(value) -> bool:
     return type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
 
 
+def is_finite_number(value) -> bool:
+    """A number (``is_number``) that is finite; an int past the float range is not."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # math.isfinite of an int past the float range
+        return False
+
+
 def require_finite(value: float, what: str) -> float:
     """``value`` as a float; ValueError naming ``what`` unless it is a finite number.
 
     A value that reads as inf or nan, a string such as ``"inf"`` too, is named as
     not finite.
     """
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = 0.0  # no number at all: named below
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+    if is_finite_number(value):
+        return float(value)
     if not is_number(value):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return number
+        try:
+            reads_finite = math.isfinite(float(value))
+        except (TypeError, ValueError):
+            reads_finite = True  # no number at all
+        if reads_finite:
+            raise ValueError(f"{what} must be a number, got {value!r}")
+    raise ValueError(f"{what} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,7 @@ class RoadGraph:
     _edge_mm: dict = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
     _adj: tuple = field(init=False, repr=False, compare=False)
+    _plain: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords: dict[NodeId, tuple[float, float]] = {}
@@ -160,6 +171,7 @@ class RoadGraph:
         object.__setattr__(self, "_edge_mm", edge_mm)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_plain", plain)
 
     @property
     def n_nodes(self) -> int:
@@ -190,7 +202,9 @@ class RoadGraph:
         shared, and only the endpoints of failed edges get a new adjacency
         tuple. Filtering keeps every tuple in node_key order, so the result
         equals ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it
-        exactly as on that rebuild.
+        exactly as on that rebuild. The edge table is sorted by its canonical
+        (u, v) prefixes, so each failed edge is found by bisection and the
+        kept rows are copied in slices.
         """
         edge_mm = dict(self._edge_mm)
         index = self._index
@@ -203,14 +217,26 @@ class RoadGraph:
         adj = list(self._adj)
         for iu, gone in cut.items():
             adj[iu] = tuple(nbr for nbr in adj[iu] if nbr[0] not in gone)
+        edges = self.edges
+        if self._plain:  # str ids order as their node_keys; (u, v) sorts just before (u, v, m)
+            at = sorted(bisect_left(edges, key) for key in failed)
+        else:
+            row_key = lambda row: (node_key(row[0]), node_key(row[1]))
+            at = sorted(bisect_left(edges, row_key(key), key=row_key) for key in failed)
+        kept: list[tuple[NodeId, NodeId, float]] = []
+        start = 0
+        for i in at:
+            kept += edges[start:i]
+            start = i + 1
+        kept += edges[start:]
         g = object.__new__(RoadGraph)
-        # self.edges is canonical, so each (u, v) prefix is its edge key
         object.__setattr__(g, "nodes", self.nodes)
-        object.__setattr__(g, "edges", tuple(e for e in self.edges if e[:2] not in failed))
+        object.__setattr__(g, "edges", tuple(kept))
         object.__setattr__(g, "_coords", self._coords)
         object.__setattr__(g, "_edge_mm", edge_mm)
         object.__setattr__(g, "_index", index)
         object.__setattr__(g, "_adj", tuple(adj))
+        object.__setattr__(g, "_plain", self._plain)
         return g
 
 
@@ -283,7 +309,9 @@ class CompleteGraph:
     built from a road graph, ``preds[i]`` lists each road node's predecessor
     on a shortest path from terminal i, both as positions in ``road_nodes``;
     ``positions`` holds each terminal's own position there. Together they
-    allow road-level path reconstruction.
+    allow road-level path reconstruction. ``shortest_path_matrix`` passes
+    its searches too: ``preds[i]`` is then search i's own list, final only
+    for the nodes settled so far, and ``path`` resumes the search first.
     """
 
     terminals: tuple[NodeId, ...]
@@ -292,6 +320,7 @@ class CompleteGraph:
     preds: tuple[Sequence[int], ...] | None = None
     road_nodes: tuple[tuple[NodeId, float, float], ...] = ()
     positions: tuple[int, ...] = ()
+    _searches: tuple = field(default=(), repr=False)
 
     _index: dict = field(init=False, repr=False)
     _dist_m: np.ndarray = field(init=False, repr=False)
@@ -355,8 +384,10 @@ class CompleteGraph:
         if u == v:
             return (u,)
         pred = self.preds[iu]
-        start = self.positions[iu]
-        seq = [self.positions[iv]]
+        start, end = self.positions[iu], self.positions[iv]
+        if self._searches and not self._searches[iu].done[end]:
+            self._searches[iu].settle((end,))
+        seq = [end]
         while seq[-1] != start:
             seq.append(pred[seq[-1]])
         nodes = self.road_nodes
@@ -437,50 +468,61 @@ def apply_road_failures(
     The result is derived from ``road`` without a rebuild (``RoadGraph._without``).
     """
     failed = {edge_key(u, v) for u, v in failed_edges}
-    present = failed.intersection(road._edge_mm)
+    present = {key for key in failed if key in road._edge_mm}  # not a pass over every edge
     ignored = len(failed) - len(present)
     if ignored:
         logger.warning("apply_road_failures: %d failure pair(s) match no edge; ignored", ignored)
     return road._without(present) if present else road
 
 
-def _dijkstra_mm(
-    road: RoadGraph, source: int, terminals: frozenset[int]
-) -> tuple[list[int], list[int]]:
-    """Single-source exact shortest paths over millimeter weights, on positions.
+class _Search:
+    """One source's Dijkstra search on node positions, run in steps.
 
-    Returns the ``dist`` (-1 where unreached) and ``pred`` lists, indexed by
-    position in ``road.nodes``. The search stops once every position in
-    ``terminals`` is settled: a settled node's distance and predecessor chain
-    are final, so every terminal entry is the same as after a full settle.
+    ``settle(targets)`` runs until every target is settled or the heap is
+    empty, and the next call resumes where it stopped. A node's edges are
+    relaxed as soon as it is settled, before the target check, so the state
+    after any number of steps is that of one full run after the same number
+    of heap pops. A settled node's ``dist`` (-1 where unreached) and
+    ``pred`` chain are therefore the full run's.
     """
-    adj = road._adj
-    dist = [-1] * len(adj)
-    pred = [-1] * len(adj)
-    done = bytearray(len(adj))
-    dist[source] = 0
-    left = len(terminals)
-    pushed = 0  # heap tie-break: equal distances pop in push order
-    heap: list[tuple[int, int, int]] = [(0, pushed, source)]
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        d, _, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = 1
-        if u in terminals:
-            left -= 1
-            if not left:
-                break
-        for v, w in adj[u]:
-            nd = d + w
-            dv = dist[v]
-            if dv < 0 or nd < dv:
-                dist[v] = nd
-                pred[v] = u
-                pushed += 1
-                heappush(heap, (nd, pushed, v))
-    return dist, pred
+
+    __slots__ = ("adj", "dist", "pred", "done", "heap", "pushed")
+
+    def __init__(self, adj: tuple, source: int):
+        self.adj = adj
+        self.dist = [-1] * len(adj)
+        self.pred = [-1] * len(adj)
+        self.done = bytearray(len(adj))
+        self.dist[source] = 0
+        self.heap = [(0, 0, source)]
+        self.pushed = 0  # heap tie-break: equal distances pop in push order
+
+    def settle(self, targets: Iterable[int]) -> None:
+        done = self.done
+        left = {t for t in targets if not done[t]}
+        if not left:
+            return
+        adj, dist, pred, heap = self.adj, self.dist, self.pred, self.heap
+        pushed = self.pushed
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while heap:
+            d, _, u = heappop(heap)
+            if done[u]:
+                continue
+            done[u] = 1
+            for v, w in adj[u]:
+                nd = d + w
+                dv = dist[v]
+                if dv < 0 or nd < dv:
+                    dist[v] = nd
+                    pred[v] = u
+                    pushed += 1
+                    heappush(heap, (nd, pushed, v))
+            if u in left:
+                left.remove(u)
+                if not left:
+                    break
+        self.pushed = pushed
 
 
 def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> CompleteGraph:
@@ -488,6 +530,14 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
 
     Exact integer arithmetic; unreachable pairs are marked rather than
     raised so downstream solvers can still work the reachable subproblem.
+
+    Each pair is settled once: terminal i's search stops when the terminals
+    after i are settled, and ``dist_mm[j, i]`` is ``dist_mm[i, j]`` (the
+    graph is undirected and the lengths are integers). ``CompleteGraph.path``
+    resumes a search only for the legs it is asked for. Every order of
+    ``terminals`` gives the same distances and paths; the order decides how
+    much of the road is searched. List first the terminals whose searches
+    must reach farthest anyway, such as depots that every route leaves from.
     """
     terminals = tuple(terminals)
     missing = [t for t in terminals if not road.has_node(t)]
@@ -498,13 +548,17 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
 
     n = len(terminals)
     positions = tuple(road._index[t] for t in terminals)
-    targets = frozenset(positions)
-    dist_mm = np.full((n, n), -1, dtype=np.int64)
-    preds: list[list[int]] = []
+    dist_mm = np.zeros((n, n), dtype=np.int64)
+    searches = []
     for i, p in enumerate(positions):
-        dist, pred = _dijkstra_mm(road, p, targets)
-        preds.append(pred)
-        dist_mm[i] = [dist[q] for q in positions]
+        search = _Search(road._adj, p)
+        later = positions[i + 1:]
+        search.settle(later)
+        row = [search.dist[q] for q in later]
+        dist_mm[i, i + 1:] = row
+        dist_mm[i + 1:, i] = row
+        searches.append(search)
     reachable = dist_mm >= 0
-    return CompleteGraph(terminals, dist_mm, reachable, preds=tuple(preds),
-                         road_nodes=road.nodes, positions=positions)
+    return CompleteGraph(terminals, dist_mm, reachable,
+                         preds=tuple(s.pred for s in searches), road_nodes=road.nodes,
+                         positions=positions, _searches=tuple(searches))

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NodeUnreachableError, TooManyNodesError, UnreachableArcError
-from .network import CompleteGraph, NodeId, is_int, is_number, node_key
+from .network import CompleteGraph, NodeId, is_finite_number, is_int, is_number, node_key
 from .scenario import N_CREWS, Scenario
 
 SOLVE_NODE_CAP = 15
@@ -73,7 +73,7 @@ class RoutingInstance:
             raise ValueError("depots cannot be damaged nodes")
         if not all(map(is_number, self.cost_rate_per_m.values())):
             raise ValueError("cost rates must be numbers")
-        if not all(math.isfinite(r) for r in self.cost_rate_per_m.values()):
+        if not all(map(is_finite_number, self.cost_rate_per_m.values())):
             raise ValueError("cost rates must be finite")
         if any(r < 0 for r in self.cost_rate_per_m.values()):
             raise ValueError("cost rates must be >= 0")

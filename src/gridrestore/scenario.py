@@ -8,7 +8,6 @@ changing the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -20,8 +19,8 @@ from .network import (
     CoupledNetwork,
     NodeId,
     edge_key,
+    is_finite_number,
     is_int,
-    is_number,
     node_key,
     require_finite,
 )
@@ -111,7 +110,7 @@ class Scenario:
             self, "failed_edges", frozenset(edge_key(u, v) for u, v in self.failed_edges)
         )
         for key, t in self.repair_time_h.items():
-            if not (is_number(t) and math.isfinite(t) and t > 0):
+            if not (is_finite_number(t) and t > 0):
                 raise ValueError(f"repair_time_h{key!r} must be finite and > 0, got {t!r}")
         for key, d in self.repair_demand.items():
             if not (is_int(d) and 0 <= d <= MAX_REPAIR_DEMAND):
@@ -213,6 +212,9 @@ class ScenarioConfig:
     edge_fail_prob: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_scenarios", "demand_lo", "demand_hi"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_scenarios < 1:
             raise ValueError("n_scenarios must be >= 1")
         if not 0.0 <= self.edge_fail_prob <= 1.0:

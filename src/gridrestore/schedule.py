@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyChartError, InvalidPlanError, NonPositiveSpeedError
-from .network import NodeId, is_number, node_key
+from .network import NodeId, is_finite_number, node_key
 from .routing import RoutePlan
 from .scenario import Scenario
 
@@ -34,7 +34,7 @@ class GanttEntry:
     finish_h: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.start_h) and math.isfinite(self.finish_h)):
+        if not (is_finite_number(self.start_h) and is_finite_number(self.finish_h)):
             raise ValueError(f"start_h and finish_h must be finite, got {self.start_h!r} "
                              f"and {self.finish_h!r}")
         if self.start_h < 0:
@@ -73,7 +73,7 @@ def build_schedule(
     in place, which also delays the crew's later stops. ``depots`` are the
     network's depots, which every route must start and end at.
     """
-    if not (is_number(speed_kmh) and math.isfinite(speed_kmh)):
+    if not is_finite_number(speed_kmh):
         raise NonPositiveSpeedError(f"speed_kmh must be a finite number, got {speed_kmh!r}")
     if speed_kmh <= 0:
         raise NonPositiveSpeedError(f"speed_kmh must be > 0, got {speed_kmh}")

@@ -27,7 +27,15 @@ from gridrestore.errors import (
     UnknownTerminalError,
 )
 from gridrestore.geo import haversine_m
-from gridrestore.network import edge_key, is_int, is_number, node_key, require_finite
+from gridrestore.network import (
+    _Search,
+    edge_key,
+    is_finite_number,
+    is_int,
+    is_number,
+    node_key,
+    require_finite,
+)
 
 from conftest import floyd_warshall_oracle, random_road_graph
 
@@ -54,6 +62,33 @@ def reference_dijkstra_mm(road, source):
                 pred[v] = u
                 heapq.heappush(heap, (nd, next(counter), v))
     return dist, pred
+
+
+def reference_path(dist, pred, source, target):
+    """The road path the reference's predecessors give, or None if unreached."""
+    if target not in dist:
+        return None
+    seq = [target]
+    while seq[-1] != source:
+        seq.append(pred[seq[-1]])
+    return tuple(reversed(seq))
+
+
+def tie_heavy_graphs(seed, trials):
+    """(graphs, ids, rnd) per trial: 1-2 m lengths, int and str ids, self-loops,
+    parallel edges, isolated nodes, and three graphs derived by failures;
+    ``rnd`` is the generator the caller draws its terminals from."""
+    rnd = random.Random(seed)
+    for _ in range(trials):
+        ids = rnd.sample(range(60), rnd.randint(2, 14))
+        ids += [f"s{i}" for i in range(rnd.randint(0, 10))]
+        nodes = [(n, 32.0, -97.0) for n in ids]
+        edges = [(rnd.choice(ids), rnd.choice(ids), rnd.choice((1.0, 1.5, 2.0)))
+                 for _ in range(rnd.randint(0, 3 * len(ids)))]
+        g = load_road_network(nodes, [e for e in edges if e[0] != e[1] or rnd.random() < 0.5])
+        graphs = [g] + [apply_road_failures(g, [e[:2] for e in g.edges if rnd.random() < 0.3])
+                        for _ in range(3)]
+        yield graphs, ids, rnd
 
 
 class TestLoadRoadNetwork:
@@ -269,6 +304,23 @@ class TestRoadFailures:
             assert a.preds == b.preds
         assert (g._adj, g._edge_mm, g.edges) == before
 
+    def test_derived_str_graph_equals_rebuild(self):
+        # all-str ids, where failed edges are found without node_key: the
+        # first and last rows of the table and runs of neighbouring rows fail too
+        rnd = random.Random(13)
+        ids = [f"n{i}" for i in range(30)]
+        g = load_road_network([(n, 32.0, -97.0) for n in ids],
+                              [(rnd.choice(ids), rnd.choice(ids), rnd.uniform(1.0, 9.0))
+                               for _ in range(90)])
+        for _ in range(40):
+            failed = [e[:2] for e in g.edges if rnd.random() < rnd.choice((0.05, 0.3, 0.9))]
+            failed = set(failed + [g.edges[0][:2], g.edges[-1][:2]][:rnd.randint(0, 2)])
+            derived = apply_road_failures(g, [(v, u) for u, v in failed])
+            rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges if e[:2] not in failed))
+            assert derived == rebuilt and derived.edges == rebuilt.edges
+            assert derived._adj == rebuilt._adj
+            assert derived._edge_mm == rebuilt._edge_mm
+
     def test_failures_never_shorten_paths(self, rng):
         for _ in range(25):
             g = random_road_graph(rng, 12, 8)
@@ -355,6 +407,63 @@ class TestShortestPathMatrix:
                             want = tuple(reversed(want))
                         assert cg.path(t, u) == want, (trial, t, u)
 
+    def test_terminal_order_changes_nothing(self):
+        # sorted, reversed and shuffled terminals: the same distances and
+        # the same road path for every pair
+        for graphs, ids, rnd in tie_heavy_graphs(29, 30):
+            terminals = sorted(rnd.sample(ids, rnd.randint(1, min(len(ids), 7))), key=node_key)
+            shuffled = rnd.sample(terminals, len(terminals))
+            for road in graphs:
+                cgs = [shortest_path_matrix(road, order)
+                       for order in (terminals, terminals[::-1], shuffled)]
+                for t, u in itertools.product(terminals, repeat=2):
+                    assert len({cg.dist_m(t, u) for cg in cgs}) == 1, (t, u)
+                    assert len({cg.path(t, u) for cg in cgs}) == 1, (t, u)
+
+    def test_paths_on_demand_equal_full_settle_reference(self):
+        # legs asked in shuffled order, each several times: every path is the
+        # full search's, however far its search had been resumed before
+        for graphs, ids, rnd in tie_heavy_graphs(31, 30):
+            terminals = rnd.sample(ids, rnd.randint(1, min(len(ids), 6)))
+            for road in graphs:
+                cg = shortest_path_matrix(road, terminals)
+                refs = {t: reference_dijkstra_mm(road, t) for t in terminals}
+                pairs = list(itertools.product(terminals, repeat=2)) * 2
+                rnd.shuffle(pairs)
+                for t, u in pairs:
+                    assert cg.path(t, u) == reference_path(*refs[t], t, u), (t, u)
+
+    def test_search_in_steps_matches_full_run(self):
+        # a search paused and resumed at random targets agrees with one full
+        # run on every node it has settled, and settles each target it is given
+        for graphs, ids, rnd in tie_heavy_graphs(37, 30):
+            for road in graphs:
+                names = [row[0] for row in road.nodes]
+                source = rnd.choice(ids)
+                dist, pred = reference_dijkstra_mm(road, source)
+                search = _Search(road._adj, road._index[source])
+                for _ in range(4):
+                    targets = [road._index[u] for u in rnd.sample(ids, rnd.randint(0, 3))]
+                    search.settle(targets)
+                    for p in targets:
+                        assert search.done[p] == (names[p] in dist)
+                    for p, settled in enumerate(search.done):
+                        if settled:
+                            assert search.dist[p] == dist[names[p]]
+                            if names[p] != source:
+                                assert names[search.pred[p]] == pred[names[p]]
+
+    def test_unreachable_pair_after_heap_exhausted(self):
+        g = load_road_network(NODES3 + [("d", 32.03, -97.0)],
+                              [("a", "b", 100.0), ("c", "d", 50.0)])
+        cg = shortest_path_matrix(g, ["a", "c", "d"])
+        assert cg.path("a", "c") is None and cg.path("c", "a") is None
+        assert cg.path("d", "c") == ("d", "c")
+        search = _Search(g._adj, g._index["a"])
+        search.settle([g._index["c"]])
+        assert not search.heap and not search.done[g._index["c"]]
+        assert search.dist[g._index["c"]] == -1
+
     def test_path_reconstruction(self):
         g = load_road_network(NODES3, [("a", "b", 100.0), ("b", "c", 200.0)])
         cg = shortest_path_matrix(g, ["a", "c"])
@@ -433,6 +542,13 @@ class TestNumberRule:
         for bad in (True, "1.5", None, [1.0]):
             with pytest.raises(ValueError, match=r"^x must be a number, got "):
                 require_finite(bad, "x")
-        for bad in (math.inf, math.nan, "inf", "nan"):
+        for bad in (math.inf, math.nan, "inf", "nan", 10**400, -(10**400)):
             with pytest.raises(ValueError, match=r"^x must be finite, got "):
                 require_finite(bad, "x")
+
+    def test_is_finite_number(self):
+        finite = (0, -3, 2**80, 1.5, -0.0, np.float64(2.5), np.int64(3), 1e308)
+        not_finite = (math.inf, -math.inf, math.nan, np.float64("nan"), 10**400, -(10**400))
+        assert all(is_finite_number(v) for v in finite)
+        assert not any(is_finite_number(v) for v in not_finite)
+        assert not any(is_finite_number(v) for v in (True, "1", "inf", None, 1j))

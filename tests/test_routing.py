@@ -166,7 +166,7 @@ class TestSolveRouting:
             )
 
     def test_non_finite_or_negative_rate_rejected(self):
-        for bad in (float("nan"), float("inf"), float("-inf"), -1.0, True, "1.0"):
+        for bad in (float("nan"), float("inf"), float("-inf"), -1.0, True, "1.0", 10**400):
             with pytest.raises(ValueError, match="cost rates"):
                 _instance({("d", "a"): 1.0}, ["d"], {0: frozenset(["a"])}, {0: 1.0, 1: bad})
 

@@ -49,6 +49,12 @@ class TestConstructorChecks:
             ScenarioConfig(n_scenarios=1, demand_lo=7, demand_hi=6)
         ScenarioConfig(n_scenarios=1, demand_lo=6, demand_hi=6)
 
+    def test_scenario_config_counts_are_integers(self):
+        for name in ("n_scenarios", "demand_lo", "demand_hi"):
+            for bad in (2.5, 3.0, True, "3"):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                    ScenarioConfig(**{"n_scenarios": 3, name: bad})
+
     def test_scenario_config_repair_window_ordered(self):
         with pytest.raises(ValueError, match="repair_time_min_h must be <= repair_time_max_h"):
             ScenarioConfig(n_scenarios=1, repair_time_min_h=6.0, repair_time_max_h=2.0)
@@ -78,6 +84,8 @@ class TestCrewTypes:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="hourly_cost_per_person must be finite"):
                 CrewType(1, "tree", bad)
+        with pytest.raises(ValueError, match="hourly_cost_per_person must be finite"):
+            CrewType(1, "tree", 10**400)
 
 
 class TestRepairTimeSampling:
@@ -388,6 +396,8 @@ class TestScenarioSetValidation:
             with pytest.raises(ValueError, match="repair_time_h"):
                 Scenario(0, {("n", 0): hours}, {("n", 0): 1}, frozenset())
         Scenario(0, {("n", 0): 2}, {("n", 0): 1}, frozenset())  # int hours are fine
+        with pytest.raises(ValueError, match="repair_time_h"):  # an int past the float range
+            Scenario(0, {("n", 0): 10**400}, {("n", 0): 1}, frozenset())
 
     def test_non_integer_demand_rejected(self):
         # the cap, 2**31 - 1, keeps every demand sum of the int64 view exact

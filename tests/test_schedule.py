@@ -162,7 +162,7 @@ class TestErrors:
     def test_speed_that_is_not_a_finite_number_rejected(self):
         inst = _zero_travel_instance()
         plan = solve_routing(inst, 0)
-        for bad in (float("nan"), float("inf"), -float("inf"), True, "40"):
+        for bad in (float("nan"), float("inf"), -float("inf"), True, "40", 10**400):
             with pytest.raises(NonPositiveSpeedError, match="speed_kmh must be a finite number"):
                 build_schedule(plan, _single_node_scenario(), inst.depots, speed_kmh=bad)
 
@@ -194,7 +194,7 @@ class TestErrors:
 
     def test_entry_times_must_be_finite(self):
         inf, nan = float("inf"), float("nan")
-        for start, finish in ((0.0, inf), (inf, inf), (0.0, nan), (nan, 1.0)):
+        for start, finish in ((0.0, inf), (inf, inf), (0.0, nan), (nan, 1.0), (0.0, 10**400)):
             with pytest.raises(ValueError, match="start_h and finish_h must be finite"):
                 GanttEntry(0, "n", 0, start, finish)
 
