@@ -81,14 +81,15 @@ def require_finite(value: float, what: str) -> float:
     """
     if is_finite_number(value):
         return float(value)
-    if not is_number(value):
-        try:
-            reads_finite = math.isfinite(float(value))
-        except (TypeError, ValueError):
-            reads_finite = True  # no number at all
-        if reads_finite:
-            raise ValueError(f"{what} must be a number, got {value!r}")
-    raise ValueError(f"{what} must be finite, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = 0.0  # no number at all: named below
+    except OverflowError:
+        number = math.inf  # an int past the float range
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,11 @@ class RoadGraph:
         tuple. Filtering keeps every tuple in node_key order, so the result
         equals ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it
         exactly as on that rebuild. The edge table is sorted by its canonical
-        (u, v) prefixes, so each failed edge is found by bisection and the
-        kept rows are copied in slices.
+        (u, v) prefixes. In an all-str graph the ids are their own unique
+        keys, so each failed edge is found by bisection and the kept rows are
+        copied in slices; other graphs filter every row, since node_keys can
+        collide (1.5 and "1.5") and ``failed`` may name an id by an equal one
+        of another type (True for 1.0).
         """
         edge_mm = dict(self._edge_mm)
         index = self._index
@@ -218,17 +222,15 @@ class RoadGraph:
         for iu, gone in cut.items():
             adj[iu] = tuple(nbr for nbr in adj[iu] if nbr[0] not in gone)
         edges = self.edges
-        if self._plain:  # str ids order as their node_keys; (u, v) sorts just before (u, v, m)
-            at = sorted(bisect_left(edges, key) for key in failed)
-        else:
-            row_key = lambda row: (node_key(row[0]), node_key(row[1]))
-            at = sorted(bisect_left(edges, row_key(key), key=row_key) for key in failed)
-        kept: list[tuple[NodeId, NodeId, float]] = []
-        start = 0
-        for i in at:
-            kept += edges[start:i]
-            start = i + 1
-        kept += edges[start:]
+        if self._plain:  # (u, v) sorts just before its row (u, v, m)
+            kept: list[tuple[NodeId, NodeId, float]] = []
+            start = 0
+            for i in sorted(bisect_left(edges, key) for key in failed):
+                kept += edges[start:i]
+                start = i + 1
+            kept += edges[start:]
+        else:  # self.edges is canonical, so each (u, v) prefix is its edge key
+            kept = [e for e in edges if e[:2] not in failed]
         g = object.__new__(RoadGraph)
         object.__setattr__(g, "nodes", self.nodes)
         object.__setattr__(g, "edges", tuple(kept))
@@ -306,18 +308,15 @@ class CompleteGraph:
 
     ``dist_mm`` is the integer-millimeter matrix (-1 where unreachable);
     ``dist`` is the float view in meters with inf where unreachable. When
-    built from a road graph, ``preds[i]`` lists each road node's predecessor
-    on a shortest path from terminal i, both as positions in ``road_nodes``;
-    ``positions`` holds each terminal's own position there. Together they
-    allow road-level path reconstruction. ``shortest_path_matrix`` passes
-    its searches too: ``preds[i]`` is then search i's own list, final only
-    for the nodes settled so far, and ``path`` resumes the search first.
+    built from a road graph (``shortest_path_matrix``), it keeps terminal i's
+    search, and ``positions[i]`` is that terminal's position in
+    ``road_nodes``. ``path`` resumes a search until the asked terminal is
+    settled, then follows its predecessors.
     """
 
     terminals: tuple[NodeId, ...]
     dist_mm: np.ndarray
     reachable: np.ndarray
-    preds: tuple[Sequence[int], ...] | None = None
     road_nodes: tuple[tuple[NodeId, float, float], ...] = ()
     positions: tuple[int, ...] = ()
     _searches: tuple = field(default=(), repr=False)
@@ -362,6 +361,11 @@ class CompleteGraph:
         """Float meters; inf where unreachable."""
         return self._dist_m
 
+    @property
+    def preds(self) -> tuple[list[int], ...] | None:
+        """Each search's predecessor positions, final for the nodes it has settled."""
+        return tuple(s.pred for s in self._searches) if self._searches else None
+
     def index(self, terminal: NodeId) -> int:
         try:
             return self._index[terminal]
@@ -375,18 +379,18 @@ class CompleteGraph:
         return bool(self.reachable[self.index(u), self.index(v)])
 
     def path(self, u: NodeId, v: NodeId) -> tuple[NodeId, ...] | None:
-        """One shortest road path from u to v, or None without predecessor data."""
-        if self.preds is None:
+        """One shortest road path from u to v, or None without a road graph."""
+        if not self._searches:
             return None
         iu, iv = self.index(u), self.index(v)
         if not self.reachable[iu, iv]:
             return None
         if u == v:
             return (u,)
-        pred = self.preds[iu]
+        search = self._searches[iu]
         start, end = self.positions[iu], self.positions[iv]
-        if self._searches and not self._searches[iu].done[end]:
-            self._searches[iu].settle((end,))
+        search.settle((end,))
+        pred = search.pred
         seq = [end]
         while seq[-1] != start:
             seq.append(pred[seq[-1]])
@@ -559,6 +563,5 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
         dist_mm[i + 1:, i] = row
         searches.append(search)
     reachable = dist_mm >= 0
-    return CompleteGraph(terminals, dist_mm, reachable,
-                         preds=tuple(s.pred for s in searches), road_nodes=road.nodes,
+    return CompleteGraph(terminals, dist_mm, reachable, road_nodes=road.nodes,
                          positions=positions, _searches=tuple(searches))

@@ -318,6 +318,25 @@ class TestRoadFailures:
             derived = apply_road_failures(g, [(v, u) for u, v in failed])
             rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges if e[:2] not in failed))
             assert derived == rebuilt and derived.edges == rebuilt.edges
+
+    def test_derived_graph_with_colliding_keys_equals_rebuild(self):
+        # ids whose node_keys collide (1.5 and "1.5"), and a failure pair named
+        # by an id equal to the stored one but keyed differently (True for 1.0)
+        nodes = [("1.5", 32.0, -97.0), (1.5, 32.1, -97.0), ("a", 32.2, -97.0),
+                 (1.0, 32.3, -97.0), (2, 32.4, -97.0), ("U", 32.5, -97.0)]
+        edges = [(1.5, "a", 5.0), ("a", "1.5", 6.0), ("1.5", 1.5, 7.0),
+                 (2, 1.0, 8.0), (2, "U", 9.0), (1.0, "a", 4.0)]
+        g = load_road_network(nodes, edges)
+        for pairs in ([("1.5", "a")], [("a", 1.5)], [(2, True)], [(True, 2), ("U", 2)],
+                      [("1.5", "a"), (2, True), ("1.5", 1.5)]):
+            failed = {edge_key(u, v) for u, v in pairs}
+            derived = apply_road_failures(g, pairs)
+            rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges
+                                               if edge_key(e[0], e[1]) not in failed))
+            assert derived == rebuilt and derived.edges == rebuilt.edges
+            assert derived.n_edges == len(derived._edge_mm) == g.n_edges - len(pairs)
+            assert derived._adj == rebuilt._adj
+            assert derived._edge_mm == rebuilt._edge_mm
             assert derived._adj == rebuilt._adj
             assert derived._edge_mm == rebuilt._edge_mm
 
