@@ -31,7 +31,6 @@ from .network import (
     NodeId,
     PowerNode,
     RoadGraph,
-    edge_key,
     is_int,
     is_number,
     node_key,
@@ -418,8 +417,7 @@ def read_scenario_file(path: str | Path) -> ScenarioSet:
                      for k, t in enumerate(per_crew)}
             demands = {(i, k): d for i, per_crew in rec["repair_demand"]
                        for k, d in enumerate(per_crew)}
-            failed = frozenset(edge_key(u, v) for u, v in rec["failed_edges"])
-            scenarios.append(Scenario(rec["id"], times, demands, failed))
+            scenarios.append(Scenario(rec["id"], times, demands, rec["failed_edges"]))
         loads = obj.get("loads_kw")
         return ScenarioSet(
             scenarios=tuple(scenarios),
@@ -566,10 +564,21 @@ def read_route_plan_file(path: str | Path) -> RoutePlan:
 # --- gantt csv / svg ----------------------------------------------------------
 
 
+def _csv_cell(value) -> str:
+    """``value`` as a CSV cell, quoted (as ``csv`` quotes) only when it holds a comma, a
+    quote or a line break."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_gantt_csv(chart: GanttChart, path: str | Path) -> None:
+    cells = {node: _csv_cell(node) for node in {e.node_id for e in chart.entries}}
     lines = [",".join(GANTT_HEADER)]
     for e in chart.entries:
-        lines.append(f"{e.scenario_id},{e.node_id},{e.crew},{e.start_h:.4f},{e.finish_h:.4f}")
+        lines.append(f"{e.scenario_id},{cells[e.node_id]},{e.crew},{e.start_h:.4f},"
+                     f"{e.finish_h:.4f}")
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -600,12 +609,21 @@ def _nice_step(span_h: float) -> float:
     return max(1.0, span_h / 12.0)
 
 
+def _xml_text(value) -> str:
+    """``value`` as XML character data. ``html.escape`` does the same but its import
+    holds ~0.35 MB of entity tables for the life of every process."""
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew schedule") -> None:
-    """Deterministic SVG rendering: one row per (node, crew), a bar per scenario."""
+    """Deterministic SVG rendering: one row per (node, crew), a bar per scenario.
+
+    The title and node ids are escaped as XML text."""
     rows = sorted({(e.node_id, e.crew) for e in chart.entries},
                   key=lambda t: (node_key(t[0]), t[1]))
     scenario_ids = sorted({e.scenario_id for e in chart.entries})
     row_index = {rc: i for i, rc in enumerate(rows)}
+    labels = {node: _xml_text(node) for node, _ in rows}
     lane_of = {sid: lane for lane, sid in enumerate(scenario_ids)}
     lane_count = max(1, len(scenario_ids))
 
@@ -623,7 +641,7 @@ def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew sche
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}" font-family="monospace" font-size="11">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<text x="{ml:.1f}" y="20" font-size="14">{title}</text>',
+        f'<text x="{ml:.1f}" y="20" font-size="14">{_xml_text(title)}</text>',
     ]
     step = _nice_step(span)
     t = 0.0
@@ -641,7 +659,7 @@ def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew sche
         y0 = mt + idx * row_h
         out.append(
             f'<text x="{ml - 8:.1f}" y="{y0 + row_h * 0.7:.2f}" '
-            f'text-anchor="end">{node} crew{crew}</text>'
+            f'text-anchor="end">{labels[node]} crew{crew}</text>'
         )
     lane_h = (row_h - 6.0) / lane_count
     for e in chart.entries:
@@ -653,7 +671,7 @@ def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew sche
         out.append(
             f'<rect x="{x(e.start_h):.2f}" y="{y0:.2f}" width="{bar_w:.2f}" '
             f'height="{max(lane_h - 1.0, 1.0):.2f}" fill="{color}">'
-            f'<title>s{e.scenario_id} {e.node_id} crew{e.crew}: '
+            f'<title>s{e.scenario_id} {labels[e.node_id]} crew{e.crew}: '
             f'{e.start_h:.2f}-{e.finish_h:.2f}h</title></rect>'
         )
     for lane, sid in enumerate(scenario_ids):

@@ -29,6 +29,8 @@ from .geo import haversine_m_array
 
 logger = logging.getLogger(__name__)
 
+# A node id is a str or an int (never a bool): ``is_node_id``. Two ids that compare
+# equal are then the same id, and node_key orders distinct ids distinctly.
 NodeId = int | str
 
 POWER_COMPONENT_KINDS = ("line", "switch", "transformer", "substation")
@@ -58,6 +60,20 @@ def mm_to_m(mm: int) -> float:
 def is_int(value) -> bool:
     """An int that is not a bool."""
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def is_node_id(value) -> bool:
+    """A node id: a str, or an int that is not a bool (``is_int``)."""
+    return isinstance(value, str) or is_int(value)
+
+
+def require_node_ids(ids: Iterable, what: str, *args) -> None:
+    """ValueError naming ``what.format(*args)`` and the first of ``ids`` that is not a
+    node id; a plain str is let through first, and the text is built only on failure."""
+    for node in ids:
+        if type(node) is not str and not is_node_id(node):
+            raise ValueError(f"{what.format(*args)} must be an integer or a string, "
+                             f"got {node!r}")
 
 
 def is_number(value) -> bool:
@@ -96,10 +112,13 @@ def require_finite(value: float, what: str) -> float:
 class RoadGraph:
     """Undirected road network: nodes carry (lat, lon), edges carry meters.
 
-    Construction normalizes the edge table: pairs are put in canonical
-    order, lengths are quantized to millimeters, parallel edges collapse to
-    the minimum length, and the table is sorted. Two graphs built from the
-    same data therefore compare equal.
+    Every node id is an int or a str (``is_node_id``), and an edge names its
+    endpoints by those ids: an equal value of another type (``True`` or
+    ``1.0`` for node ``1``) is an unknown node (DanglingEdgeError). Construction
+    normalizes the edge table: pairs are put in canonical order, lengths are
+    quantized to millimeters, parallel edges collapse to the minimum length,
+    and the table is sorted. Two graphs built from the same data therefore
+    compare equal.
     """
 
     nodes: tuple[tuple[NodeId, float, float], ...]
@@ -109,7 +128,6 @@ class RoadGraph:
     _edge_mm: dict = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
     _adj: tuple = field(init=False, repr=False, compare=False)
-    _plain: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords: dict[NodeId, tuple[float, float]] = {}
@@ -122,17 +140,26 @@ class RoadGraph:
             coords[nid] = (lat, lon)
 
         # node_key orders str ids as the strs themselves order, so when every id
-        # is a str the ids serve as their own keys and no key is computed. Other
-        # graphs key each endpoint with node_key: an int id can equal a node of
-        # another type (1.0, True) whose key differs.
+        # is a str the ids serve as their own keys and no key is computed, and
+        # an endpoint found in ``coords`` is a str too.
         plain = all(type(n) is str for n in coords)
+        if not plain:
+            require_node_ids(coords, "node id")
+        # A node's index is its position in the node_key-sorted ``nodes``.
+        order = sorted(coords, key=None if plain else node_key)
+        norm_nodes = tuple((n, *coords[n]) for n in order)
+        index = {row[0]: i for i, row in enumerate(norm_nodes)}
 
         edge_mm: dict[tuple[NodeId, NodeId], int] = {}
         for u, v, length_m in self.edges:
-            if u not in coords:
-                raise DanglingEdgeError(f"edge ({u!r}, {v!r}) references unknown node {u!r}")
-            if v not in coords:
-                raise DanglingEdgeError(f"edge ({u!r}, {v!r}) references unknown node {v!r}")
+            if plain:
+                if u not in coords or v not in coords:
+                    raise _dangling(u, v, coords)
+                key = (u, v) if u <= v else (v, u)
+            elif u in coords and v in coords and is_node_id(u) and is_node_id(v):
+                key = edge_key(u, v)
+            else:
+                raise _dangling(u, v, coords)
             m = float(length_m)
             if not math.isfinite(m):
                 raise NonPositiveLengthError(
@@ -143,21 +170,13 @@ class RoadGraph:
                 raise NonPositiveLengthError(
                     f"edge ({u!r}, {v!r}) has non-positive length {length_m!r} m"
                 )
-            if plain:
-                key = (u, v) if u <= v else (v, u)
-            else:
-                key = edge_key(u, v)
             prev = edge_mm.get(key)
             if prev is None or mm < prev:
                 edge_mm[key] = mm
 
-        # A node's index is its position in the node_key-sorted ``nodes``.
         # Walking the sorted canonical pairs gives each node its smaller
         # neighbours first, then its larger ones, both ascending: node_key order.
-        order = sorted(coords, key=None if plain else node_key)
-        norm_nodes = tuple((n, *coords[n]) for n in order)
-        index = {row[0]: i for i, row in enumerate(norm_nodes)}
-        pair_key = None if plain else lambda item: (node_key(item[0][0]), node_key(item[0][1]))
+        pair_key = None if plain else lambda item: (index[item[0][0]], index[item[0][1]])
         norm_edges: list[tuple[NodeId, NodeId, float]] = []
         adj: list[list[tuple[int, int]]] = [[] for _ in norm_nodes]
         for (u, v), mm in sorted(edge_mm.items(), key=pair_key):
@@ -172,7 +191,6 @@ class RoadGraph:
         object.__setattr__(self, "_edge_mm", edge_mm)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        object.__setattr__(self, "_plain", plain)
 
     @property
     def n_nodes(self) -> int:
@@ -183,7 +201,8 @@ class RoadGraph:
         return len(self.edges)
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._coords
+        """Whether ``node`` is a node id of this graph; an equal value of another type is not."""
+        return node in self._coords and is_node_id(node)
 
     def coord(self, node: NodeId) -> tuple[float, float]:
         return self._coords[node]
@@ -203,34 +222,35 @@ class RoadGraph:
         shared, and only the endpoints of failed edges get a new adjacency
         tuple. Filtering keeps every tuple in node_key order, so the result
         equals ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it
-        exactly as on that rebuild. The edge table is sorted by its canonical
-        (u, v) prefixes. In an all-str graph the ids are their own unique
-        keys, so each failed edge is found by bisection and the kept rows are
-        copied in slices; other graphs filter every row, since node_keys can
-        collide (1.5 and "1.5") and ``failed`` may name an id by an equal one
-        of another type (True for 1.0).
+        exactly as on that rebuild. The edge table is sorted by the index
+        pairs of its canonical (u, v) prefixes, which are distinct since node
+        ids are, so each failed edge's row is found by bisection and the kept
+        rows are copied in slices.
         """
-        edge_mm = dict(self._edge_mm)
         index = self._index
+
+        def position(row):
+            return index[row[0]], index[row[1]]
+
+        edges = self.edges
+        edge_mm = dict(self._edge_mm)
         cut: dict[int, set[int]] = {}
-        for u, v in failed:
-            del edge_mm[(u, v)]
-            iu, iv = index[u], index[v]
+        rows = []
+        for key in failed:
+            del edge_mm[key]
+            iu, iv = pair = position(key)
             cut.setdefault(iu, set()).add(iv)
             cut.setdefault(iv, set()).add(iu)
+            rows.append(bisect_left(edges, pair, key=position))
         adj = list(self._adj)
         for iu, gone in cut.items():
             adj[iu] = tuple(nbr for nbr in adj[iu] if nbr[0] not in gone)
-        edges = self.edges
-        if self._plain:  # (u, v) sorts just before its row (u, v, m)
-            kept: list[tuple[NodeId, NodeId, float]] = []
-            start = 0
-            for i in sorted(bisect_left(edges, key) for key in failed):
-                kept += edges[start:i]
-                start = i + 1
-            kept += edges[start:]
-        else:  # self.edges is canonical, so each (u, v) prefix is its edge key
-            kept = [e for e in edges if e[:2] not in failed]
+        kept: list[tuple[NodeId, NodeId, float]] = []
+        start = 0
+        for i in sorted(rows):
+            kept += edges[start:i]
+            start = i + 1
+        kept += edges[start:]
         g = object.__new__(RoadGraph)
         object.__setattr__(g, "nodes", self.nodes)
         object.__setattr__(g, "edges", tuple(kept))
@@ -238,8 +258,13 @@ class RoadGraph:
         object.__setattr__(g, "_edge_mm", edge_mm)
         object.__setattr__(g, "_index", index)
         object.__setattr__(g, "_adj", tuple(adj))
-        object.__setattr__(g, "_plain", self._plain)
         return g
+
+
+def _dangling(u, v, coords: dict) -> DanglingEdgeError:
+    """The error for edge (u, v), naming its first endpoint that is not a node id in ``coords``."""
+    bad = u if u not in coords or not is_node_id(u) else v
+    return DanglingEdgeError(f"edge ({u!r}, {v!r}) references unknown node {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -253,6 +278,7 @@ class PowerNode:
     component_kind: str
 
     def __post_init__(self):
+        require_node_ids((self.bus_id,), "bus_id")
         for name in ("local_x", "local_y", "downstream_load_kw"):
             require_finite(getattr(self, name), f"bus {self.bus_id!r}: {name}")
         if self.downstream_load_kw < 0:
@@ -287,6 +313,8 @@ class CoupledNetwork:
         overlap = self.depots & self.damaged
         if overlap:
             raise ValueError(f"depots and damaged sets overlap: {sorted(overlap, key=node_key)}")
+        require_node_ids(self.power_to_road, "bus id")
+        require_node_ids(self.loads_kw, "loads_kw node")
         for bus, rn in self.power_to_road.items():
             if not self.road.has_node(rn):
                 raise ValueError(f"bus {bus!r} maps to unknown road node {rn!r}")
@@ -469,13 +497,20 @@ def apply_road_failures(
 
     Pairs that match no edge are counted and reported via a warning, not an
     error: a scenario may name edges that an earlier failure already removed.
-    The result is derived from ``road`` without a rebuild (``RoadGraph._without``).
+    A pair with an endpoint that is not a node id (``True`` for node ``1``)
+    matches no edge. The result is derived from ``road`` without a rebuild
+    (``RoadGraph._without``).
     """
-    failed = {edge_key(u, v) for u, v in failed_edges}
-    present = {key for key in failed if key in road._edge_mm}  # not a pass over every edge
-    ignored = len(failed) - len(present)
+    present, ignored = set(), set()
+    for u, v in failed_edges:  # a lookup per pair, not a pass over every edge
+        key = edge_key(u, v)
+        if key in road._edge_mm and is_node_id(u) and is_node_id(v):
+            present.add(key)
+        else:
+            ignored.add(key)
     if ignored:
-        logger.warning("apply_road_failures: %d failure pair(s) match no edge; ignored", ignored)
+        logger.warning("apply_road_failures: %d failure pair(s) match no edge; ignored",
+                       len(ignored))
     return road._without(present) if present else road
 
 

@@ -30,7 +30,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NodeUnreachableError, TooManyNodesError, UnreachableArcError
-from .network import CompleteGraph, NodeId, is_finite_number, is_int, is_number, node_key
+from .network import (
+    CompleteGraph,
+    NodeId,
+    is_finite_number,
+    is_int,
+    is_number,
+    node_key,
+    require_node_ids,
+)
 from .scenario import N_CREWS, Scenario
 
 SOLVE_NODE_CAP = 15
@@ -126,6 +134,8 @@ class Route:
         object.__setattr__(self, "mtz_labels", dict(self.mtz_labels))
         if not is_int(self.crew):
             raise ValueError(f"crew must be an integer, got {self.crew!r}")
+        require_node_ids(self.stops(), "crew {}: stop", self.crew)
+        require_node_ids(self.mtz_labels, "crew {}: mtz_labels node", self.crew)
         for i, cost in enumerate(self.leg_costs):
             if not is_number(cost):
                 raise ValueError(f"crew {self.crew}: leg_costs[{i}] must be a number, "

@@ -9,6 +9,8 @@ changing the result.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,6 +25,7 @@ from .network import (
     is_int,
     node_key,
     require_finite,
+    require_node_ids,
 )
 
 # Lognormal repair-time parameters and the sampling clamp window (hours).
@@ -106,9 +109,15 @@ class Scenario:
             raise ValueError(f"scenario_id must be an integer, got {self.scenario_id!r}")
         object.__setattr__(self, "repair_time_h", dict(self.repair_time_h))
         object.__setattr__(self, "repair_demand", dict(self.repair_demand))
-        object.__setattr__(
-            self, "failed_edges", frozenset(edge_key(u, v) for u, v in self.failed_edges)
-        )
+        # each pair is checked before the set is built: an alias (True for 1) would
+        # merge into an equal pair there
+        failed = tuple(self.failed_edges)
+        where = "scenario {}: {} node"
+        require_node_ids(chain.from_iterable(failed), where, self.scenario_id, "failed edge")
+        object.__setattr__(self, "failed_edges", frozenset(edge_key(u, v) for u, v in failed))
+        for name in ("repair_time_h", "repair_demand"):
+            require_node_ids(map(itemgetter(0), getattr(self, name)), where, self.scenario_id,
+                             name)
         for key, t in self.repair_time_h.items():
             if not (is_finite_number(t) and t > 0):
                 raise ValueError(f"repair_time_h{key!r} must be finite and > 0, got {t!r}")
@@ -156,8 +165,10 @@ class ScenarioSet:
         object.__setattr__(self, "crews", tuple(self.crews))
         if self.config is not None:
             object.__setattr__(self, "config", dict(self.config))
+        require_node_ids(self.damaged, "damaged node")
         if self.loads_kw is not None:
             object.__setattr__(self, "loads_kw", dict(self.loads_kw))
+            require_node_ids(self.loads_kw, "loads_kw node")
             for node in sorted(self.loads_kw, key=node_key):
                 if node not in self.damaged:
                     raise ValueError(f"loads_kw node {node!r} is not a damaged node")

@@ -1,5 +1,6 @@
 """End-to-end pipeline: artifacts, summaries, exit codes, reproducibility."""
 
+import csv
 import gc
 import json
 import logging
@@ -8,6 +9,7 @@ import os
 import pathlib
 import random
 import weakref
+import xml.dom.minidom
 
 import pytest
 
@@ -929,6 +931,45 @@ class TestSolveAndSchedule:
         # rendering the same CSV twice is byte-identical
         assert (out / "gantt2.svg").read_bytes() == (out / "gantt3.svg").read_bytes()
         assert (out / "gantt2.svg").read_text().startswith("<svg")
+
+    def test_ids_with_csv_and_xml_characters_render(self, tmp_path):
+        """Node ids holding a comma, XML markup, quotes or non-ASCII text survive the
+        Gantt CSV round trip, and every SVG is well-formed XML that shows them."""
+        ids = ["x,y", "a<&b", '"q"', "é"]
+        road = ["d0", *ids, "d1"]
+        rows = [["node_id", "lat", "lon"]] + [[n, 32.9, -97.0 + 0.005 * i]
+                                              for i, n in enumerate(road)]
+        edges = [["u", "v", "length_m"]] + [[u, v, 468.0] for u, v in zip(road, road[1:])]
+        power = [["bus_id", "x", "y", "downstream_load_kw", "kind"]] + [
+            [f"b{i}", 0.005 * i, 0.0, 10.0 * i, "line"] for i in range(1, 5)]
+        for name, table in (("nodes", rows), ("edges", edges), ("power", power)):
+            with open(tmp_path / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(table)
+        (tmp_path / "events.csv").write_text("ef,start_lat,start_lon,end_lat,end_lon,width_m\n"
+                                             "2,32.9,-96.996,32.9,-96.979,400\n")
+        (tmp_path / "config.json").write_text(json.dumps({"schema": "config/1",
+                                                          "edge_fail_prob": 0.0}))
+        out = tmp_path / "out"
+        common = ["--out-dir", str(out), "--config", str(tmp_path / "config.json")]
+        network, scenarios = str(out / "network.json"), str(out / "scenarios.json")
+        for argv in (
+            ["build-network", "--road-nodes", str(tmp_path / "nodes.csv"),
+             "--road-edges", str(tmp_path / "edges.csv"), "--power", str(tmp_path / "power.csv"),
+             "--offset-x", "-97.0", "--offset-y", "32.9", "--depots", "d0,d1"],
+            ["gen-scenarios", "--network", network, "--events", str(tmp_path / "events.csv")],
+            ["solve", "--network", network, "--scenarios", scenarios],
+            ["schedule", "--network", network, "--scenarios", scenarios],
+            ["render", "--gantt", str(out / "gantt.csv"), "-o", "rendered.svg"],
+        ):
+            assert main(common + argv) == EXIT_OK, argv
+        assert fileio.read_scenario_file(out / "scenarios.json").damaged == set(ids)
+        assert {e.node_id for e in fileio.read_gantt_csv(out / "gantt.csv").entries} == set(ids)
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 5  # three scenarios, all scenarios, and the rendered chart
+        for svg in svgs:
+            texts = [node.firstChild.data
+                     for node in xml.dom.minidom.parse(str(svg)).getElementsByTagName("text")]
+            assert {f"{n} crew{k}" for n in ids for k in (0, 3)} <= set(texts), svg.name
 
 
 class TestReproducibility:

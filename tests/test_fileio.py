@@ -1,5 +1,7 @@
 """Artifact round-trips, fixed-point distances, and schema errors."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -235,6 +237,28 @@ class TestGanttFiles:
         loaded = fileio.read_gantt_csv(path)
         assert len(loaded.entries) == 3
         assert loaded.makespan_h == pytest.approx(chart.makespan_h)
+
+    def test_csv_quotes_as_the_csv_module_does(self, tmp_path):
+        ids = ["n1", "", "x,y", '"q"', 'a"b', "a\nb", "a<&b", "é", " s "]
+        chart = GanttChart.from_entries([GanttEntry(0, n, 0, 0.0, 1.0) for n in ids])
+        path = tmp_path / "gantt.csv"
+        fileio.write_gantt_csv(chart, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fileio.GANTT_HEADER)
+        writer.writerows((e.scenario_id, e.node_id, e.crew, "0.0000", "1.0000")
+                         for e in chart.entries)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_csv_roundtrip_of_ids_that_need_quotes(self, tmp_path):
+        # a carriage return is quoted too, which the csv module does not do with
+        # "\n" line ends; the reader strips the spaces around a cell
+        ids = ["", "x,y", '"q"', 'a"b', "a\nb", "r\rs", "a\r\nb", "é", " s "]
+        chart = GanttChart.from_entries([GanttEntry(0, n, 0, 0.0, 1.0) for n in ids])
+        path = tmp_path / "gantt.csv"
+        fileio.write_gantt_csv(chart, path)
+        got = [e.node_id for e in fileio.read_gantt_csv(path).entries]
+        assert sorted(got) == sorted(n.strip() for n in ids)
 
     def test_svg_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -19,7 +19,7 @@ from gridrestore import (
     fileio,
     load_road_network,
 )
-from gridrestore.cli import EXIT_DOC, EXIT_INTERNAL, EXIT_OK, main
+from gridrestore.cli import EXIT_DOC, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from gridrestore.errors import SchemaError
 
 # what one leaf of an artifact is replaced with
@@ -53,10 +53,14 @@ def _roles(doc):
 def _bad_file(inputs, data, name):
     """A fresh file holding the artifact ``name`` with one leaf (a role, then a leaf
     of that role) replaced by one of BAD_VALUES."""
-    root, pristine = inputs
-    doc, roles = pristine[name]
+    doc, roles = inputs[1][name]
     where = data.draw(st.sampled_from(data.draw(st.sampled_from(roles))), label="leaf")
     value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+    return _with_leaf(inputs[0], doc, where, value)
+
+
+def _with_leaf(root, doc, where, value):
+    """A fresh file in ``root`` holding ``doc`` with the leaf at ``where`` set to ``value``."""
     obj = json.loads(json.dumps(doc))
     parent = obj
     for key in where[:-1]:
@@ -151,3 +155,54 @@ def test_one_bad_allocation_leaf_is_a_value_or_schema_error(inputs, data):
     except SchemaError:
         return
     assert isinstance(alloc, CrewAllocation)
+
+
+# Every place an artifact holds a node id that a stage reads ("*" is any list index;
+# a leg's road_path is written for the reader of the file, and no stage reads it), and
+# values that are no node id: a fraction, a bool, null, a list and a float that is a
+# whole number.
+ID_PLACES = {
+    "network.json": [("road", "nodes", "*", 0), ("road", "edges", "*", 0),
+                     ("road", "edges", "*", 1), ("power_to_road", "*", 0),
+                     ("power_to_road", "*", 1), ("depots", "*"), ("damaged", "*"),
+                     ("loads_kw", "*", 0)],
+    "scenarios.json": [("damaged", "*"), ("loads_kw", "*", 0),
+                       ("scenarios", "*", "repair_time_h", "*", 0),
+                       ("scenarios", "*", "repair_demand", "*", 0),
+                       ("scenarios", "*", "failed_edges", "*", 0),
+                       ("scenarios", "*", "failed_edges", "*", 1)],
+    "routes_s0.json": [("routes", "*", "depot_start"), ("routes", "*", "depot_end"),
+                       ("routes", "*", "visit_order", "*"), ("routes", "*", "mtz_labels", "*", 0),
+                       ("routes", "*", "legs", "*", "from"), ("routes", "*", "legs", "*", "to")],
+}
+NON_IDS = (1.5, True, None, [], 1e308)
+
+
+def _at(path, place):
+    """Whether a leaf path is at ``place``."""
+    return len(path) == len(place) and all(
+        p == k if p != "*" else isinstance(k, int) for k, p in zip(path, place))
+
+
+@pytest.mark.parametrize("name", sorted(ID_PLACES))
+def test_every_id_position_refuses_a_non_id(inputs, name):
+    """Each node-id leaf set to each of NON_IDS exits 3, with no traceback."""
+    root = inputs[0]
+    doc = inputs[1][name][0]
+    positions = {place: [path for path in _leaves(doc) if _at(path, place)]
+                 for place in ID_PLACES[name]}
+    assert all(positions.values()), positions
+    for where, value in itertools.product(itertools.chain(*positions.values()), NON_IDS):
+        bad = _with_leaf(root, doc, where, value)
+        if name == "routes_s0.json":
+            routes = bad.with_suffix("")
+            routes.mkdir()
+            shutil.copy(root / "routes" / "routes_s1.json", routes)
+            bad = bad.rename(routes / name)
+            code, err = _stage(root, "out", "schedule", routes=routes.name)
+        elif name == "network.json":
+            code, err = _stage(root, "out", "solve", network=bad.name)
+        else:
+            code, err = _stage(root, "out", "solve", scenarios=bad.name)
+        assert code == EXIT_INPUT, (where, value, err)
+        assert "Traceback" not in err, err

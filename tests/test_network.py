@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from gridrestore import (
     CoupledNetwork,
     PowerNode,
     RoadGraph,
+    Route,
+    Scenario,
+    ScenarioSet,
     apply_road_failures,
     build_coupled_network,
     load_road_network,
@@ -32,6 +36,7 @@ from gridrestore.network import (
     edge_key,
     is_finite_number,
     is_int,
+    is_node_id,
     is_number,
     node_key,
     require_finite,
@@ -319,26 +324,48 @@ class TestRoadFailures:
             rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges if e[:2] not in failed))
             assert derived == rebuilt and derived.edges == rebuilt.edges
 
-    def test_derived_graph_with_colliding_keys_equals_rebuild(self):
-        # ids whose node_keys collide (1.5 and "1.5"), and a failure pair named
-        # by an id equal to the stored one but keyed differently (True for 1.0)
-        nodes = [("1.5", 32.0, -97.0), (1.5, 32.1, -97.0), ("a", 32.2, -97.0),
-                 (1.0, 32.3, -97.0), (2, 32.4, -97.0), ("U", 32.5, -97.0)]
-        edges = [(1.5, "a", 5.0), ("a", "1.5", 6.0), ("1.5", 1.5, 7.0),
-                 (2, 1.0, 8.0), (2, "U", 9.0), (1.0, "a", 4.0)]
+    def test_derived_graph_with_int_and_str_ids_equals_rebuild(self, caplog):
+        # ids that look alike (1 and "1") are distinct; a pair naming a node by an
+        # equal value of another type (True for 1, 2.0 for 2) matches no edge
+        nodes = [("1", 32.0, -97.0), (1, 32.1, -97.0), ("a", 32.2, -97.0),
+                 (2, 32.3, -97.0), ("U", 32.4, -97.0), ("2", 32.5, -97.0)]
+        edges = [(1, "a", 5.0), ("a", "1", 6.0), ("1", 1, 7.0),
+                 (2, 1, 8.0), (2, "U", 9.0), ("2", 2, 4.0)]
         g = load_road_network(nodes, edges)
-        for pairs in ([("1.5", "a")], [("a", 1.5)], [(2, True)], [(True, 2), ("U", 2)],
-                      [("1.5", "a"), (2, True), ("1.5", 1.5)]):
-            failed = {edge_key(u, v) for u, v in pairs}
-            derived = apply_road_failures(g, pairs)
-            rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges
-                                               if edge_key(e[0], e[1]) not in failed))
+        for pairs, removed in (([("1", "a")], 1), ([("a", 1)], 1), ([(2, True)], 0),
+                               ([(True, 2), ("U", 2)], 1), ([(True, "a"), (1, "a")], 1),
+                               ([("1", "a"), (1, 2), ("1", 1), (2.0, "2"), ("2", 2)], 4)):
+            failed = {edge_key(u, v) for u, v in pairs if type(u) in (int, str)
+                      and type(v) in (int, str)}
+            with caplog.at_level(logging.WARNING, logger="gridrestore.network"):
+                caplog.clear()
+                derived = apply_road_failures(g, pairs)
+            assert ("match no edge" in caplog.text) == (removed < len(pairs))
+            rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges if e[:2] not in failed))
             assert derived == rebuilt and derived.edges == rebuilt.edges
-            assert derived.n_edges == len(derived._edge_mm) == g.n_edges - len(pairs)
+            assert derived.n_edges == len(derived._edge_mm) == g.n_edges - removed
             assert derived._adj == rebuilt._adj
             assert derived._edge_mm == rebuilt._edge_mm
-            assert derived._adj == rebuilt._adj
-            assert derived._edge_mm == rebuilt._edge_mm
+
+    def test_either_pair_order_equals_rebuild_on_mixed_ids(self):
+        # edge_key ignores the order of its arguments on every graph of int and
+        # str ids, so a failure pair removes its edge named either way round
+        rnd = random.Random(17)
+        ids = [0, 1, 2, 10, -3, "0", "1", "2", "10", "-3", "a", "n2", "n10"]
+        for _ in range(40):
+            chosen = rnd.sample(ids, rnd.randint(2, len(ids)))
+            g = load_road_network(
+                [(n, 32.0 + rnd.random(), -97.0 + rnd.random()) for n in chosen],
+                [(rnd.choice(chosen), rnd.choice(chosen), rnd.uniform(1.0, 9.0))
+                 for _ in range(2 * len(chosen))])
+            for u, v, _ in g.edges:
+                assert edge_key(u, v) == edge_key(v, u) == (u, v)
+                rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges if e[:2] != (u, v)))
+                for pair in ((u, v), (v, u)):
+                    derived = apply_road_failures(g, [pair])
+                    assert derived == rebuilt and derived.edges == rebuilt.edges
+                    assert derived._adj == rebuilt._adj
+                    assert derived._edge_mm == rebuilt._edge_mm
 
     def test_failures_never_shorten_paths(self, rng):
         for _ in range(25):
@@ -571,3 +598,67 @@ class TestNumberRule:
         assert all(is_finite_number(v) for v in finite)
         assert not any(is_finite_number(v) for v in not_finite)
         assert not any(is_finite_number(v) for v in (True, "1", "inf", None, 1j))
+
+
+# values that are not node ids; True and 1.0 equal the int id 1
+NON_IDS = (True, 1.0, 1.5, None, 1e308, np.int64(1), (1,))
+NON_ID_NAMES = ("bool", "whole-float", "fraction", "null", "huge-float", "numpy-int", "tuple")
+
+
+class TestNodeIdRule:
+    """A node id is a str or an int, never a bool; every constructor refuses anything else."""
+
+    def test_predicate(self):
+        assert all(is_node_id(v) for v in ("", "1", "é", 0, -3, 2**80))
+        assert not any(is_node_id(v) for v in NON_IDS + (False, b"a", [], frozenset()))
+
+    def test_has_node_is_false_for_an_equal_non_id(self):
+        road = load_road_network([(1, 32.0, -97.0), ("a", 32.1, -97.0)], [(1, "a", 5.0)])
+        assert road.has_node(1) and road.has_node("a")
+        assert not any(road.has_node(v) for v in (True, 1.0, "1"))
+        with pytest.raises(UnknownTerminalError, match="True"):
+            shortest_path_matrix(road, [1, True])
+
+    @pytest.mark.parametrize("bad", NON_IDS, ids=NON_ID_NAMES)
+    def test_constructors_name_the_non_id(self, bad):
+        road = load_road_network([(1, 32.0, -97.0), ("a", 32.1, -97.0)], [(1, "a", 5.0)])
+        text = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"^bus_id must be .*, got {text}$"):
+            PowerNode(bad, 0.0, 0.0, 1.0, "line")
+        for mapping, loads in (({bad: 1}, {}), ({}, {bad: 1.0})):
+            with pytest.raises(ValueError, match=f"must be an integer or a string, got {text}$"):
+                CoupledNetwork(road, mapping, frozenset(), frozenset(), loads)
+        for field in ("power_to_road", "depots", "damaged"):
+            args = {"power_to_road": {}, "depots": frozenset(), "damaged": frozenset()}
+            args[field] = {"b": bad} if field == "power_to_road" else frozenset([bad])
+            if type(bad) is not tuple:  # a tuple is no node of the road either
+                with pytest.raises(ValueError, match=text):
+                    CoupledNetwork(road, **args)
+
+        times = {(1, k): 1.0 for k in range(4)}
+        demands = {(1, k): 1 for k in range(4)}
+        # the non-id comes first, so a dict keeps it even where it equals 1
+        for t, d, failed in (({(bad, 0): 1.0, **times}, demands, ()),
+                             (times, {(bad, 0): 1, **demands}, ()),
+                             (times, demands, [(bad, "a"), (1, "a")])):
+            with pytest.raises(ValueError, match=f"^scenario 0: .* node must be .*, got {text}$"):
+                Scenario(0, t, d, failed)
+        sc = Scenario(0, times, demands, ())
+        with pytest.raises(ValueError, match=f"^damaged node must be .*, got {text}$"):
+            ScenarioSet((), seed=None, damaged=frozenset([bad]))
+        with pytest.raises(ValueError, match=f"^loads_kw node must be .*, got {text}$"):
+            ScenarioSet((sc,), seed=None, damaged=frozenset([1]), loads_kw={bad: 2.0})
+
+        route = {"crew": 0, "depot_start": "d", "depot_end": "d", "visit_order": (1,),
+                 "leg_costs": (1.0, 1.0), "leg_m": (1.0, 1.0), "total_cost": 2.0,
+                 "mtz_labels": {1: 1}}
+        for field, value in (("depot_start", bad), ("depot_end", bad),
+                             ("visit_order", (1, bad)), ("mtz_labels", {bad: 1})):
+            with pytest.raises(ValueError, match=f"^crew 0: .* must be .*, got {text}$"):
+                Route(**{**route, field: value})
+
+    def test_failure_pair_with_a_non_id_matches_no_edge(self, caplog):
+        road = load_road_network([(1, 32.0, -97.0), ("a", 32.1, -97.0)], [(1, "a", 5.0)])
+        with caplog.at_level(logging.WARNING, logger="gridrestore.network"):
+            assert apply_road_failures(road, [(True, "a"), ("a", 1.5)]) is road
+        assert "2 failure pair(s) match no edge" in caplog.text

@@ -15,10 +15,11 @@ import gc
 import json
 import math
 import random
+import re
 
 import pytest
 
-from gridrestore import CoupledNetwork, RoadGraph, fileio
+from gridrestore import CoupledNetwork, RoadGraph, fileio, load_road_network
 from gridrestore.errors import DanglingEdgeError, NonPositiveLengthError, SchemaError
 from gridrestore.network import edge_key, mm_to_m, node_key, quantize_m, require_finite
 
@@ -116,7 +117,7 @@ def reference_read_network_file(path):
 
 
 def typed(value):
-    """``value`` with every id's type visible: True, 1 and 1.0 compare equal but differ here."""
+    """``value`` with every id's type visible, so that an id stored under another type fails."""
     return repr(value)
 
 
@@ -137,28 +138,19 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
-# Ids whose node_key collides across types ("1.5" and 1.5) or orders differently
-# from the ids themselves (ints before strs; "n10" before "n2").
-MIXED_IDS = [0, 1, 2, 3, 10, -4, "a", "b", "n2", "n10", "1.5", 1.5, "2", "0", 2.5, "2.5"]
-# An edge may name an int node by an equal value of another type, whose key differs.
-ALIASES = {0: [0.0, False], 1: [1.0, True], 2: [2.0], 3: [3.0]}
+# Int and str ids that look alike (1 and "1") but are distinct, and ids whose
+# node_key order differs from their own (ints before strs; "n10" before "n2").
+MIXED_IDS = [0, 1, 2, 3, 10, -4, "a", "b", "n2", "n10", "1", "2", "0", "-4", "10", "1.5"]
 
 
 def random_tables(rnd, ids):
     """Node and edge tables with parallel pairs, both orientations and self-loops."""
     chosen = rnd.sample(ids, rnd.randint(2, len(ids)))
     nodes = [(n, 32.0 + rnd.random(), -97.0 + rnd.random()) for n in chosen]
-
-    def endpoint():
-        n = rnd.choice(chosen)
-        if type(n) is int and n in ALIASES and rnd.random() < 0.3:
-            return rnd.choice(ALIASES[n])
-        return n
-
     edges = []
     for _ in range(rnd.randint(0, 3 * len(chosen))):
         length = round(rnd.uniform(0.5, 50.0), rnd.choice((0, 3, 4)))
-        edges.append((endpoint(), endpoint(), length))
+        edges.append((rnd.choice(chosen), rnd.choice(chosen), length))
     for u, v, m in rnd.sample(edges, min(3, len(edges))):
         edges.append((v, u, m + rnd.choice((-0.25, 0.0, 0.25))))  # reversed, maybe shorter
     rnd.shuffle(edges)
@@ -181,16 +173,28 @@ class TestConstructionExactness:
             assert_same_graph(RoadGraph(tuple(nodes), tuple(edges)),
                               ReferenceRoadGraph(tuple(nodes), tuple(edges)))
 
-    def test_int_nodes_named_by_another_type(self):
-        # 1.0 and True find node 1, but node_key gives each its own order
-        nodes = ((1, 32.0, -97.0), (2, 32.1, -97.0), (0, 32.2, -97.0))
-        edges = ((2, 1.0, 5.0), (True, 2, 6.0), (0, True, 7.0), (False, 2, 8.0))
+    def test_look_alike_int_and_str_ids_keep_their_order(self):
+        nodes = (("1", 32.0, -97.0), (1, 32.1, -97.0), ("a", 32.2, -97.0), (0, 32.3, -97.0))
+        edges = ((1, "a", 5.0), ("a", "1", 6.0), ("1", 1, 7.0), (0, "1", 8.0), ("a", 1, 4.0))
         assert_same_graph(RoadGraph(nodes, edges), ReferenceRoadGraph(nodes, edges))
 
-    def test_colliding_keys_keep_their_order(self):
-        nodes = (("1.5", 32.0, -97.0), (1.5, 32.1, -97.0), ("a", 32.2, -97.0))
-        edges = ((1.5, "a", 5.0), ("a", "1.5", 6.0), ("1.5", 1.5, 7.0))
-        assert_same_graph(RoadGraph(nodes, edges), ReferenceRoadGraph(nodes, edges))
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, None, (1,), b"a"],
+                             ids=["fraction", "whole-float", "bool", "null", "tuple", "bytes"])
+    def test_non_id_nodes_are_refused(self, bad):
+        nodes = (("1.5", 32.0, -97.0), (bad, 32.1, -97.0), ("a", 32.2, -97.0))
+        with pytest.raises(ValueError, match=rf"^node id must be an integer or a string, "
+                                             rf"got {re.escape(repr(bad))}$"):
+            RoadGraph(nodes, (("1.5", "a", 5.0),))
+
+    @pytest.mark.parametrize("edge, named", [
+        ((True, "a", 5.0), True), (("a", True, 5.0), True), ((2, 1.0, 5.0), 1.0),
+        ((False, 2, 8.0), False), ((0, 2, 1.0), 0),
+    ], ids=["true-for-1-as-u", "true-for-1-as-v", "float-for-1", "false", "unknown-int"])
+    def test_endpoint_of_another_type_is_dangling(self, edge, named):
+        # True and 1.0 equal node 1, and False equals nothing here, yet none is a node id
+        nodes = ((1, 32.0, -97.0), ("a", 32.1, -97.0), (2, 32.2, -97.0))
+        with pytest.raises(DanglingEdgeError, match=rf"references unknown node {named!r}$"):
+            load_road_network(nodes, [(1, 2, 3.0), edge])
 
 
 NODES = [["a", 32.0, -97.0], ["b", 32.01, -97.0], ["c", 32.0, -97.01]]
