@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence
 
-from .errors import SchemaError
+from .errors import DanglingEdgeError, NonPositiveLengthError, SchemaError
 from .network import (
     CompleteGraph,
     CoupledNetwork,
@@ -34,6 +34,7 @@ from .network import (
     is_int,
     is_number,
     node_key,
+    require_node_ids,
 )
 from .routing import Route, RoutePlan
 from .scenario import (
@@ -130,12 +131,14 @@ def write_json_artifact(path: str | Path, obj) -> None:
 
 @contextmanager
 def _malformed(path: str | Path, what: str):
-    """Report a missing key, a wrong type or a rejected value as a SchemaError naming ``path``."""
+    """Report a missing key, a wrong type, a rejected value or a bad road edge as a
+    SchemaError naming ``path``."""
     try:
         yield
     except KeyError as exc:
         raise SchemaError(f"{path}: malformed {what} (missing key {exc})") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, DanglingEdgeError,
+            NonPositiveLengthError) as exc:
         raise SchemaError(f"{path}: malformed {what} ({exc})") from None
 
 
@@ -182,9 +185,27 @@ def _ids(ids: Iterable[NodeId]) -> list[NodeId]:
     return sorted(ids, key=node_key)
 
 
-def _loads_kw(pairs: Iterable, path: str | Path) -> dict[NodeId, float]:
+def _keyed(pairs: Sequence, path: str | Path, table: str, *args) -> dict:
+    """``[[key, value], ...]`` as a map; a SchemaError naming ``path``, the table
+    (``table.format(*args)``) and the first key named twice.
+
+    A key named twice leaves the map shorter than ``pairs``, so a well-formed
+    table is checked without a step per row.
+    """
+    out = {key: value for key, value in pairs}
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"{path}: {table.format(*args)}: {key!r} is named twice")
+            seen.add(key)
+    return out
+
+
+def _loads_kw(pairs: Sequence, path: str | Path) -> dict[NodeId, float]:
     """``[[node, kw], ...]`` as a map; every load must be a finite number."""
-    return {node: _number(kw, "loads_kw", "{}: node {!r}", path, node) for node, kw in pairs}
+    return {node: _number(kw, "loads_kw", "{}: node {!r}", path, node)
+            for node, kw in _keyed(pairs, path, "loads_kw").items()}
 
 
 def _road_json(road: RoadGraph) -> dict:
@@ -357,7 +378,7 @@ def _network_from_file(path: str | Path) -> CoupledNetwork:
     with _malformed(path, "network"):
         return CoupledNetwork(
             road=_road_from_json(obj["road"], path),
-            power_to_road={bus: node for bus, node in obj["power_to_road"]},
+            power_to_road=_keyed(obj["power_to_road"], path, "power_to_road"),
             depots=frozenset(obj["depots"]),
             damaged=frozenset(obj["damaged"]),
             loads_kw=_loads_kw(obj["loads_kw"], path),
@@ -413,11 +434,16 @@ def read_scenario_file(path: str | Path) -> ScenarioSet:
         for rec in obj["scenarios"]:
             # values pass through as parsed: CrewType and Scenario reject a bool, a
             # fraction or a string
-            times = {(i, k): t for i, per_crew in rec["repair_time_h"]
+            sid = rec["id"]
+            times = {(i, k): t for i, per_crew in
+                     _keyed(rec["repair_time_h"], path, "scenario {!r}: repair_time_h",
+                            sid).items()
                      for k, t in enumerate(per_crew)}
-            demands = {(i, k): d for i, per_crew in rec["repair_demand"]
+            demands = {(i, k): d for i, per_crew in
+                       _keyed(rec["repair_demand"], path, "scenario {!r}: repair_demand",
+                              sid).items()
                        for k, d in enumerate(per_crew)}
-            scenarios.append(Scenario(rec["id"], times, demands, rec["failed_edges"]))
+            scenarios.append(Scenario(sid, times, demands, rec["failed_edges"]))
         loads = obj.get("loads_kw")
         return ScenarioSet(
             scenarios=tuple(scenarios),
@@ -479,10 +505,10 @@ def read_allocation_file(path: str | Path):
             raise SchemaError(f"{path}: capacity must be a list of {N_CREWS} integers >= 0, "
                               f"got {capacity!r}")
         assignment = {}
-        for s, rows in obj["assignment"]:
+        for s, rows in _keyed(obj["assignment"], path, "assignment").items():
             if not is_int(s):
                 raise SchemaError(f"{path}: assignment scenario must be an integer, got {s!r}")
-            for i, per_crew in rows:
+            for i, per_crew in _keyed(rows, path, "assignment scenario {}", s).items():
                 for k, y in enumerate(per_crew):
                     y = _number(y, "assignment", "{}: scenario {}, node {!r}", path, s, i)
                     if y:
@@ -532,23 +558,37 @@ def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteG
 
 
 def _leg_meters(rec: dict, path: str | Path) -> tuple[float, ...]:
-    """One route's ``distance_m`` per leg; the legs must chain its stops, one per arc."""
+    """One route's ``distance_m`` per leg; the legs must chain its stops, one per arc,
+    and a leg's ``road_path``, where it has one, must be null or node ids from its
+    ``from`` to its ``to``."""
     stops = [rec["depot_start"], *rec["visit_order"], rec["depot_end"]]
-    if [(leg["from"], leg["to"]) for leg in rec["legs"]] != list(zip(stops, stops[1:])):
+    legs = rec["legs"]
+    if [(leg["from"], leg["to"]) for leg in legs] != list(zip(stops, stops[1:])):
         raise SchemaError(f"{path}: crew {rec['crew']!r}: legs do not chain depot_start, "
                           "visit_order, depot_end")
+    road_paths = []
+    for leg in legs:
+        road_path = leg.get("road_path")
+        if road_path is None:
+            continue
+        if not (type(road_path) is list and road_path and road_path[0] == leg["from"]
+                and road_path[-1] == leg["to"]):
+            raise SchemaError(f"{path}: crew {rec['crew']!r}: road_path must be null or run "
+                              f"from {leg['from']!r} to {leg['to']!r}, got {road_path!r}")
+        road_paths += road_path
+    require_node_ids(road_paths, "crew {!r}: road_path node", rec["crew"])
     return tuple(_parse_number(leg["distance_m"], "distance", "{}: crew {!r}", path, rec["crew"])
-                 for leg in rec["legs"])
+                 for leg in legs)
 
 
 def read_route_plan_file(path: str | Path) -> RoutePlan:
     obj = read_json_artifact(path, SCHEMA_ROUTES)
-    routes = {}
+    routes = []
     with _malformed(path, "route plan"):
         # values pass through as parsed: Route and RoutePlan reject a bool, a
         # fraction where an integer belongs, or a string
         for rec in obj["routes"]:
-            routes[rec["crew"]] = Route(
+            routes.append((rec["crew"], Route(
                 crew=rec["crew"],
                 depot_start=rec["depot_start"],
                 depot_end=rec["depot_end"],
@@ -556,9 +596,10 @@ def read_route_plan_file(path: str | Path) -> RoutePlan:
                 leg_costs=rec["leg_costs"],
                 leg_m=_leg_meters(rec, path),
                 total_cost=rec["total_cost"],
-                mtz_labels={i: u for i, u in rec["mtz_labels"]},
-            )
-        return RoutePlan(scenario_id=obj["scenario_id"], routes=routes)
+                mtz_labels=_keyed(rec["mtz_labels"], path, "crew {!r}: mtz_labels", rec["crew"]),
+            )))
+        return RoutePlan(scenario_id=obj["scenario_id"],
+                         routes=_keyed(routes, path, "routes: crew"))
 
 
 # --- gantt csv / svg ----------------------------------------------------------

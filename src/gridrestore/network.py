@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -114,52 +114,48 @@ class RoadGraph:
 
     Every node id is an int or a str (``is_node_id``), and an edge names its
     endpoints by those ids: an equal value of another type (``True`` or
-    ``1.0`` for node ``1``) is an unknown node (DanglingEdgeError). Construction
-    normalizes the edge table: pairs are put in canonical order, lengths are
-    quantized to millimeters, parallel edges collapse to the minimum length,
-    and the table is sorted. Two graphs built from the same data therefore
-    compare equal.
+    ``1.0`` for node ``1``) is an unknown node (DanglingEdgeError).
+    Construction normalizes both tables the same way for every id type. The
+    nodes are sorted by ``node_key``, and a node's position in that table is
+    its index (``_index``). Each edge is keyed by its endpoints' positions,
+    smaller first: lengths are quantized to millimeters, parallel edges
+    collapse to the minimum length, and the rows are sorted by position
+    pair. Two graphs built from the same data therefore compare equal.
+
+    Each road fact is stored once: a coordinate in ``nodes``, a length in
+    ``edges``, and ``_adj`` holds, per position, the (neighbour position, mm)
+    pairs in node_key order that Dijkstra reads.
     """
 
     nodes: tuple[tuple[NodeId, float, float], ...]
     edges: tuple[tuple[NodeId, NodeId, float], ...]
 
-    _coords: dict = field(init=False, repr=False, compare=False)
-    _edge_mm: dict = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
     _adj: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords: dict[NodeId, tuple[float, float]] = {}
+        rows: dict[NodeId, tuple[NodeId, float, float]] = {}
         for nid, lat, lon in self.nodes:
-            if nid in coords:
+            if nid in rows:
                 raise ValueError(f"duplicate node_id {nid!r}")
             if not (type(lat) is float and type(lon) is float and math.isfinite(lat + lon)):
                 lat = require_finite(lat, f"node {nid!r}: lat")
                 lon = require_finite(lon, f"node {nid!r}: lon")
-            coords[nid] = (lat, lon)
+            rows[nid] = (nid, lat, lon)
+        require_node_ids(rows, "node id")
+        # node_key order without a key per node: the ints ascending, then the strs
+        order = sorted(n for n in rows if not isinstance(n, str))
+        order += sorted(n for n in rows if isinstance(n, str))
+        norm_nodes = tuple(rows[n] for n in order)
+        index = {n: i for i, n in enumerate(order)}
 
-        # node_key orders str ids as the strs themselves order, so when every id
-        # is a str the ids serve as their own keys and no key is computed, and
-        # an endpoint found in ``coords`` is a str too.
-        plain = all(type(n) is str for n in coords)
-        if not plain:
-            require_node_ids(coords, "node id")
-        # A node's index is its position in the node_key-sorted ``nodes``.
-        order = sorted(coords, key=None if plain else node_key)
-        norm_nodes = tuple((n, *coords[n]) for n in order)
-        index = {row[0]: i for i, row in enumerate(norm_nodes)}
-
-        edge_mm: dict[tuple[NodeId, NodeId], int] = {}
+        edge_mm: dict[tuple[int, int], int] = {}
+        position = index.get
         for u, v, length_m in self.edges:
-            if plain:
-                if u not in coords or v not in coords:
-                    raise _dangling(u, v, coords)
-                key = (u, v) if u <= v else (v, u)
-            elif u in coords and v in coords and is_node_id(u) and is_node_id(v):
-                key = edge_key(u, v)
-            else:
-                raise _dangling(u, v, coords)
+            iu, iv = position(u), position(v)
+            if (iu is None or iv is None or (type(u) is not str and not is_node_id(u))
+                    or (type(v) is not str and not is_node_id(v))):
+                raise _dangling(u, v, index)
             m = float(length_m)
             if not math.isfinite(m):
                 raise NonPositiveLengthError(
@@ -170,25 +166,22 @@ class RoadGraph:
                 raise NonPositiveLengthError(
                     f"edge ({u!r}, {v!r}) has non-positive length {length_m!r} m"
                 )
-            prev = edge_mm.get(key)
+            pair = (iu, iv) if iu <= iv else (iv, iu)
+            prev = edge_mm.get(pair)
             if prev is None or mm < prev:
-                edge_mm[key] = mm
+                edge_mm[pair] = mm
 
-        # Walking the sorted canonical pairs gives each node its smaller
-        # neighbours first, then its larger ones, both ascending: node_key order.
-        pair_key = None if plain else lambda item: (index[item[0][0]], index[item[0][1]])
+        # Walking the sorted pairs gives each node its smaller neighbours
+        # first, then its larger ones, both ascending: node_key order.
         norm_edges: list[tuple[NodeId, NodeId, float]] = []
         adj: list[list[tuple[int, int]]] = [[] for _ in norm_nodes]
-        for (u, v), mm in sorted(edge_mm.items(), key=pair_key):
-            norm_edges.append((u, v, mm / 1000.0))  # mm_to_m
-            if u != v:  # self-loops never shorten a path
-                iu, iv = index[u], index[v]
+        for (iu, iv), mm in sorted(edge_mm.items()):
+            norm_edges.append((order[iu], order[iv], mm / 1000.0))  # mm_to_m
+            if iu != iv:  # self-loops never shorten a path
                 adj[iu].append((iv, mm))
                 adj[iv].append((iu, mm))
         object.__setattr__(self, "nodes", norm_nodes)
         object.__setattr__(self, "edges", tuple(norm_edges))
-        object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "_edge_mm", edge_mm)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
@@ -202,10 +195,10 @@ class RoadGraph:
 
     def has_node(self, node: NodeId) -> bool:
         """Whether ``node`` is a node id of this graph; an equal value of another type is not."""
-        return node in self._coords and is_node_id(node)
+        return node in self._index and is_node_id(node)
 
     def coord(self, node: NodeId) -> tuple[float, float]:
-        return self._coords[node]
+        return self.nodes[self._index[node]][1:]
 
     def neighbors(self, node: NodeId) -> tuple[tuple[NodeId, int], ...]:
         """Adjacent (node, length_mm) pairs."""
@@ -213,57 +206,63 @@ class RoadGraph:
         return tuple((nodes[j][0], mm) for j, mm in self._adj[self._index[node]])
 
     def edge_length_m(self, u: NodeId, v: NodeId) -> float:
-        return mm_to_m(self._edge_mm[edge_key(u, v)])
+        row = self._row(u, v)
+        if row is None:
+            raise KeyError(edge_key(u, v))
+        return self.edges[row][2]
 
-    def _without(self, failed: set[tuple[NodeId, NodeId]]) -> "RoadGraph":
-        """This graph minus ``failed``, a set of its own canonical edge keys.
+    def _row(self, u: NodeId, v: NodeId) -> int | None:
+        """The position in ``edges`` of the edge between node ids u and v, or None.
 
-        Derived without re-validation: the nodes, coordinates and index are
-        shared, and only the endpoints of failed edges get a new adjacency
-        tuple. Filtering keeps every tuple in node_key order, so the result
-        equals ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it
-        exactly as on that rebuild. The edge table is sorted by the index
-        pairs of its canonical (u, v) prefixes, which are distinct since node
-        ids are, so each failed edge's row is found by bisection and the kept
-        rows are copied in slices.
+        The rows are sorted by their endpoints' position pairs, which are
+        distinct, so the row is found by bisection.
         """
         index = self._index
-
-        def position(row):
-            return index[row[0]], index[row[1]]
-
+        iu, iv = index.get(u), index.get(v)
+        if iu is None or iv is None or not (is_node_id(u) and is_node_id(v)):
+            return None
+        pair = (iu, iv) if iu <= iv else (iv, iu)
         edges = self.edges
-        edge_mm = dict(self._edge_mm)
+        i = bisect_left(edges, pair, key=lambda row: (index[row[0]], index[row[1]]))
+        if i < len(edges) and (index[edges[i][0]], index[edges[i][1]]) == pair:
+            return i
+        return None
+
+    def _without(self, rows: Collection[int]) -> "RoadGraph":
+        """This graph minus the edges at ``rows``, distinct positions in ``edges``.
+
+        Derived without re-validation: the nodes and index are shared, and
+        only the endpoints of removed edges get a new adjacency tuple.
+        Filtering keeps every tuple in node_key order, so the result equals
+        ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it exactly
+        as on that rebuild. The kept rows are copied in slices.
+        """
+        index, edges = self._index, self.edges
         cut: dict[int, set[int]] = {}
-        rows = []
-        for key in failed:
-            del edge_mm[key]
-            iu, iv = pair = position(key)
+        for r in rows:
+            iu, iv = index[edges[r][0]], index[edges[r][1]]
             cut.setdefault(iu, set()).add(iv)
             cut.setdefault(iv, set()).add(iu)
-            rows.append(bisect_left(edges, pair, key=position))
         adj = list(self._adj)
         for iu, gone in cut.items():
             adj[iu] = tuple(nbr for nbr in adj[iu] if nbr[0] not in gone)
         kept: list[tuple[NodeId, NodeId, float]] = []
         start = 0
-        for i in sorted(rows):
-            kept += edges[start:i]
-            start = i + 1
+        for r in sorted(rows):
+            kept += edges[start:r]
+            start = r + 1
         kept += edges[start:]
         g = object.__new__(RoadGraph)
         object.__setattr__(g, "nodes", self.nodes)
         object.__setattr__(g, "edges", tuple(kept))
-        object.__setattr__(g, "_coords", self._coords)
-        object.__setattr__(g, "_edge_mm", edge_mm)
         object.__setattr__(g, "_index", index)
         object.__setattr__(g, "_adj", tuple(adj))
         return g
 
 
-def _dangling(u, v, coords: dict) -> DanglingEdgeError:
-    """The error for edge (u, v), naming its first endpoint that is not a node id in ``coords``."""
-    bad = u if u not in coords or not is_node_id(u) else v
+def _dangling(u, v, index: dict) -> DanglingEdgeError:
+    """The error for edge (u, v), naming its first endpoint that is not a node id in ``index``."""
+    bad = u if u not in index or not is_node_id(u) else v
     return DanglingEdgeError(f"edge ({u!r}, {v!r}) references unknown node {bad!r}")
 
 
@@ -334,21 +333,22 @@ class CoupledNetwork:
 class CompleteGraph:
     """Metric reduction over terminals: exact pairwise shortest-path lengths.
 
-    ``dist_mm`` is the integer-millimeter matrix (-1 where unreachable);
-    ``dist`` is the float view in meters with inf where unreachable. When
-    built from a road graph (``shortest_path_matrix``), it keeps terminal i's
-    search, and ``positions[i]`` is that terminal's position in
-    ``road_nodes``. ``path`` resumes a search until the asked terminal is
-    settled, then follows its predecessors.
+    ``dist_mm`` is the integer-millimeter matrix (-1 where unreachable), and
+    ``reachable`` is derived from it as ``dist_mm >= 0``; ``dist`` is the
+    float view in meters with inf where unreachable. When built from a road
+    graph (``shortest_path_matrix``), it keeps terminal i's search, and
+    ``positions[i]`` is that terminal's position in ``road_nodes``; these
+    three are keyword-only. ``path`` resumes a search until the asked
+    terminal is settled, then follows its predecessors.
     """
 
     terminals: tuple[NodeId, ...]
     dist_mm: np.ndarray
-    reachable: np.ndarray
-    road_nodes: tuple[tuple[NodeId, float, float], ...] = ()
-    positions: tuple[int, ...] = ()
-    _searches: tuple = field(default=(), repr=False)
+    road_nodes: tuple[tuple[NodeId, float, float], ...] = field(default=(), kw_only=True)
+    positions: tuple[int, ...] = field(default=(), kw_only=True)
+    _searches: tuple = field(default=(), repr=False, kw_only=True)
 
+    reachable: np.ndarray = field(init=False)
     _index: dict = field(init=False, repr=False)
     _dist_m: np.ndarray = field(init=False, repr=False)
 
@@ -357,15 +357,13 @@ class CompleteGraph:
         if len(set(self.terminals)) != n:
             raise ValueError("terminals must be distinct")
         dist_mm = np.asarray(self.dist_mm, dtype=np.int64)
-        reachable = np.asarray(self.reachable, dtype=bool)
-        if dist_mm.shape != (n, n) or reachable.shape != (n, n):
+        if dist_mm.shape != (n, n):
             raise ValueError("matrix shape must be (n_terminals, n_terminals)")
-        if not np.array_equal(dist_mm, dist_mm.T) or not np.array_equal(reachable, reachable.T):
-            raise ValueError("distance and reachability matrices must be symmetric")
-        if np.any(np.diagonal(dist_mm) != 0) or not np.all(np.diagonal(reachable)):
-            raise ValueError("diagonal must be zero and self-reachable")
-        if np.any((dist_mm >= 0) != reachable):
-            raise ValueError("dist_mm must be >= 0 exactly on reachable pairs (-1 elsewhere)")
+        if not np.array_equal(dist_mm, dist_mm.T):
+            raise ValueError("distance matrix must be symmetric")
+        if np.any(np.diagonal(dist_mm) != 0):
+            raise ValueError("diagonal must be zero")
+        reachable = dist_mm >= 0
         dist_mm.setflags(write=False)
         reachable.setflags(write=False)
         dist_m = np.where(reachable, dist_mm / 1000.0, np.inf)
@@ -382,17 +380,12 @@ class CompleteGraph:
         finite = np.isfinite(arr)
         mm = np.rint(np.where(finite, arr, 0.0) * 1000.0).astype(np.int64)
         mm[~finite] = -1
-        return cls(tuple(terminals), mm, finite)
+        return cls(tuple(terminals), mm)
 
     @property
     def dist(self) -> np.ndarray:
         """Float meters; inf where unreachable."""
         return self._dist_m
-
-    @property
-    def preds(self) -> tuple[list[int], ...] | None:
-        """Each search's predecessor positions, final for the nodes it has settled."""
-        return tuple(s.pred for s in self._searches) if self._searches else None
 
     def index(self, terminal: NodeId) -> int:
         try:
@@ -498,20 +491,20 @@ def apply_road_failures(
     Pairs that match no edge are counted and reported via a warning, not an
     error: a scenario may name edges that an earlier failure already removed.
     A pair with an endpoint that is not a node id (``True`` for node ``1``)
-    matches no edge. The result is derived from ``road`` without a rebuild
-    (``RoadGraph._without``).
+    matches no edge. Each pair's row is found by bisection (``RoadGraph._row``),
+    and the result is derived from ``road`` without a rebuild (``RoadGraph._without``).
     """
-    present, ignored = set(), set()
+    rows, ignored = set(), set()
     for u, v in failed_edges:  # a lookup per pair, not a pass over every edge
-        key = edge_key(u, v)
-        if key in road._edge_mm and is_node_id(u) and is_node_id(v):
-            present.add(key)
+        row = road._row(u, v)
+        if row is None:
+            ignored.add(edge_key(u, v))
         else:
-            ignored.add(key)
+            rows.add(row)
     if ignored:
         logger.warning("apply_road_failures: %d failure pair(s) match no edge; ignored",
                        len(ignored))
-    return road._without(present) if present else road
+    return road._without(rows) if rows else road
 
 
 class _Search:
@@ -597,6 +590,5 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
         dist_mm[i, i + 1:] = row
         dist_mm[i + 1:, i] = row
         searches.append(search)
-    reachable = dist_mm >= 0
-    return CompleteGraph(terminals, dist_mm, reachable, road_nodes=road.nodes,
-                         positions=positions, _searches=tuple(searches))
+    return CompleteGraph(terminals, dist_mm, road_nodes=road.nodes, positions=positions,
+                         _searches=tuple(searches))

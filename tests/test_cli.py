@@ -214,9 +214,18 @@ def _row(rows, n):
     ("network", lambda o: _row(o["power_to_road"], 1), "not enough values"),
     ("network", lambda o: _row(o["loads_kw"], 1), "not enough values"),
     ("network", lambda o: o.update(damaged=["nowhere"]), "'nowhere' is not a road node"),
+    ("network", lambda o: o["road"]["edges"][0].__setitem__(0, 1.5),
+     "edge (1.5, 'r0c1') references unknown node 1.5"),
+    ("network", lambda o: o["road"]["edges"][0].__setitem__(2, "0.000"),
+     "edge ('r0c0', 'r0c1') has non-positive length 0.0 m"),
     ("road", lambda o: _row(o["nodes"], 2), "not enough values"),
+    ("road", lambda o: o["edges"][0].__setitem__(0, 1.5),
+     "edge (1.5, 'r0c1') references unknown node 1.5"),
+    ("road", lambda o: o["edges"][0].__setitem__(2, "0.000"),
+     "edge ('r0c0', 'r0c1') has non-positive length 0.0 m"),
 ], ids=["no-road", "node-row", "depots-int", "power-pair", "load-pair", "damaged-off-road",
-        "road-graph-node-row"])
+        "dangling-edge", "zero-length-edge", "road-graph-node-row", "road-graph-dangling-edge",
+        "road-graph-zero-length-edge"])
 def test_malformed_network_files_exit_input(fixture_dir, tmp_path, capsys, kind, tamper, named):
     """A malformed coupled_network/1 or road_graph/1 exits 3 naming the file."""
     out = tmp_path / "out"
@@ -333,6 +342,18 @@ class TestGenScenarios:
             "--events", str(tmp_path / "far_events.csv"),
         ])
         assert code == EXIT_NO_DAMAGE
+
+
+def _twice(rows, value):
+    """Append a row that names the first row's key again; that key."""
+    rows.append([rows[0][0], value])
+    return rows[0][0]
+
+
+def _twice_route(routes):
+    """Append a second record for the first route's crew; that crew."""
+    routes.append(routes[0])
+    return routes[0]["crew"]
 
 
 class TestSolveAndSchedule:
@@ -918,6 +939,67 @@ class TestSolveAndSchedule:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT, err
         assert "routes_s0.json: malformed route plan" in err and named in err, err
+
+    @pytest.mark.parametrize("name, stage, tamper, named", [
+        ("network.json", "solve", lambda o: _twice(o["power_to_road"], "r0c0"),
+         "power_to_road: {!r}"),
+        ("network.json", "solve", lambda o: _twice(o["loads_kw"], 1.0), "loads_kw: {!r}"),
+        ("scenarios.json", "solve", lambda o: _twice(o["loads_kw"], 1.0), "loads_kw: {!r}"),
+        ("scenarios.json", "solve",
+         lambda o: _twice(o["scenarios"][0]["repair_time_h"], [99.0] * 4),
+         "scenario 0: repair_time_h: {!r}"),
+        ("scenarios.json", "solve", lambda o: _twice(o["scenarios"][1]["repair_demand"], [0] * 4),
+         "scenario 1: repair_demand: {!r}"),
+        ("routes_s0.json", "schedule", lambda o: _twice_route(o["routes"]), "routes: crew: {!r}"),
+        ("routes_s0.json", "schedule",
+         lambda o: (o["routes"][0]["crew"], _twice(o["routes"][0]["mtz_labels"], 99)),
+         "crew {!r}: mtz_labels: {!r}"),
+    ], ids=["power-to-road", "network-loads", "scenario-loads", "repair-time", "repair-demand",
+            "route-crew", "mtz-label"])
+    def test_key_named_twice_exits_input(self, fixture_dir, tmp_path, capsys, name, stage,
+                                         tamper, named):
+        """A [key, value] table that names a key twice exits 3 naming the file, the table
+        and the key, instead of keeping the last row."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        path = out / name
+        obj = json.loads(path.read_text())
+        keys = tamper(obj)
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["--out-dir", str(out), stage, "--network", str(out / "network.json"),
+                     "--scenarios", str(out / "scenarios.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        named = named.format(*keys) if isinstance(keys, tuple) else named.format(keys)
+        assert err == f"error: {path}: {named} is named twice\n", err
+
+    @pytest.mark.parametrize("road_path, named", [
+        (lambda a, b: [1.5, True, None], "road_path must be null or run from"),
+        (lambda a, b: a, "road_path must be null or run from"),
+        (lambda a, b: [], "road_path must be null or run from"),
+        (lambda a, b: [a], "road_path must be null or run from"),
+        (lambda a, b: [a, 1.5, b], "road_path node must be an integer or a string, got 1.5"),
+        (lambda a, b: [a, True, b], "road_path node must be an integer or a string, got True"),
+    ], ids=["non-ids", "string", "empty", "wrong-end", "fraction-inside", "bool-inside"])
+    def test_bad_road_path_exits_input(self, fixture_dir, tmp_path, capsys, road_path, named):
+        """A leg's road_path is null or node ids from the leg's from to its to; anything
+        else exits 3 naming the file and the crew."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        plan_path = out / "routes_s0.json"
+        obj = json.loads(plan_path.read_text())
+        route = obj["routes"][0]
+        leg = route["legs"][0]
+        assert leg["from"] != leg["to"]
+        leg["road_path"] = road_path(leg["from"], leg["to"])
+        plan_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["--out-dir", str(out), "schedule", "--network", str(out / "network.json"),
+                     "--scenarios", str(out / "scenarios.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        assert str(plan_path) in err and f"crew {route['crew']!r}: {named}" in err, err
 
     def test_render_rebuilds_svg(self, fixture_dir, tmp_path):
         out = tmp_path / "out"

@@ -162,6 +162,24 @@ class TestAllocationFile:
         with pytest.raises(SchemaError, match=re.escape(named)):
             fileio.read_allocation_file(path)
 
+    @pytest.mark.parametrize("table", ["scenario", "node"])
+    def test_key_named_twice_rejected(self, tmp_path, table):
+        inst = Stage1Instance.from_scenarios(refcase.scenario_set())
+        path = tmp_path / "allocation.json"
+        fileio.write_allocation_file(solve_stage1(inst), path, inst.scale_c,
+                                     marginal_gain(inst), inst.crew_costs)
+        obj = json.loads(path.read_text())
+        s, rows = obj["assignment"][0]
+        if table == "scenario":
+            obj["assignment"].append([s, []])
+            named = f"{path}: assignment: {s!r} is named twice"
+        else:
+            rows.append([rows[0][0], [0.0] * 4])
+            named = f"{path}: assignment scenario {s}: {rows[0][0]!r} is named twice"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match=f"^{re.escape(named)}$"):
+            fileio.read_allocation_file(path)
+
     def test_missing_key_rejected(self, tmp_path):
         inst = Stage1Instance.from_scenarios(refcase.scenario_set())
         path = tmp_path / "allocation.json"

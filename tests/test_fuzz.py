@@ -157,10 +157,9 @@ def test_one_bad_allocation_leaf_is_a_value_or_schema_error(inputs, data):
     assert isinstance(alloc, CrewAllocation)
 
 
-# Every place an artifact holds a node id that a stage reads ("*" is any list index;
-# a leg's road_path is written for the reader of the file, and no stage reads it), and
-# values that are no node id: a fraction, a bool, null, a list and a float that is a
-# whole number.
+# Every place an artifact holds a node id that a stage reads ("*" is any list index),
+# and values that are no node id: a fraction, a bool, null, a list and a float that is
+# a whole number.
 ID_PLACES = {
     "network.json": [("road", "nodes", "*", 0), ("road", "edges", "*", 0),
                      ("road", "edges", "*", 1), ("power_to_road", "*", 0),
@@ -173,7 +172,8 @@ ID_PLACES = {
                        ("scenarios", "*", "failed_edges", "*", 1)],
     "routes_s0.json": [("routes", "*", "depot_start"), ("routes", "*", "depot_end"),
                        ("routes", "*", "visit_order", "*"), ("routes", "*", "mtz_labels", "*", 0),
-                       ("routes", "*", "legs", "*", "from"), ("routes", "*", "legs", "*", "to")],
+                       ("routes", "*", "legs", "*", "from"), ("routes", "*", "legs", "*", "to"),
+                       ("routes", "*", "legs", "*", "road_path", "*")],
 }
 NON_IDS = (1.5, True, None, [], 1e308)
 

@@ -283,7 +283,7 @@ class TestRoadFailures:
                   for r in range(n - 1) for c in range(n)]
         edges += [("hub", 0, 150.0), (15, "hub", 150.0), (5, 5, 10.0), (6, 5, 80.0)]
         g = load_road_network(nodes, edges)
-        before = (g._adj, dict(g._edge_mm), g.edges)
+        before = (g._adj, g.edges)
         terminals = [0, 3, 12, 15, "hub"]
         unknown = [(0, 15), ("ghost", 0), (3, 12)]
         for _ in range(60):
@@ -294,33 +294,38 @@ class TestRoadFailures:
             with caplog.at_level(logging.WARNING, logger="gridrestore.network"):
                 caplog.clear()
                 derived = apply_road_failures(g, pairs)
-            ignored = len(failed.difference(g._edge_mm))
+            ignored = len(failed.difference(e[:2] for e in g.edges))
             assert (f"{ignored} failure pair(s)" in caplog.text) == (ignored > 0)
             rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges
                                                if edge_key(e[0], e[1]) not in failed))
             assert derived == rebuilt
             assert derived._adj == rebuilt._adj
-            assert derived._edge_mm == rebuilt._edge_mm
-            assert derived._coords == rebuilt._coords
             a = shortest_path_matrix(derived, terminals)
             b = shortest_path_matrix(rebuilt, terminals)
             assert np.array_equal(a.dist_mm, b.dist_mm)
             assert np.array_equal(a.reachable, b.reachable)
-            assert a.preds == b.preds
-        assert (g._adj, g._edge_mm, g.edges) == before
+            for u, v in itertools.product(terminals, repeat=2):
+                assert a.path(u, v) == b.path(u, v)
+        assert (g._adj, g.edges) == before
 
-    def test_derived_str_graph_equals_rebuild(self):
-        # all-str ids, where failed edges are found without node_key: the
-        # first and last rows of the table and runs of neighbouring rows fail too
+    @pytest.mark.parametrize("ids", [
+        [f"n{i}" for i in range(30)],
+        list(range(-5, 25)),
+        [i if i % 3 else f"n{i}" for i in range(30)] + ["5", "10"],
+    ], ids=["str", "int", "mixed"])
+    def test_derived_str_graph_equals_rebuild(self, ids):
+        # one build path for every id type: self-loops, the first and last rows
+        # of the table and runs of neighbouring rows fail, named either way round
         rnd = random.Random(13)
-        ids = [f"n{i}" for i in range(30)]
         g = load_road_network([(n, 32.0, -97.0) for n in ids],
                               [(rnd.choice(ids), rnd.choice(ids), rnd.uniform(1.0, 9.0))
                                for _ in range(90)])
+        assert any(u == v for u, v, _ in g.edges)
         for _ in range(40):
             failed = [e[:2] for e in g.edges if rnd.random() < rnd.choice((0.05, 0.3, 0.9))]
             failed = set(failed + [g.edges[0][:2], g.edges[-1][:2]][:rnd.randint(0, 2)])
-            derived = apply_road_failures(g, [(v, u) for u, v in failed])
+            derived = apply_road_failures(g, [(v, u) if rnd.random() < 0.5 else (u, v)
+                                              for u, v in failed])
             rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges if e[:2] not in failed))
             assert derived == rebuilt and derived.edges == rebuilt.edges
 
@@ -343,9 +348,8 @@ class TestRoadFailures:
             assert ("match no edge" in caplog.text) == (removed < len(pairs))
             rebuilt = RoadGraph(g.nodes, tuple(e for e in g.edges if e[:2] not in failed))
             assert derived == rebuilt and derived.edges == rebuilt.edges
-            assert derived.n_edges == len(derived._edge_mm) == g.n_edges - removed
+            assert derived.n_edges == g.n_edges - removed
             assert derived._adj == rebuilt._adj
-            assert derived._edge_mm == rebuilt._edge_mm
 
     def test_either_pair_order_equals_rebuild_on_mixed_ids(self):
         # edge_key ignores the order of its arguments on every graph of int and
@@ -365,7 +369,6 @@ class TestRoadFailures:
                     derived = apply_road_failures(g, [pair])
                     assert derived == rebuilt and derived.edges == rebuilt.edges
                     assert derived._adj == rebuilt._adj
-                    assert derived._edge_mm == rebuilt._edge_mm
 
     def test_failures_never_shorten_paths(self, rng):
         for _ in range(25):

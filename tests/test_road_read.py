@@ -1,14 +1,13 @@
 """The road-graph read path against a copy of its previous, per-edge implementation.
 
-``RoadGraph.__post_init__`` orients and sorts the edges of an all-str graph by
-the ids themselves, and ``fileio._road_from_json`` builds error text only for a
-bad value. Both must give exactly what the per-edge ``node_key`` / ``_finite``
-versions below give: the same normalized tables, node positions and
-adjacency, and the same exception type and message for every bad input. The
-one exception is a string coordinate, which the reference parsed and the
-reader now refuses (``EXPECTED``).
-``read_network_file`` pauses the cyclic garbage collector and must leave its
-state as it found it.
+``RoadGraph.__post_init__`` keys and sorts the edges by node position, and
+``fileio._road_from_json`` builds error text only for a bad value. Both must
+give exactly what the per-edge ``node_key`` / ``_finite`` versions below give:
+the same normalized tables, node positions and adjacency, and the same
+exception type and message for every bad input. The one exception is a
+string coordinate, which the reference parsed and the reader now refuses
+(``EXPECTED``). ``read_network_file`` pauses the cyclic garbage collector
+and must leave its state as it found it.
 """
 
 import gc
@@ -77,8 +76,6 @@ class ReferenceRoadGraph(RoadGraph):
         norm_edges = tuple((u, v, mm_to_m(edge_mm[(u, v)])) for u, v in pairs)
         object.__setattr__(self, "nodes", norm_nodes)
         object.__setattr__(self, "edges", norm_edges)
-        object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "_edge_mm", edge_mm)
 
         index = {row[0]: i for i, row in enumerate(norm_nodes)}
         adj = [[] for _ in norm_nodes]
@@ -126,8 +123,6 @@ def assert_same_graph(got, want):
     assert typed(got.edges) == typed(want.edges)
     assert typed(list(got._index.items())) == typed(list(want._index.items()))
     assert got._adj == want._adj
-    assert typed(list(got._coords.items())) == typed(list(want._coords.items()))
-    assert typed(list(got._edge_mm.items())) == typed(list(want._edge_mm.items()))
 
 
 def outcome(build, *args):
