@@ -39,6 +39,9 @@ from .errors import (
 from .network import NodeId, is_int, node_key, require_finite
 from .scenario import N_CREWS, ScenarioSet
 
+# what a stage-1 NumericOverflowError asks the user to scale down
+_OVERFLOW_INPUTS = "loads, repair times, weights or crew costs"
+
 
 @dataclass(frozen=True)
 class Stage1Instance:
@@ -179,7 +182,7 @@ def default_scale_c(gains: Mapping[int, float], crew_costs: Sequence[float]) -> 
     try:
         c = 10.0 ** (math.floor(math.log10(ratio)) + 1)
     except OverflowError:  # the ratio, or its power of 10, is past float64
-        raise NumericOverflowError("default scale_c") from None
+        raise NumericOverflowError("stage 1: default scale_c", _OVERFLOW_INPUTS) from None
     while c <= ratio:  # guard against log10 rounding at exact powers
         c *= 10.0
     return c
@@ -187,7 +190,7 @@ def default_scale_c(gains: Mapping[int, float], crew_costs: Sequence[float]) -> 
 
 def _require_finite(what: str, values) -> None:
     if not all(math.isfinite(v) for v in values):
-        raise NumericOverflowError(what)
+        raise NumericOverflowError(f"stage 1: {what}", _OVERFLOW_INPUTS)
 
 
 def _check_bounded(inst: Stage1Instance, gains: Mapping[int, float]) -> None:

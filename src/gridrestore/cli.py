@@ -327,18 +327,18 @@ def cmd_solve(args, config: PipelineConfig) -> int:
     all_passed = True
     validation = []
     plans = []
-    # One closure per distinct failure set, kept only until its last scenario
+    # One closure per distinct failure set, kept only until its last scenario,
+    # with the Held-Karp results solved over it (solve_routing's `solved`)
     last_use = {sc.failed_edges: sc.scenario_id for sc in sset.scenarios}
     closures = {}
     for scenario in sset.scenarios:
         failed = scenario.failed_edges
-        complete = closures.pop(failed, None)
-        if complete is None:
-            complete = shortest_path_matrix(apply_road_failures(net.road, failed), terminals)
+        complete, solved = closures.pop(failed, None) or (
+            shortest_path_matrix(apply_road_failures(net.road, failed), terminals), {})
         if last_use[failed] > scenario.scenario_id:
-            closures[failed] = complete
+            closures[failed] = complete, solved
         rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates)
-        plan = solve_routing(rinst, scenario.scenario_id)
+        plan = solve_routing(rinst, scenario.scenario_id, solved=solved)
         report = validate_routes(plan, rinst)
         name = f"routes_s{scenario.scenario_id}.json"
         fileio.write_route_plan_file(plan, out_dir / name, complete)
@@ -354,7 +354,7 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         all_passed &= report.passed
         print(f"  scenario {scenario.scenario_id}: route cost {plan.total_cost:.3f}, "
               f"validation {'pass' if report.passed else 'FAIL'}")
-        del complete, rinst  # a closure no later scenario needs is freed here
+        del complete, solved, rinst  # a closure no later scenario needs is freed here
     fileio.write_json_artifact(
         out_dir / "validation.json",
         {"schema": "route_validation/1", "all_passed": all_passed, "scenarios": validation},

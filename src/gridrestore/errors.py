@@ -53,11 +53,11 @@ class EmptyScenarioSetError(GridRestoreError):
 
 
 class NumericOverflowError(GridRestoreError):
-    """Stage-1 arithmetic on finite inputs leaves the float64 range."""
+    """Arithmetic on finite inputs leaves the float64 range. The message names the
+    quantity (``what``) and the inputs to scale down (``inputs``)."""
 
-    def __init__(self, what: str):
-        super().__init__(f"stage 1: {what} overflows float64; scale loads, repair times, "
-                         "weights or crew costs down")
+    def __init__(self, what: str, inputs: str):
+        super().__init__(f"{what} overflows float64; scale {inputs} down")
 
 
 class UnboundedObjectiveError(GridRestoreError):

@@ -21,6 +21,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence
 
@@ -526,35 +527,76 @@ def read_allocation_file(path: str | Path):
 def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteGraph) -> None:
     """Route plan with per-leg costs, distances and road-level paths; the
     complete graph supplies only the paths (null without predecessor data)."""
+    _write_text(path, _route_plan_text(plan, complete))
+
+
+# A route plan is most of what ``solve`` writes, so it is built as text, not through
+# the pure-Python ``indent`` encoder of ``json``. ``_route_plan_text`` writes each
+# object's keys in sorted order and lays the document out as
+# ``json.dumps(doc, sort_keys=True, indent=2)`` does; ``_leaf`` formats each value.
+
+
+def _leaf(value) -> str:
+    """A str, int or float as ``json.dumps`` writes it."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return kind.__repr__(value)
+    return json.dumps(value)  # a bool, None, a non-finite float or a subclass
+
+
+def _array(items: list[str], pad: str) -> str:
+    """Encoded ``items`` as an ``indent=2`` array whose closing bracket follows ``pad``
+    (a newline and the enclosing indentation)."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _object(members: Sequence[tuple[str, str]], pad: str) -> str:
+    """``(key, encoded value)`` pairs, keys in sorted order, as an ``indent=2`` object."""
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in members) + pad + "}"
+
+
+def _route_plan_text(plan: RoutePlan, complete: CompleteGraph) -> str:
+    """The route_plan/1 document of ``plan``, byte for byte
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
+    pad2, pad4, pad6, pad8, pad10 = ("\n" + " " * n for n in (2, 4, 6, 8, 10))
     routes = []
     for k in sorted(plan.routes):
         r = plan.routes[k]
         legs = []
         for (u, v), cost, meters in zip(r.arcs(), r.leg_costs, r.leg_m):
             road_path = complete.path(u, v)
-            legs.append({"from": u, "to": v, "cost": cost, "distance_m": meters_str(meters),
-                         "road_path": list(road_path) if road_path is not None else None})
-        routes.append(
-            {
-                "crew": k,
-                "depot_start": r.depot_start,
-                "depot_end": r.depot_end,
-                "visit_order": list(r.visit_order),
-                "leg_costs": list(r.leg_costs),
-                "total_cost": r.total_cost,
-                "mtz_labels": [[i, r.mtz_labels[i]] for i in sorted(r.mtz_labels, key=node_key)],
-                "legs": legs,
-            }
-        )
-    write_json_artifact(
-        path,
-        {
-            "schema": SCHEMA_ROUTES,
-            "scenario_id": plan.scenario_id,
-            "routes": routes,
-            "total_cost": plan.total_cost,
-        },
-    )
+            legs.append(_object((
+                ("cost", _leaf(cost)),
+                ("distance_m", f'"{meters_str(meters)}"'),
+                ("from", _leaf(u)),
+                ("road_path", "null" if road_path is None
+                 else _array(list(map(_leaf, road_path)), pad10)),
+                ("to", _leaf(v)),
+            ), pad8))
+        labels = [_array([_leaf(i), _leaf(r.mtz_labels[i])], pad8)
+                  for i in sorted(r.mtz_labels, key=node_key)]
+        routes.append(_object((
+            ("crew", _leaf(k)),
+            ("depot_end", _leaf(r.depot_end)),
+            ("depot_start", _leaf(r.depot_start)),
+            ("leg_costs", _array(list(map(_leaf, r.leg_costs)), pad6)),
+            ("legs", _array(legs, pad6)),
+            ("mtz_labels", _array(labels, pad6)),
+            ("total_cost", _leaf(r.total_cost)),
+            ("visit_order", _array(list(map(_leaf, r.visit_order)), pad6)),
+        ), pad4))
+    return _object((
+        ("routes", _array(routes, pad2)),
+        ("scenario_id", _leaf(plan.scenario_id)),
+        ("schema", _leaf(SCHEMA_ROUTES)),
+        ("total_cost", _leaf(plan.total_cost)),
+    ), "\n") + "\n"
 
 
 def _leg_meters(rec: dict, path: str | Path) -> tuple[float, ...]:

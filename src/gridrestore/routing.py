@@ -14,9 +14,11 @@ order, then smallest (depot_start, depot_end).
 Both solvers optimize integer millimeters x the crew's rate, so equal costs
 are exact ties, and the optimal order and depots depend only on the required
 set and on whether the rate is positive. ``solve_routing`` therefore solves
-each distinct (required set, rate > 0) once per call and shares the result
-between crews. Reported leg costs and totals are each crew's own float arc
-costs summed left to right.
+each distinct (required set, rate > 0) once and shares the result between
+crews; a caller that routes many scenarios over one closure can pass the same
+``solved`` map to each call. Reported leg costs and totals are each crew's own
+float arc costs summed left to right, and a cost that leaves the float64 range
+raises ``NumericOverflowError``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NodeUnreachableError, TooManyNodesError, UnreachableArcError
+from .errors import (
+    NodeUnreachableError,
+    NumericOverflowError,
+    TooManyNodesError,
+    UnreachableArcError,
+)
 from .network import (
     CompleteGraph,
     NodeId,
@@ -43,6 +50,12 @@ from .scenario import N_CREWS, Scenario
 
 SOLVE_NODE_CAP = 15
 BRUTE_NODE_CAP = 8
+
+# what a stage-2 NumericOverflowError asks the user to scale down
+_OVERFLOW_INPUTS = "cost_rate_per_m"
+
+# (required set, rate > 0) -> the optimal (depot_start, depot_end, visit order)
+Solved = dict[tuple[frozenset[NodeId], bool], tuple[NodeId, NodeId, tuple[NodeId, ...]]]
 
 
 @dataclass(frozen=True)
@@ -114,6 +127,11 @@ class RoutingInstance:
         return self.complete.dist_m(u, v) * self.rate(crew)
 
 
+def _finite(value) -> str:
+    """``"finite "`` for a number, so a message asks for what ``value`` lacks."""
+    return "finite " if is_number(value) else ""
+
+
 @dataclass(frozen=True)
 class Route:
     """A depot-to-depot path for one crew with its subtour-free certificate."""
@@ -137,12 +155,12 @@ class Route:
         require_node_ids(self.stops(), "crew {}: stop", self.crew)
         require_node_ids(self.mtz_labels, "crew {}: mtz_labels node", self.crew)
         for i, cost in enumerate(self.leg_costs):
-            if not is_number(cost):
-                raise ValueError(f"crew {self.crew}: leg_costs[{i}] must be a number, "
-                                 f"got {cost!r}")
-        if not is_number(self.total_cost):
-            raise ValueError(f"crew {self.crew}: total_cost must be a number, "
-                             f"got {self.total_cost!r}")
+            if not is_finite_number(cost):
+                raise ValueError(f"crew {self.crew}: leg_costs[{i}] must be a "
+                                 f"{_finite(cost)}number, got {cost!r}")
+        if not is_finite_number(self.total_cost):
+            raise ValueError(f"crew {self.crew}: total_cost must be a "
+                             f"{_finite(self.total_cost)}number, got {self.total_cost!r}")
         for node, label in self.mtz_labels.items():
             if not is_int(label):
                 raise ValueError(f"crew {self.crew}: mtz_labels[{node!r}] must be an integer, "
@@ -225,6 +243,9 @@ def _route_from_order(
     total = 0.0
     for c in legs:
         total += c
+    # legs are >= 0, so the total is finite only if every leg is
+    if not math.isfinite(total):
+        raise NumericOverflowError(f"stage 2: crew {crew}: route cost", _OVERFLOW_INPUTS)
     return Route(crew, d0, d1, order, legs, leg_m, total, _mtz_labels(order))
 
 
@@ -344,11 +365,18 @@ def _solve_crew_brute(inst: RoutingInstance, crew: int) -> Route:
     return _route_from_order(inst, crew, depots[d0_rank], depots[d1_rank], order)
 
 
-def solve_routing(inst: RoutingInstance, scenario_id: int) -> RoutePlan:
-    """Exact optimal route per crew via Held-Karp over subsets (cap 15)."""
+def solve_routing(inst: RoutingInstance, scenario_id: int, *,
+                  solved: Solved | None = None) -> RoutePlan:
+    """Exact optimal route per crew via Held-Karp over subsets (cap 15).
+
+    ``solved`` keeps each (required set, rate > 0)'s optimal order and depots,
+    and is filled as crews are solved. Pass one map to every call over the same
+    complete graph and depots, and never share it beyond them.
+    """
     # the arc table, and so the optimal order and depots, depends only on
     # the required set and on whether the rate is positive
-    solved: dict[tuple[frozenset[NodeId], bool], tuple[NodeId, NodeId, tuple[NodeId, ...]]] = {}
+    if solved is None:
+        solved = {}
     routes = {}
     for k in sorted(inst.required):
         if not inst.required[k]:
@@ -357,7 +385,11 @@ def solve_routing(inst: RoutingInstance, scenario_id: int) -> RoutePlan:
         if key not in solved:
             solved[key] = _solve_crew_dp(inst, k)
         routes[k] = _route_from_order(inst, k, *solved[key])
-    return RoutePlan(scenario_id, routes)
+    plan = RoutePlan(scenario_id, routes)
+    if not math.isfinite(plan.total_cost):
+        raise NumericOverflowError(f"stage 2: scenario {scenario_id}: route cost",
+                                   _OVERFLOW_INPUTS)
+    return plan
 
 
 def brute_force_routing(inst: RoutingInstance, scenario_id: int) -> RoutePlan:

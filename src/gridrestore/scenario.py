@@ -257,8 +257,9 @@ def sample_repair_time(
     """
     z = rng.standard_normal(size)
     raw = np.exp(mu + sigma * z)
-    clamped = np.clip(raw, min_h, max_h)
-    return float(clamped) if size is None else clamped
+    if size is None:  # min/max clamp a scalar as np.clip does, without its array machinery
+        return float(min(max(raw, min_h), max_h))
+    return np.clip(raw, min_h, max_h)
 
 
 def sample_repair_demand(

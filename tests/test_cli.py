@@ -13,7 +13,7 @@ import xml.dom.minidom
 
 import pytest
 
-from gridrestore import cli, default_crews, fileio, load_road_network
+from gridrestore import cli, default_crews, fileio, load_road_network, routing
 from gridrestore.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -356,6 +356,53 @@ def _twice_route(routes):
     return routes[0]["crew"]
 
 
+def _scenario_file(path, scenarios):
+    path.write_text(json.dumps({
+        "schema": "scenario_set/1", "seed": None, "config": None,
+        "damaged": ["r1c3", "r2c2"],
+        "crews": [{"index": c.index, "name": c.name,
+                   "hourly_cost_per_person": c.hourly_cost_per_person}
+                  for c in default_crews()],
+        "loads_kw": [["r1c3", 120.0], ["r2c2", 80.0]],
+        "scenarios": scenarios,
+    }))
+
+
+def _repeated_failure_sets(fixture_dir, tmp_path):
+    """A built network, and a hand-authored ``scenarios.json`` whose failure sets repeat:
+    A B A {} B A {}. Returns the out-dir, that order, and the scenario records."""
+    out = tmp_path / "out"
+    assert main([
+        "--out-dir", str(out), "build-network",
+        "--road-nodes", str(fixture_dir / "road_nodes.csv"),
+        "--road-edges", str(fixture_dir / "road_edges.csv"),
+        "--power", str(fixture_dir / "power.csv"),
+        "--offset-x", "-97.0", "--offset-y", "32.9",
+        "--depots", "r0c0,r4c4", "--damaged", "r2c2,r1c3",
+    ]) == EXIT_OK
+    sets = {
+        "A": [["r2c2", "r2c3"], ["r1c2", "r2c2"], ["r0c0", "r4c4"]],  # last is no edge
+        "B": [["r1c3", "r1c2"]],  # reversed pair
+        "-": [],
+    }
+    rnd = random.Random(5)
+
+    def scenario(sid, key):
+        return {
+            "id": sid,
+            "repair_time_h": [[i, [round(rnd.uniform(0.5, 9.0), 3) for _ in range(4)]]
+                              for i in ("r1c3", "r2c2")],
+            "repair_demand": [[i, [rnd.randint(0, 3) for _ in range(4)]]
+                              for i in ("r1c3", "r2c2")],
+            "failed_edges": sets[key],
+        }
+
+    order = "ABA-BA-"
+    scenarios = [scenario(s, key) for s, key in enumerate(order)]
+    _scenario_file(tmp_path / "scenarios.json", scenarios)
+    return out, order, scenarios
+
+
 class TestSolveAndSchedule:
     def test_full_pipeline_artifacts(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -621,48 +668,7 @@ class TestSolveAndSchedule:
 
     def test_one_closure_per_distinct_failure_set(self, fixture_dir, tmp_path,
                                                   monkeypatch, capsys, caplog):
-        # a hand-authored scenario_set/1 whose failure sets repeat: A B A {} B A {}
-        out = tmp_path / "out"
-        assert main([
-            "--out-dir", str(out), "build-network",
-            "--road-nodes", str(fixture_dir / "road_nodes.csv"),
-            "--road-edges", str(fixture_dir / "road_edges.csv"),
-            "--power", str(fixture_dir / "power.csv"),
-            "--offset-x", "-97.0", "--offset-y", "32.9",
-            "--depots", "r0c0,r4c4", "--damaged", "r2c2,r1c3",
-        ]) == EXIT_OK
-        sets = {
-            "A": [["r2c2", "r2c3"], ["r1c2", "r2c2"], ["r0c0", "r4c4"]],  # last is no edge
-            "B": [["r1c3", "r1c2"]],  # reversed pair
-            "-": [],
-        }
-        rnd = random.Random(5)
-
-        def scenario(sid, key):
-            return {
-                "id": sid,
-                "repair_time_h": [[i, [round(rnd.uniform(0.5, 9.0), 3) for _ in range(4)]]
-                                  for i in ("r1c3", "r2c2")],
-                "repair_demand": [[i, [rnd.randint(0, 3) for _ in range(4)]]
-                                  for i in ("r1c3", "r2c2")],
-                "failed_edges": sets[key],
-            }
-
-        def scenario_file(path, scenarios):
-            path.write_text(json.dumps({
-                "schema": "scenario_set/1", "seed": None, "config": None,
-                "damaged": ["r1c3", "r2c2"],
-                "crews": [{"index": c.index, "name": c.name,
-                           "hourly_cost_per_person": c.hourly_cost_per_person}
-                          for c in default_crews()],
-                "loads_kw": [["r1c3", 120.0], ["r2c2", 80.0]],
-                "scenarios": scenarios,
-            }))
-
-        order = "ABA-BA-"
-        scenarios = [scenario(s, key) for s, key in enumerate(order)]
-        scenario_file(tmp_path / "scenarios.json", scenarios)
-
+        out, order, scenarios = _repeated_failure_sets(fixture_dir, tmp_path)
         calls, built, alive = [], [], []
         original, write_plan = cli.shortest_path_matrix, fileio.write_route_plan_file
 
@@ -693,7 +699,7 @@ class TestSolveAndSchedule:
 
         for s, rec in enumerate(scenarios):
             single = tmp_path / f"single{s}"
-            scenario_file(tmp_path / f"one{s}.json", [{**rec, "id": 0}])
+            _scenario_file(tmp_path / f"one{s}.json", [{**rec, "id": 0}])
             assert main(["--out-dir", str(single), "solve",
                          "--network", str(out / "network.json"),
                          "--scenarios", str(tmp_path / f"one{s}.json")]) == EXIT_OK
@@ -705,6 +711,44 @@ class TestSolveAndSchedule:
                            if "  scenario 0:" in ln]
             assert [lines[s].replace(f"scenario {s}:", "scenario 0:")] == single_line
         assert len(calls) == 3 + len(order)
+
+    def test_held_karp_results_kept_per_closure(self, fixture_dir, tmp_path, monkeypatch):
+        out, order, scenarios = _repeated_failure_sets(fixture_dir, tmp_path)
+        config = tmp_path / "config.json"
+        rates = [1.0, 0.0, 2.0, 1.0]  # crew 1 is solved apart from the others
+        config.write_text(json.dumps({"schema": "config/1", "cost_rate_per_m": rates}))
+        dp_calls, seen = [], []
+        solve_dp, solve = routing._solve_crew_dp, cli.solve_routing
+
+        def counting(inst, crew):
+            dp_calls.append((inst.complete, inst.required[crew], inst.rate(crew) > 0))
+            return solve_dp(inst, crew)
+
+        def recording(inst, scenario_id, *, solved=None):
+            seen.append((solved, inst.complete))
+            return solve(inst, scenario_id, solved=solved)
+
+        monkeypatch.setattr(routing, "_solve_crew_dp", counting)
+        monkeypatch.setattr(cli, "solve_routing", recording)
+        assert main(["--out-dir", str(out), "--config", str(config), "solve",
+                     "--network", str(out / "network.json"),
+                     "--scenarios", str(tmp_path / "scenarios.json")]) == EXIT_OK
+        # one map per failure set, made with its closure and never passed with another
+        assert len(seen) == len(order)
+        for (map_a, closure_a), key_a in zip(seen, order):
+            for (map_b, closure_b), key_b in zip(seen, order):
+                assert (map_a is map_b) == (closure_a is closure_b) == (key_a == key_b)
+        # each (required set, rate > 0) is solved once per closure
+        problems = {key: set() for key in order}
+        n_problems = 0
+        for key, rec in zip(order, scenarios):
+            for k in range(4):
+                required = frozenset(i for i, demand in rec["repair_demand"] if demand[k] > 0)
+                if required:
+                    problems[key].add((required, rates[k] > 0))
+                    n_problems += 1
+        assert len(dp_calls) == sum(map(len, problems.values())) < n_problems
+        assert len({(id(c), req, pos) for c, req, pos in dp_calls}) == len(dp_calls)
 
     def test_schedule_contains_checkpoint_hours(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -890,6 +934,25 @@ class TestSolveAndSchedule:
             ]) == code, named
             assert named in capsys.readouterr().err, named
 
+    def test_route_cost_past_float64_exits_input(self, fixture_dir, tmp_path, capsys):
+        """A finite rate whose costs overflow stops solve before that scenario's routes
+        are written."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema": "config/1",
+                                      "cost_rate_per_m": [1e308, 1.0, 1.0, 1.0]}))
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        code = main(["--out-dir", str(fresh), "--config", str(config), "solve",
+                     "--network", str(out / "network.json"),
+                     "--scenarios", str(out / "scenarios.json")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: stage 2: crew 0: route cost overflows float64; "
+            "scale cost_rate_per_m down\n")
+        assert not (fresh / "routes_s0.json").exists()
+
     def test_plan_for_another_scenario_rejected(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         run_pipeline(fixture_dir, out)
@@ -917,10 +980,13 @@ class TestSolveAndSchedule:
         (("routes", 0, "leg_costs", 0), True, "leg_costs[0] must be a number, got True"),
         (("routes", 0, "leg_costs", 0), "1.5", "leg_costs[0] must be a number, got '1.5'"),
         (("routes", 0, "total_cost"), "9", "total_cost must be a number, got '9'"),
+        (("routes", 0, "leg_costs", 1), math.inf, "leg_costs[1] must be a finite number, got inf"),
+        (("routes", 0, "total_cost"), math.inf, "total_cost must be a finite number, got inf"),
         (("routes", 0, "mtz_labels", 0, 1), "1", "must be an integer, got '1'"),
         (("routes", 0, "mtz_labels", 0, 1), 1.0, "must be an integer, got 1.0"),
     ], ids=["crew-string", "crew-float", "crew-bool", "id-string", "id-float", "leg-bool",
-            "leg-string", "total-string", "label-string", "label-float"])
+            "leg-string", "total-string", "leg-infinite", "total-infinite", "label-string",
+            "label-float"])
     def test_bad_route_plan_values_exit_input(self, fixture_dir, tmp_path, capsys, where, bad,
                                               named):
         """The route plan reader coerces nothing: each exits 3 naming the file and the field."""

@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import os
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 from gridrestore import (
+    CompleteGraph,
     CoupledNetwork,
     PowerNode,
     RoutingInstance,
@@ -21,8 +23,11 @@ from gridrestore import (
     Stage1Instance,
     GanttChart,
     GanttEntry,
+    Route,
+    RoutePlan,
 )
 from gridrestore import fileio
+from gridrestore.network import node_key
 from gridrestore.allocation import marginal_gain
 from gridrestore.errors import SchemaError
 
@@ -231,6 +236,100 @@ class TestRoutePlanFile:
         path = tmp_path / "routes.json"
         fileio.write_route_plan_file(plan, path, cg)
         assert fileio.read_route_plan_file(path) == plan
+
+
+def _route_plan_object(plan, complete) -> dict:
+    """The route_plan/1 document as an object, as it was built for ``json.dumps``
+    before route plans were written as text."""
+    routes = []
+    for k in sorted(plan.routes):
+        r = plan.routes[k]
+        legs = []
+        for (u, v), cost, meters in zip(r.arcs(), r.leg_costs, r.leg_m):
+            road_path = complete.path(u, v)
+            legs.append({"from": u, "to": v, "cost": cost,
+                         "distance_m": fileio.meters_str(meters),
+                         "road_path": list(road_path) if road_path is not None else None})
+        routes.append({
+            "crew": k,
+            "depot_start": r.depot_start,
+            "depot_end": r.depot_end,
+            "visit_order": list(r.visit_order),
+            "leg_costs": list(r.leg_costs),
+            "total_cost": r.total_cost,
+            "mtz_labels": [[i, r.mtz_labels[i]] for i in sorted(r.mtz_labels, key=node_key)],
+            "legs": legs,
+        })
+    return {"schema": "route_plan/1", "scenario_id": plan.scenario_id, "routes": routes,
+            "total_cost": plan.total_cost}
+
+
+# ids that json escapes: a quote, a backslash, non-ASCII (one outside the BMP, written
+# as a surrogate pair), control characters, and an int written as text
+ODD_IDS = ['q"uote', "back\\slash", "caf\u00e9", "snow\u2603man", "emoji\U0001f600",
+           "ctl\x00\x1f\n\t\r\x7f", "1", "", " space "]
+ID_KINDS = {
+    "int": [-3, 0, 1, 7, 12, 40, 2**70, 99],
+    "str": ["a", "b", "c", "d", "e", *ODD_IDS],
+    "mixed": [0, 5, 2**40, "a", "5", *ODD_IDS[:5]],
+}
+# rates whose products with meters give large, subnormal and inexact floats
+RATES = (0.0, 1.0, 1e16, 5e-324, 123456.789, 0.1, 3.0)
+
+
+def _random_plans(seed: int, ids: list, with_road: bool):
+    """Route plans of 1 to 4 crews over ``ids``, solved on a random road graph (road
+    paths) or on a distance matrix (``road_path`` null)."""
+    rnd = random.Random(seed)
+    ids = rnd.sample(ids, len(ids))
+    depots, nodes = ids[:2], ids[2:]
+    if with_road:
+        coords = [(i, 32.0 + rnd.random(), -97.0 + rnd.random()) for i in ids]
+        edges = [(ids[j - 1], ids[j], rnd.uniform(1.0, 900.0)) for j in range(1, len(ids))]
+        edges += [(rnd.choice(ids), rnd.choice(ids), rnd.uniform(1.0, 900.0)) for _ in ids]
+        edges = [(u, v, m) for u, v, m in edges if u != v]
+        complete = shortest_path_matrix(load_road_network(coords, edges), ids)
+    else:
+        m = [[0.0 if a == b else float(rnd.randint(1, 10**6)) / 7 for b in ids] for a in ids]
+        m = [[min(m[a][b], m[b][a]) for b in range(len(ids))] for a in range(len(ids))]
+        complete = CompleteGraph.from_distances(ids, m)
+    for sid in range(6):
+        crews = rnd.sample(range(4), rnd.randint(1, 4))
+        required = {k: frozenset(rnd.sample(nodes, rnd.randint(1, 4))) for k in crews}
+        rates = {k: rnd.choice(RATES) for k in range(4)}
+        inst = RoutingInstance(complete, required, frozenset(depots), cost_rate_per_m=rates)
+        yield solve_routing(inst, rnd.choice([sid, 10**6 + sid])), complete
+
+
+class TestRoutePlanText:
+    """``_route_plan_text`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @pytest.mark.parametrize("with_road", [True, False], ids=["road-paths", "null-paths"])
+    @pytest.mark.parametrize("kind", sorted(ID_KINDS))
+    def test_equals_json_dumps(self, kind, with_road):
+        plans = 0
+        for seed in range(8):
+            for plan, complete in _random_plans(seed, ID_KINDS[kind], with_road):
+                expected = json.dumps(_route_plan_object(plan, complete), sort_keys=True,
+                                      indent=2) + "\n"
+                assert fileio._route_plan_text(plan, complete) == expected
+                plans += 1
+        assert plans == 48
+
+    def test_hand_made_values_equal_json_dumps(self):
+        """Empty arrays, int costs, an empty plan (its total is the int 0) and the
+        floats json writes in exponent form."""
+        cg = CompleteGraph.from_distances(["d", "x"], [[0.0, 5.0], [5.0, 0.0]])
+        plans = [
+            RoutePlan(3, {}),
+            RoutePlan(0, {0: Route(0, "d", "d", (), (0,), (0.0,), 0, {})}),
+            RoutePlan(-1, {2: Route(2, "d", "d", ("x",), (1e16, 5e-324), (5.0, 5.0),
+                                    123456.789, {"x": 1}),
+                           0: Route(0, "d", "x", ("x",), (), (), 1.5e-7, {"x": 1})}),
+        ]
+        for plan in plans:
+            assert fileio._route_plan_text(plan, cg) == json.dumps(
+                _route_plan_object(plan, cg), sort_keys=True, indent=2) + "\n"
 
 
 class TestGanttFiles:

@@ -1,5 +1,7 @@
 """Exact routing: DP vs permutation oracle, validation, error paths."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gridrestore import (
 )
 from gridrestore.errors import (
     NodeUnreachableError,
+    NumericOverflowError,
     TooManyNodesError,
     UnreachableArcError,
 )
@@ -165,6 +168,41 @@ class TestSolveRouting:
                 _instance(dists, ["d"], {0: frozenset(nodes[:9])}), 0
             )
 
+    def test_route_cost_past_float64_raises_overflow(self):
+        # each leg, 2 m x 1e308, is past float64
+        inst = _instance({("d", "a"): 2.0}, ["d"], {0: frozenset(["a"])}, {0: 1e308})
+        message = r"^stage 2: crew 0: route cost overflows float64; scale cost_rate_per_m down$"
+        for solver in (solve_routing, brute_force_routing):
+            with pytest.raises(NumericOverflowError, match=message):
+                solver(inst, 0)
+        # each leg is finite, their sum is not
+        inst = _instance({("d", "a"): 1.0}, ["d"], {0: frozenset(["a"])}, {0: 1e308})
+        with pytest.raises(NumericOverflowError, match="^stage 2: crew 0: route cost"):
+            solve_routing(inst, 0)
+
+    def test_plan_total_past_float64_raises_overflow(self):
+        # each crew's route costs 1e308; the two together do not fit a float64
+        inst = _instance({("d", "a"): 1.0}, ["d"], {0: frozenset(["a"]), 2: frozenset(["a"])},
+                         {0: 5e307, 2: 5e307})
+        with pytest.raises(NumericOverflowError,
+                           match="^stage 2: scenario 4: route cost overflows float64"):
+            solve_routing(inst, 4)
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("leg_costs", (math.inf, 1.0), "leg_costs[0] must be a finite number, got inf"),
+        ("leg_costs", (1.0, math.nan), "leg_costs[1] must be a finite number, got nan"),
+        ("total_cost", math.inf, "total_cost must be a finite number, got inf"),
+        ("total_cost", 10**400, "total_cost must be a finite number, got 1000"),
+    ])
+    def test_route_refuses_a_cost_that_is_not_finite(self, field, value, named):
+        fields = dict(crew=0, depot_start="d", depot_end="d", visit_order=("a",),
+                      leg_costs=(1.0, 1.0), leg_m=(1.0, 1.0), total_cost=2.0,
+                      mtz_labels={"a": 1})
+        Route(**fields)
+        with pytest.raises(ValueError) as exc:
+            Route(**{**fields, field: value})
+        assert str(exc.value).startswith(f"crew 0: {named}")
+
     def test_non_finite_or_negative_rate_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf"), -1.0, True, "1.0", 10**400):
             with pytest.raises(ValueError, match="cost rates"):
@@ -293,6 +331,39 @@ class TestOracleEquality:
         assert expected_cost(plans) == pytest.approx(
             sum(p.total_cost for p in plans) / 3
         )
+
+
+class TestSolvedMap:
+    """One ``solved`` map passed to every scenario routed over one complete graph."""
+
+    def test_shared_map_gives_the_plans_of_a_fresh_map(self, rng):
+        depots = ["d0", "d1"]
+        nodes = [f"n{i}" for i in range(7)]
+        cg = random_metric_complete(rng, depots + nodes)
+        pool = [frozenset(rng.choice(nodes, size=int(rng.integers(1, 6)), replace=False).tolist())
+                for _ in range(5)]
+        rates = {0: 1.0, 1: 0.0, 2: 2.5, 3: 0.7}
+        solved, keys, problems = {}, set(), 0
+        for sid in range(16):
+            required = {k: pool[int(rng.integers(0, len(pool)))]
+                        for k in range(4) if rng.random() < 0.8}
+            inst = RoutingInstance(cg, required, frozenset(depots), cost_rate_per_m=rates)
+            plan = solve_routing(inst, sid, solved=solved)
+            assert plan == solve_routing(inst, sid) == brute_force_routing(inst, sid)
+            keys |= {(nodes, rates[k] > 0) for k, nodes in required.items()}
+            problems += len(required)
+        # the map holds each (required set, rate > 0) once, and so spared solves
+        assert set(solved) == keys
+        assert len(keys) < problems
+
+    def test_map_entries_are_the_held_karp_results(self, rng):
+        for _ in range(10):
+            inst = random_routing_instance(rng)
+            solved = {}
+            plan = solve_routing(inst, 0, solved=solved)
+            for k, route in plan.routes.items():
+                key = (inst.required[k], inst.rate(k) > 0)
+                assert solved[key] == (route.depot_start, route.depot_end, route.visit_order)
 
 
 class TestValidation:
