@@ -1,11 +1,12 @@
 """Versioned on-disk artifacts and CSV ingestion.
 
-JSON artifacts are written with sorted keys and no timestamps, so identical
-inputs produce byte-identical files. Maps keyed by node ids are stored as
-sorted [id, value] pair lists, which keeps JSON round-trips type-faithful
-(integer ids stay integers). Distances are serialized as fixed-point meter
-strings with 3 decimals, matching the millimeter quantization used for all
-shortest-path arithmetic.
+Every JSON artifact is written by one encoder, ``_json_text``, whose bytes equal
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline. Artifacts hold no
+timestamps, so identical inputs produce byte-identical files. Maps keyed by node
+ids are stored as sorted [id, value] pair lists, which keeps JSON round-trips
+type-faithful (integer ids stay integers). Distances are serialized as
+fixed-point meter strings with 3 decimals, matching the millimeter quantization
+used for all shortest-path arithmetic.
 
 Every artifact is written through ``_write_text``, which leaves a file that
 already holds the same bytes untouched and otherwise overwrites it in place,
@@ -127,7 +128,48 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def write_json_artifact(path: str | Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json_text(obj))
+
+
+def _json_text(obj) -> str:
+    """``obj`` as the bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+
+    Dicts with str keys, lists and tuples are laid out here, and strs, ints and
+    finite floats are written as ``json`` writes them; any other value goes to
+    ``json.dumps``. A dict, list or tuple subclass, or a key that is no str, is a
+    TypeError: no writer passes one, and ``json.dumps`` would not lay it out so.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(value, pad: str) -> str:
+    """``value`` as ``_json_text`` writes it, where ``pad`` is a newline and the
+    indentation of the enclosing line. Types are compared exactly: most values of
+    an artifact are strs (node ids), which are encoded in place."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        # encode_basestring_ascii refuses a key that is no str
+        return "{" + inner + ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: "
+            f"{encode_basestring_ascii(v) if type(v) is str else _encode(v, inner)}"
+            for k, v in sorted(value.items())]) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            encode_basestring_ascii(v) if type(v) is str else _encode(v, inner)
+            for v in value]) + pad + "]"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return kind.__repr__(value)
+    if isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"a {kind.__name__} is not written to a JSON artifact")
+    return json.dumps(value)  # a bool, None, a non-finite float, a str or number subclass
 
 
 @contextmanager
@@ -527,76 +569,26 @@ def read_allocation_file(path: str | Path):
 def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteGraph) -> None:
     """Route plan with per-leg costs, distances and road-level paths; the
     complete graph supplies only the paths (null without predecessor data)."""
-    _write_text(path, _route_plan_text(plan, complete))
-
-
-# A route plan is most of what ``solve`` writes, so it is built as text, not through
-# the pure-Python ``indent`` encoder of ``json``. ``_route_plan_text`` writes each
-# object's keys in sorted order and lays the document out as
-# ``json.dumps(doc, sort_keys=True, indent=2)`` does; ``_leaf`` formats each value.
-
-
-def _leaf(value) -> str:
-    """A str, int or float as ``json.dumps`` writes it."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int or kind is float and math.isfinite(value):
-        return kind.__repr__(value)
-    return json.dumps(value)  # a bool, None, a non-finite float or a subclass
-
-
-def _array(items: list[str], pad: str) -> str:
-    """Encoded ``items`` as an ``indent=2`` array whose closing bracket follows ``pad``
-    (a newline and the enclosing indentation)."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
-
-
-def _object(members: Sequence[tuple[str, str]], pad: str) -> str:
-    """``(key, encoded value)`` pairs, keys in sorted order, as an ``indent=2`` object."""
-    inner = pad + "  "
-    return "{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in members) + pad + "}"
-
-
-def _route_plan_text(plan: RoutePlan, complete: CompleteGraph) -> str:
-    """The route_plan/1 document of ``plan``, byte for byte
-    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
-    pad2, pad4, pad6, pad8, pad10 = ("\n" + " " * n for n in (2, 4, 6, 8, 10))
     routes = []
     for k in sorted(plan.routes):
         r = plan.routes[k]
-        legs = []
-        for (u, v), cost, meters in zip(r.arcs(), r.leg_costs, r.leg_m):
-            road_path = complete.path(u, v)
-            legs.append(_object((
-                ("cost", _leaf(cost)),
-                ("distance_m", f'"{meters_str(meters)}"'),
-                ("from", _leaf(u)),
-                ("road_path", "null" if road_path is None
-                 else _array(list(map(_leaf, road_path)), pad10)),
-                ("to", _leaf(v)),
-            ), pad8))
-        labels = [_array([_leaf(i), _leaf(r.mtz_labels[i])], pad8)
-                  for i in sorted(r.mtz_labels, key=node_key)]
-        routes.append(_object((
-            ("crew", _leaf(k)),
-            ("depot_end", _leaf(r.depot_end)),
-            ("depot_start", _leaf(r.depot_start)),
-            ("leg_costs", _array(list(map(_leaf, r.leg_costs)), pad6)),
-            ("legs", _array(legs, pad6)),
-            ("mtz_labels", _array(labels, pad6)),
-            ("total_cost", _leaf(r.total_cost)),
-            ("visit_order", _array(list(map(_leaf, r.visit_order)), pad6)),
-        ), pad4))
-    return _object((
-        ("routes", _array(routes, pad2)),
-        ("scenario_id", _leaf(plan.scenario_id)),
-        ("schema", _leaf(SCHEMA_ROUTES)),
-        ("total_cost", _leaf(plan.total_cost)),
-    ), "\n") + "\n"
+        legs = [{"from": u, "to": v, "cost": cost, "distance_m": meters_str(meters),
+                 "road_path": complete.path(u, v)}
+                for (u, v), cost, meters in zip(r.arcs(), r.leg_costs, r.leg_m)]
+        routes.append({
+            "crew": k,
+            "depot_start": r.depot_start,
+            "depot_end": r.depot_end,
+            "visit_order": r.visit_order,
+            "leg_costs": r.leg_costs,
+            "total_cost": r.total_cost,
+            "mtz_labels": [[i, r.mtz_labels[i]] for i in sorted(r.mtz_labels, key=node_key)],
+            "legs": legs,
+        })
+    # _write_text, not write_json_artifact: perfbench times each write_* call and
+    # counts its bytes once
+    _write_text(path, _json_text({"schema": SCHEMA_ROUTES, "scenario_id": plan.scenario_id,
+                                  "routes": routes, "total_cost": plan.total_cost}))
 
 
 def _leg_meters(rec: dict, path: str | Path) -> tuple[float, ...]:

@@ -192,10 +192,14 @@ class RoutePlan:
 
 
 def expected_cost(plans: Sequence[RoutePlan]) -> float:
-    """Mean total travel cost across scenario plans."""
+    """Mean total travel cost across scenario plans; a NumericOverflowError when the
+    finite totals sum past float64."""
     if not plans:
         return 0.0
-    return sum(p.total_cost for p in plans) / len(plans)
+    mean = sum(p.total_cost for p in plans) / len(plans)
+    if not math.isfinite(mean):
+        raise NumericOverflowError("stage 2: expected route cost", _OVERFLOW_INPUTS)
+    return mean
 
 
 def route_cost(route: Route, inst: RoutingInstance) -> float:

@@ -953,6 +953,30 @@ class TestSolveAndSchedule:
             "scale cost_rate_per_m down\n")
         assert not (fresh / "routes_s0.json").exists()
 
+    def test_expected_cost_past_float64_exits_input(self, fixture_dir, tmp_path, capsys):
+        """Finite plan totals whose sum leaves float64 exit 3, not an expected cost of
+        inf, and solve records no manifest entry."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        totals = [json.loads(path.read_text())["total_cost"]
+                  for path in sorted(out.glob("routes_s*.json"))]
+        # the largest plan total stays finite at this rate; their sum does not
+        rate = 1e308 / max(totals)
+        assert sum(totals) / max(totals) > 1.8
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema": "config/1", "cost_rate_per_m": [rate] * 4}))
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        code = main(["--out-dir", str(fresh), "--config", str(config), "solve",
+                     "--network", str(out / "network.json"),
+                     "--scenarios", str(out / "scenarios.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT, captured.err
+        assert captured.err == ("error: stage 2: expected route cost overflows float64; "
+                                "scale cost_rate_per_m down\n")
+        assert "expected route cost" not in captured.out
+        assert not (fresh / "run_manifest.json").exists()
+
     def test_plan_for_another_scenario_rejected(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
         run_pipeline(fixture_dir, out)

@@ -1,14 +1,17 @@
 """Artifact round-trips, fixed-point distances, and schema errors."""
 
+import collections
 import csv
 import io
 import json
+import math
 import os
 import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridrestore import (
     CompleteGraph,
@@ -25,6 +28,8 @@ from gridrestore import (
     GanttEntry,
     Route,
     RoutePlan,
+    Scenario,
+    ScenarioSet,
 )
 from gridrestore import fileio
 from gridrestore.network import node_key
@@ -239,8 +244,8 @@ class TestRoutePlanFile:
 
 
 def _route_plan_object(plan, complete) -> dict:
-    """The route_plan/1 document as an object, as it was built for ``json.dumps``
-    before route plans were written as text."""
+    """The route_plan/1 document as an object of plain lists and dicts, for
+    ``json.dumps``."""
     routes = []
     for k in sorted(plan.routes):
         r = plan.routes[k]
@@ -302,21 +307,26 @@ def _random_plans(seed: int, ids: list, with_road: bool):
 
 
 class TestRoutePlanText:
-    """``_route_plan_text`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+    """``write_route_plan_file`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @staticmethod
+    def _written(plan, complete, path):
+        fileio.write_route_plan_file(plan, path, complete)
+        return path.read_bytes().decode("utf-8")
 
     @pytest.mark.parametrize("with_road", [True, False], ids=["road-paths", "null-paths"])
     @pytest.mark.parametrize("kind", sorted(ID_KINDS))
-    def test_equals_json_dumps(self, kind, with_road):
+    def test_equals_json_dumps(self, kind, with_road, tmp_path):
         plans = 0
         for seed in range(8):
             for plan, complete in _random_plans(seed, ID_KINDS[kind], with_road):
                 expected = json.dumps(_route_plan_object(plan, complete), sort_keys=True,
                                       indent=2) + "\n"
-                assert fileio._route_plan_text(plan, complete) == expected
+                assert self._written(plan, complete, tmp_path / f"p{plans}.json") == expected
                 plans += 1
         assert plans == 48
 
-    def test_hand_made_values_equal_json_dumps(self):
+    def test_hand_made_values_equal_json_dumps(self, tmp_path):
         """Empty arrays, int costs, an empty plan (its total is the int 0) and the
         floats json writes in exponent form."""
         cg = CompleteGraph.from_distances(["d", "x"], [[0.0, 5.0], [5.0, 0.0]])
@@ -327,9 +337,61 @@ class TestRoutePlanText:
                                     123456.789, {"x": 1}),
                            0: Route(0, "d", "x", ("x",), (), (), 1.5e-7, {"x": 1})}),
         ]
-        for plan in plans:
-            assert fileio._route_plan_text(plan, cg) == json.dumps(
+        for n, plan in enumerate(plans):
+            assert self._written(plan, cg, tmp_path / f"p{n}.json") == json.dumps(
                 _route_plan_object(plan, cg), sort_keys=True, indent=2) + "\n"
+
+
+# JSON documents as the artifact writers build them: str-keyed dicts, lists and
+# tuples over every kind of leaf json writes, subclasses of str, int and float too
+JSON_LEAVES = st.one_of(
+    st.text(), st.sampled_from(ODD_IDS),
+    st.integers(), st.sampled_from([2**64, -2**64 - 1, 2**70 + 3, -10**30]),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1.5e-7, math.nan, math.inf, -math.inf]),
+    st.booleans(), st.none(),
+    st.sampled_from([type("Name", (str,), {})("n\u00e9"), type("Count", (int,), {})(7),
+                     type("Real", (float,), {})(0.1)]),
+)
+JSON_DOCS = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(), st.sampled_from(ODD_IDS)), inner, max_size=4),
+), max_leaves=24)
+
+
+class TestJsonText:
+    """``_json_text``, the one encoder of every JSON artifact, writes the bytes of
+    ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(doc=JSON_DOCS)
+    def test_equals_json_dumps(self, doc):
+        assert fileio._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_tuples_are_laid_out_as_arrays(self, tmp_path):
+        """The scenario writer passes ``zip`` tuples: they are indented like lists, not
+        written on one line as a leaf."""
+        doc = {"rows": list(zip(["a", "b"], [[1.5, 2], [3, 4.0]])), "empty": ((), [()])}
+        text = fileio._json_text(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert '[\n      "a",\n      [\n        1.5,' in text
+        sset = ScenarioSet(
+            (Scenario(0, {("a", k): 1.0 + k for k in range(4)},
+                      {("a", k): k for k in range(4)}, [("a", "b")]),),
+            seed=1, damaged=frozenset("a"), config={"n_scenarios": 1})
+        path = tmp_path / "scenarios.json"
+        fileio.write_scenario_file(sset, path)
+        assert path.read_text() == json.dumps(json.loads(path.read_text()), sort_keys=True,
+                                              indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {1: "a"}, {"a": [{"b": 0, 2: 0}]}, {None: 1},
+        collections.OrderedDict(a=1), [collections.namedtuple("Pair", "u v")(1, 2)],
+        {"a": type("Rows", (list,), {})([1])},
+    ], ids=["int-key", "nested-mixed-keys", "null-key", "dict-subclass", "tuple-subclass",
+            "list-subclass"])
+    def test_a_non_str_key_or_container_subclass_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            fileio._json_text(doc)
 
 
 class TestGanttFiles:

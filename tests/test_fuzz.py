@@ -73,9 +73,9 @@ def _with_leaf(root, doc, where, value):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A triangle road with one depot, two damaged nodes and two scenarios that solve
-    and schedule; the routes and the allocation stay in ``routes/``. Each artifact's
-    parsed document and leaf roles come along."""
+    """A triangle road with one depot and two damaged nodes that gen-scenarios samples
+    from, and two scenarios that solve and schedule; the routes and the allocation stay
+    in ``routes/``. Each artifact's parsed document and leaf roles come along."""
     root = tmp_path_factory.mktemp("fuzz")
     road = load_road_network([("a", 32.0, -97.0), ("b", 32.01, -97.0), ("c", 32.0, -97.01)],
                              [("a", "b", 1200.0), ("b", "c", 1500.0), ("a", "c", 900.0)])
@@ -90,6 +90,7 @@ def inputs(tmp_path_factory):
     sset = ScenarioSet(scenarios, seed=0, damaged=frozenset("ac"), config={"n_scenarios": 2},
                        loads_kw={"a": 40.0, "c": 25.0})
     fileio.write_scenario_file(sset, root / "scenarios.json")
+    assert _stage(root, "gen", "gen-scenarios")[0] == EXIT_OK
     assert _stage(root, "routes", "solve")[0] == EXIT_OK
     assert _stage(root, "routes", "schedule")[0] == EXIT_OK
     docs = {path.name: json.loads(path.read_text())
@@ -101,8 +102,9 @@ def inputs(tmp_path_factory):
 def _stage(root, out, stage, network="network.json", scenarios="scenarios.json",
            routes="routes"):
     """Run one stage on the files in ``root``; its exit code and stderr."""
-    argv = ["--out-dir", str(root / out), stage, "--network", str(root / network),
-            "--scenarios", str(root / scenarios)]
+    argv = ["--out-dir", str(root / out), stage, "--network", str(root / network)]
+    if stage != "gen-scenarios":
+        argv += ["--scenarios", str(root / scenarios)]
     if stage == "schedule":
         argv += ["--routes-dir", str(root / routes)]
     err = io.StringIO()
@@ -124,12 +126,12 @@ def test_one_bad_leaf_never_exits_internal(inputs, data):
     _assert_documented(_stage(inputs[0], "out", "solve", scenarios=bad.name))
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_one_bad_network_leaf_never_exits_internal(inputs, data):
-    """``network.json`` with one bad leaf, through ``solve`` and ``schedule``."""
+    """``network.json`` with one bad leaf, through every stage that reads it."""
     bad = _bad_file(inputs, data, "network.json")
-    for stage in ("solve", "schedule"):
+    for stage in ("gen-scenarios", "solve", "schedule"):
         _assert_documented(_stage(inputs[0], "out", stage, network=bad.name))
 
 

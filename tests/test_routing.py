@@ -188,6 +188,15 @@ class TestSolveRouting:
                            match="^stage 2: scenario 4: route cost overflows float64"):
             solve_routing(inst, 4)
 
+    def test_expected_cost_past_float64_raises_overflow(self):
+        # each plan costs 1e308; their sum does not fit a float64, their mean would
+        inst = _instance({("d", "a"): 1.0}, ["d"], {0: frozenset(["a"])}, {0: 5e307})
+        plans = [solve_routing(inst, s) for s in (0, 1)]
+        assert expected_cost(plans[:1]) == plans[0].total_cost == 1e308
+        with pytest.raises(NumericOverflowError, match=r"^stage 2: expected route cost overflows "
+                           r"float64; scale cost_rate_per_m down$"):
+            expected_cost(plans)
+
     @pytest.mark.parametrize("field, value, named", [
         ("leg_costs", (math.inf, 1.0), "leg_costs[0] must be a finite number, got inf"),
         ("leg_costs", (1.0, math.nan), "leg_costs[1] must be a finite number, got nan"),
