@@ -36,7 +36,13 @@ from .network import (
     node_key,
     shortest_path_matrix,
 )
-from .routing import RoutingInstance, expected_cost, solve_routing, validate_routes
+from .routing import (
+    RoutingInstance,
+    crew_problems,
+    expected_cost,
+    solve_routing,
+    validate_routes,
+)
 from .scenario import CREW_NAMES, N_CREWS, ScenarioConfig, generate_scenarios
 from .schedule import DEFAULT_SPEED_KMH, build_schedule, combine_charts
 
@@ -328,8 +334,13 @@ def cmd_solve(args, config: PipelineConfig) -> int:
     validation = []
     plans = []
     # One closure per distinct failure set, kept only until its last scenario,
-    # with the Held-Karp results solved over it (solve_routing's `solved`)
-    last_use = {sc.failed_edges: sc.scenario_id for sc in sset.scenarios}
+    # with the Held-Karp results solved over it (solve_routing's `solved`). Its
+    # first scenario solves the crew problems of all its scenarios (`ahead`).
+    last_use, problems = {}, {}
+    for sc in sset.scenarios:
+        last_use[sc.failed_edges] = sc.scenario_id
+        problems.setdefault(sc.failed_edges, {}).update(
+            dict.fromkeys(crew_problems(sc.required(), rates).values()))
     closures = {}
     for scenario in sset.scenarios:
         failed = scenario.failed_edges
@@ -338,7 +349,8 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         if last_use[failed] > scenario.scenario_id:
             closures[failed] = complete, solved
         rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates)
-        plan = solve_routing(rinst, scenario.scenario_id, solved=solved)
+        plan = solve_routing(rinst, scenario.scenario_id, solved=solved,
+                             ahead=problems.pop(failed, ()))
         report = validate_routes(plan, rinst)
         name = f"routes_s{scenario.scenario_id}.json"
         fileio.write_route_plan_file(plan, out_dir / name, complete)

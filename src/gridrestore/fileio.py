@@ -268,7 +268,17 @@ def _road_from_json(obj: dict, path: str | Path) -> RoadGraph:
             lat = _number(lat, "lat", "{}: node {!r}", path, n)
             lon = _number(lon, "lon", "{}: node {!r}", path, n)
         nodes.append((n, lat, lon))
-    edges = [(u, v, _parse_number(m, "distance", "{}", path)) for u, v, m in obj["edges"]]
+    edges = []
+    for u, v, m in obj["edges"]:
+        # a str that float parses to a finite value passes straight through;
+        # anything else gets _parse_number's value or error
+        try:
+            meters = float(m) if type(m) is str else math.nan
+        except ValueError:
+            meters = math.nan
+        if not math.isfinite(meters):
+            meters = _parse_number(m, "distance", "{}", path)
+        edges.append((u, v, meters))
     return RoadGraph(tuple(nodes), tuple(edges))
 
 
@@ -660,15 +670,14 @@ def write_gantt_csv(chart: GanttChart, path: str | Path) -> None:
 def read_gantt_csv(path: str | Path) -> GanttChart:
     entries = []
     for lineno, row in _read_csv(path, GANTT_HEADER):
-        entries.append(
-            GanttEntry(
-                scenario_id=_int_field(row, "scenario", path, lineno),
-                node_id=row["node"],
-                crew=_int_field(row, "crew", path, lineno),
-                start_h=_float_field(row, "start_h", path, lineno),
-                finish_h=_float_field(row, "finish_h", path, lineno),
-            )
-        )
+        fields = (_int_field(row, "scenario", path, lineno), row["node"],
+                  _int_field(row, "crew", path, lineno),
+                  _float_field(row, "start_h", path, lineno),
+                  _float_field(row, "finish_h", path, lineno))
+        try:
+            entries.append(GanttEntry(*fields))
+        except ValueError as exc:  # an interval out of order
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
     return GanttChart.from_entries(entries)
 
 

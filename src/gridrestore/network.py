@@ -336,21 +336,26 @@ class CompleteGraph:
     ``dist_mm`` is the integer-millimeter matrix (-1 where unreachable), and
     ``reachable`` is derived from it as ``dist_mm >= 0``; ``dist`` is the
     float view in meters with inf where unreachable. When built from a road
-    graph (``shortest_path_matrix``), it keeps terminal i's search, and
-    ``positions[i]`` is that terminal's position in ``road_nodes``; these
-    three are keyword-only. ``path`` resumes a search until the asked
-    terminal is settled, then follows its predecessors.
+    graph (``shortest_path_matrix``), it keeps the predecessor array of
+    terminal i's search as ``_preds[i]``, and ``positions[i]`` is that
+    terminal's position in ``road_nodes``; these three are keyword-only.
+
+    ``path(u, v)`` is the shortest-path tree path of whichever of u and v is
+    listed first in ``terminals``: that terminal's search settled the other
+    one. Where two shortest paths tie, the order of ``terminals`` therefore
+    decides which one a leg takes. Each pair's path is kept once built.
     """
 
     terminals: tuple[NodeId, ...]
     dist_mm: np.ndarray
     road_nodes: tuple[tuple[NodeId, float, float], ...] = field(default=(), kw_only=True)
     positions: tuple[int, ...] = field(default=(), kw_only=True)
-    _searches: tuple = field(default=(), repr=False, kw_only=True)
+    _preds: tuple = field(default=(), repr=False, kw_only=True)
 
     reachable: np.ndarray = field(init=False)
     _index: dict = field(init=False, repr=False)
     _dist_m: np.ndarray = field(init=False, repr=False)
+    _paths: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.terminals)
@@ -372,6 +377,7 @@ class CompleteGraph:
         object.__setattr__(self, "reachable", reachable)
         object.__setattr__(self, "_dist_m", dist_m)
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.terminals)})
+        object.__setattr__(self, "_paths", {})
 
     @classmethod
     def from_distances(cls, terminals: Sequence[NodeId], dist_m) -> "CompleteGraph":
@@ -394,29 +400,30 @@ class CompleteGraph:
             raise UnknownTerminalError(f"{terminal!r} is not a terminal") from None
 
     def dist_m(self, u: NodeId, v: NodeId) -> float:
-        return float(self._dist_m[self.index(u), self.index(v)])
+        return self._dist_m.item(self.index(u), self.index(v))
 
     def is_reachable(self, u: NodeId, v: NodeId) -> bool:
         return bool(self.reachable[self.index(u), self.index(v)])
 
     def path(self, u: NodeId, v: NodeId) -> tuple[NodeId, ...] | None:
         """One shortest road path from u to v, or None without a road graph."""
-        if not self._searches:
+        if not self._preds:
             return None
         iu, iv = self.index(u), self.index(v)
-        if not self.reachable[iu, iv]:
-            return None
-        if u == v:
-            return (u,)
-        search = self._searches[iu]
-        start, end = self.positions[iu], self.positions[iv]
-        search.settle((end,))
-        pred = search.pred
-        seq = [end]
+        found = self._paths.get((iu, iv))
+        if found is not None or not self.reachable[iu, iv]:
+            return found
+        # walk the tree of the terminal listed first, from the other terminal
+        root, leaf = (iu, iv) if iu < iv else (iv, iu)
+        pred, start = self._preds[root], self.positions[root]
+        seq = [self.positions[leaf]]
         while seq[-1] != start:
             seq.append(pred[seq[-1]])
+        if iu < iv:
+            seq.reverse()
         nodes = self.road_nodes
-        return tuple(nodes[p][0] for p in reversed(seq))
+        found = self._paths[iu, iv] = tuple(nodes[p][0] for p in seq)
+        return found
 
 
 def load_road_network(
@@ -507,54 +514,37 @@ def apply_road_failures(
     return road._without(rows) if rows else road
 
 
-class _Search:
-    """One source's Dijkstra search on node positions, run in steps.
+def _dijkstra(adj: tuple, source: int, targets: Sequence[int]) -> tuple[list, list]:
+    """Distances and predecessors of one source's Dijkstra search on node
+    positions, stopped once every target is settled or the heap is empty.
 
-    ``settle(targets)`` runs until every target is settled or the heap is
-    empty, and the next call resumes where it stopped. A node's edges are
-    relaxed as soon as it is settled, before the target check, so the state
-    after any number of steps is that of one full run after the same number
-    of heap pops. A settled node's ``dist`` (-1 where unreached) and
-    ``pred`` chain are therefore the full run's.
+    Distances are -1 where unreached. Equal distances pop in push order, and a
+    node's edges are relaxed before the stop check, so a settled node's
+    distance and predecessor chain are those of a search run to the end.
     """
-
-    __slots__ = ("adj", "dist", "pred", "done", "heap", "pushed")
-
-    def __init__(self, adj: tuple, source: int):
-        self.adj = adj
-        self.dist = [-1] * len(adj)
-        self.pred = [-1] * len(adj)
-        self.done = bytearray(len(adj))
-        self.dist[source] = 0
-        self.heap = [(0, 0, source)]
-        self.pushed = 0  # heap tie-break: equal distances pop in push order
-
-    def settle(self, targets: Iterable[int]) -> None:
-        done = self.done
-        left = {t for t in targets if not done[t]}
-        if not left:
-            return
-        adj, dist, pred, heap = self.adj, self.dist, self.pred, self.heap
-        pushed = self.pushed
-        heappop, heappush = heapq.heappop, heapq.heappush
-        while heap:
-            d, _, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = 1
-            for v, w in adj[u]:
-                nd = d + w
-                dv = dist[v]
-                if dv < 0 or nd < dv:
-                    dist[v] = nd
-                    pred[v] = u
-                    pushed += 1
-                    heappush(heap, (nd, pushed, v))
-            if u in left:
-                left.remove(u)
-                if not left:
-                    break
-        self.pushed = pushed
+    dist = [-1] * len(adj)
+    pred = [-1] * len(adj)
+    dist[source] = 0
+    left = set(targets)
+    done = bytearray(len(adj))
+    heap = [(0, 0, source)]
+    pushed = 0
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while heap and left:
+        d, _, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = 1
+        for v, w in adj[u]:
+            nd = d + w
+            dv = dist[v]
+            if dv < 0 or nd < dv:
+                dist[v] = nd
+                pred[v] = u
+                pushed += 1
+                heappush(heap, (nd, pushed, v))
+        left.discard(u)
+    return dist, pred
 
 
 def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> CompleteGraph:
@@ -565,11 +555,13 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
 
     Each pair is settled once: terminal i's search stops when the terminals
     after i are settled, and ``dist_mm[j, i]`` is ``dist_mm[i, j]`` (the
-    graph is undirected and the lengths are integers). ``CompleteGraph.path``
-    resumes a search only for the legs it is asked for. Every order of
-    ``terminals`` gives the same distances and paths; the order decides how
-    much of the road is searched. List first the terminals whose searches
-    must reach farthest anyway, such as depots that every route leaves from.
+    graph is undirected and the lengths are integers). Only each search's
+    predecessor array is kept, and ``CompleteGraph.path`` reads a leg's road
+    path from the tree of the terminal listed first. Every order of
+    ``terminals`` gives the same distances; the order decides how much of the
+    road is searched, and which path a leg takes where shortest paths tie.
+    List first the terminals whose searches must reach farthest anyway, such
+    as depots that every route leaves from.
     """
     terminals = tuple(terminals)
     missing = [t for t in terminals if not road.has_node(t)]
@@ -581,14 +573,13 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
     n = len(terminals)
     positions = tuple(road._index[t] for t in terminals)
     dist_mm = np.zeros((n, n), dtype=np.int64)
-    searches = []
+    preds = []
     for i, p in enumerate(positions):
-        search = _Search(road._adj, p)
         later = positions[i + 1:]
-        search.settle(later)
-        row = [search.dist[q] for q in later]
+        dist, pred = _dijkstra(road._adj, p, later)
+        row = [dist[q] for q in later]
         dist_mm[i, i + 1:] = row
         dist_mm[i + 1:, i] = row
-        searches.append(search)
+        preds.append(pred)
     return CompleteGraph(terminals, dist_mm, road_nodes=road.nodes, positions=positions,
-                         _searches=tuple(searches))
+                         _preds=tuple(preds))

@@ -3,22 +3,26 @@
 Each crew with outstanding demand gets one depot-to-depot path visiting its
 required nodes exactly once. ``brute_force_routing`` enumerates every
 permutation and depot pair. ``solve_routing`` runs a Held-Karp dynamic
-program over node subsets in numpy: a backward pass fills the cost-to-go
+program over node subsets: a numpy backward pass fills the cost-to-go
 ``g[mask, last]`` (finish every node outside ``mask`` from ``last``, then go
-home to the best depot) one popcount layer at a time, and a forward pass
-rebuilds the route greedily, taking at each step the smallest node that
-still attains the optimum. Both solvers share one tie-break rule, so their
-output is bit-identical: minimum cost, then lexicographically smallest visit
-order, then smallest (depot_start, depot_end).
+home to the best depot) one popcount layer at a time, and a forward pass in
+plain Python rebuilds the route greedily, taking at each step the smallest
+node that still attains the optimum. Both solvers share one tie-break rule,
+so their output is bit-identical: minimum cost, then lexicographically
+smallest visit order, then smallest (depot_start, depot_end).
 
 Both solvers optimize integer millimeters x the crew's rate, so equal costs
 are exact ties, and the optimal order and depots depend only on the required
-set and on whether the rate is positive. ``solve_routing`` therefore solves
-each distinct (required set, rate > 0) once and shares the result between
-crews; a caller that routes many scenarios over one closure can pass the same
-``solved`` map to each call. Reported leg costs and totals are each crew's own
-float arc costs summed left to right, and a cost that leaves the float64 range
-raises ``NumericOverflowError``.
+set and on whether the rate is positive: the crew's problem. ``solve_routing``
+therefore solves each distinct problem once and shares the result between
+crews. A caller that routes many scenarios over one closure can pass the same
+``solved`` map to each call, and the problems of the later scenarios as
+``ahead`` to the first. One table over the union of several required sets
+answers each of them (``_HeldKarp``), so a closure's problems cost one table
+per rate flag wherever that table is no larger than theirs together.
+Reported leg costs and totals are each crew's own float arc costs summed left
+to right, and a cost that leaves the float64 range raises
+``NumericOverflowError``.
 """
 
 from __future__ import annotations
@@ -54,8 +58,10 @@ BRUTE_NODE_CAP = 8
 # what a stage-2 NumericOverflowError asks the user to scale down
 _OVERFLOW_INPUTS = "cost_rate_per_m"
 
-# (required set, rate > 0) -> the optimal (depot_start, depot_end, visit order)
-Solved = dict[tuple[frozenset[NodeId], bool], tuple[NodeId, NodeId, tuple[NodeId, ...]]]
+# A crew's routing problem: its required set and whether its rate is positive
+Problem = tuple[frozenset[NodeId], bool]
+# problem -> the optimal (depot_start, depot_end, visit order)
+Solved = dict[Problem, tuple[NodeId, NodeId, tuple[NodeId, ...]]]
 
 
 @dataclass(frozen=True)
@@ -253,22 +259,22 @@ def _route_from_order(
     return Route(crew, d0, d1, order, legs, leg_m, total, _mtz_labels(order))
 
 
-def _arc_mm(inst: RoutingInstance, crew: int, stops: Sequence[NodeId]) -> np.ndarray:
+def _arc_mm(inst: RoutingInstance, positive: bool, stops: Sequence[NodeId]) -> np.ndarray:
     """Integer millimeters between ``stops`` by index; -1 where unreachable.
 
-    A route costs rate x its millimeters, so for a positive rate the
+    A route costs rate x its millimeters, so for a ``positive`` rate the
     millimeters order routes exactly; at rate 0 every reachable arc costs 0.
     """
     ix = [inst.complete.index(s) for s in stops]
     mm = inst.complete.dist_mm[np.ix_(ix, ix)]
-    return mm if inst.rate(crew) > 0 else np.minimum(mm, 0)
+    return mm if positive else np.minimum(mm, 0)
 
 
 def _arc_table(inst: RoutingInstance, crew: int,
                stops: Sequence[NodeId]) -> list[list[int | None]]:
-    """``_arc_mm`` as Python ints, None where unreachable."""
+    """``_arc_mm`` of the crew's rate as Python ints, None where unreachable."""
     return [[None if mm < 0 else mm for mm in row]
-            for row in _arc_mm(inst, crew, stops).tolist()]
+            for row in _arc_mm(inst, inst.rate(crew) > 0, stops).tolist()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,47 +294,123 @@ def _mask_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(layers)
 
 
+class _HeldKarp:
+    """The Held-Karp cost-to-go over a node set, which answers any subset of it.
+
+    ``g[mask, last]`` is the cheapest way on from ``last``, having visited
+    ``mask``, through every other node and home to the best depot. A subset S
+    is answered by starting with ``mask`` holding the nodes outside S: the
+    entries it reads are the ones a table over S alone would hold, bit for bit.
+    """
+
+    def __init__(self, inst: RoutingInstance, positive: bool, nodes: Sequence[NodeId]):
+        self.depots = sorted(inst.depots, key=node_key)
+        self.nodes = nodes = sorted(nodes, key=node_key)
+        m, n = len(self.depots), len(nodes)
+        # float64 sums of millimeters are exact while a route stays below 2**53
+        # mm (9e9 km, far beyond any road), so equal sums are exact ties
+        mm = _arc_mm(inst, positive, self.depots + nodes)  # node i is stop m + i
+        arcs = np.where(mm < 0, np.inf, mm)
+        first, step, home = arcs[:m, m:], arcs[m:, m:], arcs[m:, :m]
+        idx = np.arange(n)
+        g = np.empty((1 << n, n))
+        g[-1] = home.min(axis=1)
+        for masks, grown, held in reversed(_mask_layers(n)):
+            ahead = g[grown, idx]
+            ahead[held] = np.inf
+            g[masks] = (step[None, :, :] + ahead[:, None, :]).min(axis=2)
+        self.g = g
+        self.position = {node: i for i, node in enumerate(nodes)}
+        # by node: the arcs out of each depot, the arcs to each node, the arcs home
+        self.first, self.step, self.home = first.T.tolist(), step.tolist(), home.tolist()
+        self.first_min = first.min(axis=0).tolist()
+
+    def order(self, required: frozenset[NodeId]
+              ) -> tuple[NodeId, NodeId, tuple[NodeId, ...]] | None:
+        """The optimal (depot_start, depot_end, visit order) through ``required``
+        under the shared tie-break. None when ``_check_reachability`` refuses
+        ``required`` (read from the same arcs: inf where unreachable), or when
+        no depot-to-depot route exists.
+
+        Forward, take the smallest node that still attains the optimum (a
+        strict ``<`` keeps the first minimum, as numpy's argmin does): the
+        lexicographically smallest optimal order.
+        """
+        g, step, first_min = self.g, self.step, self.first_min
+        todo = sorted(self.position[i] for i in required)
+        rep = step[todo[0]]
+        if not all(first_min[j] < math.inf and rep[j] < math.inf for j in todo):
+            return None
+        mask = len(g) - 1
+        for j in todo:
+            mask ^= 1 << j
+        path = []
+        costs = first_min  # from the best depot
+        for _ in todo:
+            best, pick = math.inf, -1
+            for j in todo:
+                if not mask >> j & 1:
+                    cost = costs[j] + g.item(mask | 1 << j, j)
+                    if cost < best:
+                        best, pick = cost, j
+            if pick < 0:  # only the first step can find no finite cost
+                return None
+            path.append(pick)
+            mask |= 1 << pick
+            costs = step[pick]
+        first, home = self.first[path[0]], self.home[path[-1]]
+        d0 = min(range(len(first)), key=first.__getitem__)
+        d1 = min(range(len(home)), key=home.__getitem__)
+        return self.depots[d0], self.depots[d1], tuple(self.nodes[i] for i in path)
+
+
+def _states(n: int) -> int:
+    """The size of a Held-Karp table over n nodes: 2**n masks x n last nodes."""
+    return n << n
+
+
+def _solve_problems(inst: RoutingInstance, problems: Iterable[Problem]) -> Solved:
+    """The Held-Karp answers to ``problems``, from as few tables as pays.
+
+    Per rate flag, one table over the union D of the problems' sets answers
+    them all when D is within ``SOLVE_NODE_CAP`` and its table is no larger
+    than their own tables together; otherwise each set gets its own table. A
+    set over the cap, or one that ``_check_reachability`` refuses, is left
+    out: solving it for its own crew raises. Each table is dropped on return.
+    """
+    solved: Solved = {}
+    for positive in (True, False):
+        sets = [nodes for nodes, pos in problems
+                if pos == positive and len(nodes) <= SOLVE_NODE_CAP]
+        if not sets:
+            continue
+        union = frozenset().union(*sets)
+        if (len(union) <= SOLVE_NODE_CAP
+                and _states(len(union)) <= sum(_states(len(s)) for s in sets)):
+            groups = [(union, sets)]
+        else:
+            groups = [(nodes, [nodes]) for nodes in sets]
+        for domain, members in groups:
+            table = _HeldKarp(inst, positive, domain)
+            for nodes in members:
+                answer = table.order(nodes)
+                if answer is not None:
+                    solved[nodes, positive] = answer
+    return solved
+
+
 def _solve_crew_dp(inst: RoutingInstance, crew: int) -> tuple[NodeId, NodeId, tuple[NodeId, ...]]:
-    """The optimal (depot_start, depot_end, visit order) under the shared tie-break."""
+    """The optimal (depot_start, depot_end, visit order) under the shared tie-break,
+    from a Held-Karp table over the crew's required set alone."""
     nodes = sorted(inst.required[crew], key=node_key)
     n = len(nodes)
     if n > SOLVE_NODE_CAP:
         raise TooManyNodesError(crew, n, SOLVE_NODE_CAP)
     _check_reachability(inst, crew, nodes)
-    depots = sorted(inst.depots, key=node_key)
-    m = len(depots)
-    # float64 sums of millimeters are exact while a route stays below 2**53
-    # mm (9e9 km, far beyond any road), so equal sums are exact ties
-    mm = _arc_mm(inst, crew, depots + nodes)  # node i is stop m + i
-    arcs = np.where(mm < 0, np.inf, mm)
-    first, step, home = arcs[:m, m:], arcs[m:, m:], arcs[m:, :m]
-    idx = np.arange(n)
-    bits = 1 << idx
-
-    # g[mask, last]: the cheapest way on from `last`, having visited `mask`,
-    # through every other node and home to the best depot
-    g = np.empty((1 << n, n))
-    g[-1] = home.min(axis=1)
-    for masks, grown, held in reversed(_mask_layers(n)):
-        ahead = g[grown, idx]
-        ahead[held] = np.inf
-        g[masks] = (step[None, :, :] + ahead[:, None, :]).min(axis=2)
-
-    # Forward, take the smallest node that still attains the optimum (argmin
-    # returns the first minimum): the lexicographically smallest optimal order.
-    start = first.min(axis=0) + g[bits, idx]
-    if not np.isfinite(start.min()):
+    answer = _HeldKarp(inst, inst.rate(crew) > 0, nodes).order(inst.required[crew])
+    if answer is None:
         raise NodeUnreachableError(nodes[0], crew, "no feasible depot-to-depot route")
-    path = [int(start.argmin())]
-    mask = 1 << path[0]
-    for _ in range(n - 1):
-        ahead = step[path[-1]] + g[mask | bits, idx]
-        ahead[(mask & bits) != 0] = np.inf
-        path.append(int(ahead.argmin()))
-        mask |= 1 << path[-1]
-    d0_rank = int(first[:, path[0]].argmin())
-    d1_rank = int(home[path[-1]].argmin())
-    return depots[d0_rank], depots[d1_rank], tuple(nodes[i] for i in path)
+    return answer
 
 
 def _solve_crew_brute(inst: RoutingInstance, crew: int) -> Route:
@@ -369,26 +451,35 @@ def _solve_crew_brute(inst: RoutingInstance, crew: int) -> Route:
     return _route_from_order(inst, crew, depots[d0_rank], depots[d1_rank], order)
 
 
+def crew_problems(required: Mapping[int, frozenset[NodeId]],
+                  rates: Mapping[int, float]) -> dict[int, Problem]:
+    """Each crew's problem, in crew order, for the crews with a non-empty required
+    set; a crew missing from ``rates`` has rate 1 (``RoutingInstance.rate``)."""
+    return {k: (required[k], rates.get(k, 1.0) > 0) for k in sorted(required) if required[k]}
+
+
 def solve_routing(inst: RoutingInstance, scenario_id: int, *,
-                  solved: Solved | None = None) -> RoutePlan:
+                  solved: Solved | None = None, ahead: Iterable[Problem] = ()) -> RoutePlan:
     """Exact optimal route per crew via Held-Karp over subsets (cap 15).
 
-    ``solved`` keeps each (required set, rate > 0)'s optimal order and depots,
-    and is filled as crews are solved. Pass one map to every call over the same
-    complete graph and depots, and never share it beyond them.
+    ``solved`` keeps each problem's optimal order and depots, and is filled as
+    problems are solved. Pass one map to every call over the same complete
+    graph and depots, and never share it beyond them. ``ahead`` names problems
+    that later calls with the same map will pose, over this instance's
+    terminals: they are solved now, from the same tables as this scenario's
+    own (``_solve_problems``).
     """
-    # the arc table, and so the optimal order and depots, depends only on
-    # the required set and on whether the rate is positive
     if solved is None:
         solved = {}
+    problems = crew_problems(inst.required, inst.cost_rate_per_m)
+    pending = [p for p in dict.fromkeys([*problems.values(), *ahead]) if p not in solved]
+    if pending:
+        solved.update(_solve_problems(inst, pending))
     routes = {}
-    for k in sorted(inst.required):
-        if not inst.required[k]:
-            continue
-        key = (inst.required[k], inst.rate(k) > 0)
-        if key not in solved:
-            solved[key] = _solve_crew_dp(inst, k)
-        routes[k] = _route_from_order(inst, k, *solved[key])
+    for k, problem in problems.items():
+        if problem not in solved:  # over the cap or unreachable: raises for crew k
+            solved[problem] = _solve_crew_dp(inst, k)
+        routes[k] = _route_from_order(inst, k, *solved[problem])
     plan = RoutePlan(scenario_id, routes)
     if not math.isfinite(plan.total_cost):
         raise NumericOverflowError(f"stage 2: scenario {scenario_id}: route cost",

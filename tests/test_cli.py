@@ -666,6 +666,48 @@ class TestSolveAndSchedule:
         assert not (out / "routes_s1.json").exists()
         assert not (out / "validation.json").exists()
 
+    def test_unreachable_problem_of_a_later_scenario_raises_there(self, tmp_path, capsys):
+        # both scenarios cut the only road to c, so they share one closure, whose
+        # first scenario solves the problems of both; only scenario 1 needs c
+        out = tmp_path / "out"
+        (tmp_path / "rn.csv").write_text(
+            "node_id,lat,lon\na,32.0,-97.0\nb,32.01,-97.0\nc,32.02,-97.0\ne,32.0,-97.01\n"
+        )
+        (tmp_path / "re.csv").write_text("u,v,length_m\na,b,100\nb,c,200\na,e,300\n")
+        (tmp_path / "p.csv").write_text(
+            "bus_id,x,y,downstream_load_kw,kind\nb1,-97.0,32.02,50,line\nb2,-97.01,32.0,30,line\n"
+        )
+        assert main([
+            "--out-dir", str(out), "build-network",
+            "--road-nodes", str(tmp_path / "rn.csv"),
+            "--road-edges", str(tmp_path / "re.csv"),
+            "--power", str(tmp_path / "p.csv"),
+            "--depots", "a", "--damaged", "c,e",
+        ]) == EXIT_OK
+        from gridrestore import Scenario, ScenarioSet
+        times = {(i, k): 1.0 for i in "ce" for k in range(4)}
+        cut = frozenset([("b", "c")])
+        sset = ScenarioSet(
+            (Scenario(0, times, {(i, k): int(i == "e") for i in "ce" for k in range(4)}, cut),
+             Scenario(1, times, {(i, k): int(i == "e" or k == 2) for i in "ce" for k in range(4)},
+                      cut)),
+            seed=None, damaged=frozenset("ce"),
+        )
+        fileio.write_scenario_file(sset, out / "scenarios.json")
+        capsys.readouterr()
+        code = main([
+            "--out-dir", str(out), "solve",
+            "--network", str(out / "network.json"),
+            "--scenarios", str(out / "scenarios.json"),
+        ])
+        assert code == EXIT_UNREACHABLE
+        captured = capsys.readouterr()
+        assert captured.err == "error: node 'c' unreachable for crew 2 (no depot can reach it)\n"
+        assert "  scenario 0: route cost 2400.000, validation pass" in captured.out.splitlines()
+        assert "scenario 1" not in captured.out
+        assert (out / "routes_s0.json").exists()
+        assert not (out / "routes_s1.json").exists()
+
     def test_one_closure_per_distinct_failure_set(self, fixture_dir, tmp_path,
                                                   monkeypatch, capsys, caplog):
         out, order, scenarios = _repeated_failure_sets(fixture_dir, tmp_path)
@@ -717,18 +759,23 @@ class TestSolveAndSchedule:
         config = tmp_path / "config.json"
         rates = [1.0, 0.0, 2.0, 1.0]  # crew 1 is solved apart from the others
         config.write_text(json.dumps({"schema": "config/1", "cost_rate_per_m": rates}))
-        dp_calls, seen = [], []
-        solve_dp, solve = routing._solve_crew_dp, cli.solve_routing
+        tables, seen = [], []
+        table_class, solve = routing._HeldKarp, cli.solve_routing
 
-        def counting(inst, crew):
-            dp_calls.append((inst.complete, inst.required[crew], inst.rate(crew) > 0))
-            return solve_dp(inst, crew)
+        class Counting(table_class):
+            def __init__(self, inst, positive, nodes):
+                tables.append((inst.complete, positive, frozenset(nodes)))
+                super().__init__(inst, positive, nodes)
 
-        def recording(inst, scenario_id, *, solved=None):
+        def recording(inst, scenario_id, *, solved=None, ahead=()):
             seen.append((solved, inst.complete))
-            return solve(inst, scenario_id, solved=solved)
+            return solve(inst, scenario_id, solved=solved, ahead=ahead)
 
-        monkeypatch.setattr(routing, "_solve_crew_dp", counting)
+        def refused(inst, crew):
+            raise AssertionError("a crew solved apart from its closure's tables")
+
+        monkeypatch.setattr(routing, "_HeldKarp", Counting)
+        monkeypatch.setattr(routing, "_solve_crew_dp", refused)
         monkeypatch.setattr(cli, "solve_routing", recording)
         assert main(["--out-dir", str(out), "--config", str(config), "solve",
                      "--network", str(out / "network.json"),
@@ -738,17 +785,25 @@ class TestSolveAndSchedule:
         for (map_a, closure_a), key_a in zip(seen, order):
             for (map_b, closure_b), key_b in zip(seen, order):
                 assert (map_a is map_b) == (closure_a is closure_b) == (key_a == key_b)
-        # each (required set, rate > 0) is solved once per closure
-        problems = {key: set() for key in order}
+        # per closure and rate flag: one table over the union of the required sets
+        # when it is no larger than their own tables together, else one table each
+        problems = {(key, positive): set() for key in order for positive in (True, False)}
         n_problems = 0
         for key, rec in zip(order, scenarios):
             for k in range(4):
                 required = frozenset(i for i, demand in rec["repair_demand"] if demand[k] > 0)
                 if required:
-                    problems[key].add((required, rates[k] > 0))
+                    problems[key, rates[k] > 0].add(required)
                     n_problems += 1
-        assert len(dp_calls) == sum(map(len, problems.values())) < n_problems
-        assert len({(id(c), req, pos) for c, req, pos in dp_calls}) == len(dp_calls)
+        closure_key = {id(closure): key for (_, closure), key in zip(seen, order)}
+        for (key, positive), sets in problems.items():
+            got = sorted((sorted(nodes) for closure, pos, nodes in tables
+                          if closure_key[id(closure)] == key and pos == positive))
+            union = frozenset().union(*sets)
+            joined = (len(union) << len(union)) <= sum(len(s) << len(s) for s in sets)
+            assert got == (sorted([sorted(union)] if joined else map(sorted, sets))
+                           if sets else []), (key, positive)
+        assert len(tables) < n_problems
 
     def test_schedule_contains_checkpoint_hours(self, fixture_dir, tmp_path):
         out = tmp_path / "out"

@@ -439,6 +439,17 @@ class TestGanttFiles:
         got = [e.node_id for e in fileio.read_gantt_csv(path).entries]
         assert sorted(got) == sorted(n.strip() for n in ids)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("0,n1,0,-1,2", "start_h must be >= 0"),
+        ("0,n1,0,3,2", "finish_h must be >= start_h"),
+    ])
+    def test_csv_interval_out_of_order_named(self, tmp_path, row, problem):
+        path = tmp_path / "gantt.csv"
+        path.write_text(f"scenario,node,crew,start_h,finish_h\n0,n1,0,0,1\n{row}\n")
+        with pytest.raises(SchemaError) as raised:
+            fileio.read_gantt_csv(path)
+        assert str(raised.value) == f"{path}:3: {problem}"
+
     def test_svg_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         fileio.write_gantt_svg(self._chart(), p1)

@@ -3,6 +3,7 @@ exit code, never a crash. ``allocation.json``, which no stage reads, is fuzzed t
 its reader: a bad value is a SchemaError."""
 
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -24,6 +25,9 @@ from gridrestore.errors import SchemaError
 
 # what one leaf of an artifact is replaced with
 BAD_VALUES = (None, True, -1, 2.5, "x", [], {}, 1e308, "nan", "inf")
+# what one cell of a CSV artifact is replaced with
+BAD_CELLS = ("", " ", "x", "-1", "0", "2.5", "1e308", "-1e308", "1e400", "nan", "inf",
+             "-inf", "true", "null", "a,b", '"', "line\nbreak", "<&>", "9" * 40)
 DOCUMENTED = {int(line.split()[0]) for line in EXIT_DOC.splitlines()[1:] if line.strip()}
 # a fresh file per example: creating one is cheaper than truncating one on some filesystems
 _FILE_NO = itertools.count()
@@ -93,6 +97,7 @@ def inputs(tmp_path_factory):
     assert _stage(root, "gen", "gen-scenarios")[0] == EXIT_OK
     assert _stage(root, "routes", "solve")[0] == EXIT_OK
     assert _stage(root, "routes", "schedule")[0] == EXIT_OK
+    assert _stage(root, "render", "render", gantt="routes/gantt.csv")[0] == EXIT_OK
     docs = {path.name: json.loads(path.read_text())
             for path in (root / "network.json", root / "scenarios.json",
                          root / "routes" / "routes_s0.json", root / "routes" / "allocation.json")}
@@ -100,10 +105,14 @@ def inputs(tmp_path_factory):
 
 
 def _stage(root, out, stage, network="network.json", scenarios="scenarios.json",
-           routes="routes"):
+           routes="routes", gantt=None):
     """Run one stage on the files in ``root``; its exit code and stderr."""
-    argv = ["--out-dir", str(root / out), stage, "--network", str(root / network)]
-    if stage != "gen-scenarios":
+    argv = ["--out-dir", str(root / out), stage]
+    if stage == "render":
+        argv += ["--gantt", str(root / gantt)]
+    else:
+        argv += ["--network", str(root / network)]
+    if stage in ("solve", "schedule"):
         argv += ["--scenarios", str(root / scenarios)]
     if stage == "schedule":
         argv += ["--routes-dir", str(root / routes)]
@@ -146,6 +155,23 @@ def test_one_bad_route_leaf_never_exits_internal(inputs, data):
     shutil.copy(root / "routes" / "routes_s1.json", routes)
     bad.rename(routes / "routes_s0.json")
     _assert_documented(_stage(root, "out", "schedule", routes=routes.name))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_one_bad_gantt_cell_never_exits_internal(inputs, data):
+    """``gantt.csv`` with one cell (a column, then a row, the header too) replaced by
+    one of BAD_CELLS, through ``render``."""
+    root = inputs[0]
+    with open(root / "routes" / "gantt.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+    rows[data.draw(st.integers(0, len(rows) - 1), label="row")][column] = data.draw(
+        st.sampled_from(BAD_CELLS), label="value")
+    bad = root / f"bad_{next(_FILE_NO)}.csv"
+    with open(bad, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    _assert_documented(_stage(root, "out", "render", gantt=bad.name))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

@@ -32,7 +32,7 @@ from gridrestore.errors import (
 )
 from gridrestore.geo import haversine_m
 from gridrestore.network import (
-    _Search,
+    _dijkstra,
     edge_key,
     is_finite_number,
     is_int,
@@ -77,6 +77,15 @@ def reference_path(dist, pred, source, target):
     while seq[-1] != source:
         seq.append(pred[seq[-1]])
     return tuple(reversed(seq))
+
+
+def first_listed_path(refs, terminals, t, u):
+    """The rule ``CompleteGraph.path`` follows: the reference tree path of whichever
+    of t and u is listed first in ``terminals``, read from t to u."""
+    if terminals.index(t) <= terminals.index(u):
+        return reference_path(*refs[t], t, u)
+    back = reference_path(*refs[u], u, t)
+    return None if back is None else back[::-1]
 
 
 def tie_heavy_graphs(seed, trials):
@@ -428,50 +437,44 @@ class TestShortestPathMatrix:
 
     def test_equals_full_settle_reference(self):
         # tie-heavy 1-2 m lengths, int and str ids, self-loops, parallel edges,
-        # isolated nodes and graphs derived by failures: every distance,
-        # reachability flag and terminal-pair road path equals the reference's
-        rnd = random.Random(23)
-        for trial in range(40):
-            ids = rnd.sample(range(60), rnd.randint(2, 14))
-            ids += [f"s{i}" for i in range(rnd.randint(0, 10))]
-            nodes = [(n, 32.0, -97.0) for n in ids]
-            edges = [(rnd.choice(ids), rnd.choice(ids), rnd.choice((1.0, 1.5, 2.0)))
-                     for _ in range(rnd.randint(0, 3 * len(ids)))]
-            g = load_road_network(nodes, [e for e in edges if e[0] != e[1] or rnd.random() < 0.5])
-            graphs = [g] + [apply_road_failures(g, [e[:2] for e in g.edges if rnd.random() < 0.3])
-                            for _ in range(3)]
+        # isolated nodes and graphs derived by failures: every distance and
+        # reachability flag equals the reference's, and every terminal-pair road
+        # path is the reference tree path of the terminal listed first
+        for graphs, ids, rnd in tie_heavy_graphs(23, 40):
             terminals = rnd.sample(ids, rnd.randint(1, min(len(ids), 6)))
             for road in graphs:
                 cg = shortest_path_matrix(road, terminals)
-                for i, t in enumerate(terminals):
-                    dist, pred = reference_dijkstra_mm(road, t)
-                    for j, u in enumerate(terminals):
-                        assert cg.reachable[i, j] == (u in dist), (trial, t, u)
-                        assert cg.dist_mm[i, j] == dist.get(u, -1), (trial, t, u)
-                        want = None
-                        if u in dist:
-                            want = [u]
-                            while want[-1] != t:
-                                want.append(pred[want[-1]])
-                            want = tuple(reversed(want))
-                        assert cg.path(t, u) == want, (trial, t, u)
+                refs = {t: reference_dijkstra_mm(road, t) for t in terminals}
+                for (i, t), (j, u) in itertools.product(enumerate(terminals), repeat=2):
+                    dist = refs[t][0]
+                    assert cg.reachable[i, j] == (u in dist), (t, u)
+                    assert cg.dist_mm[i, j] == dist.get(u, -1), (t, u)
+                    assert cg.path(t, u) == first_listed_path(refs, terminals, t, u), (t, u)
 
-    def test_terminal_order_changes_nothing(self):
-        # sorted, reversed and shuffled terminals: the same distances and
-        # the same road path for every pair
+    def test_terminal_order_changes_no_distance(self):
+        # sorted, reversed and shuffled terminals: the same distances for every
+        # pair, and under each order the paths of the first-listed rule, each a
+        # shortest path and each the reverse of the path the other way
         for graphs, ids, rnd in tie_heavy_graphs(29, 30):
             terminals = sorted(rnd.sample(ids, rnd.randint(1, min(len(ids), 7))), key=node_key)
             shuffled = rnd.sample(terminals, len(terminals))
             for road in graphs:
-                cgs = [shortest_path_matrix(road, order)
-                       for order in (terminals, terminals[::-1], shuffled)]
+                refs = {t: reference_dijkstra_mm(road, t) for t in terminals}
+                orders = (terminals, terminals[::-1], shuffled)
+                cgs = [shortest_path_matrix(road, order) for order in orders]
                 for t, u in itertools.product(terminals, repeat=2):
                     assert len({cg.dist_m(t, u) for cg in cgs}) == 1, (t, u)
-                    assert len({cg.path(t, u) for cg in cgs}) == 1, (t, u)
+                    for order, cg in zip(orders, cgs):
+                        path = cg.path(t, u)
+                        assert path == first_listed_path(refs, order, t, u), (t, u)
+                        if path is not None:
+                            assert path == cg.path(u, t)[::-1]
+                            meters = sum(road.edge_length_m(a, b) for a, b in zip(path, path[1:]))
+                            assert round(meters * 1000) == refs[t][0][u], (t, u)
 
     def test_paths_on_demand_equal_full_settle_reference(self):
         # legs asked in shuffled order, each several times: every path is the
-        # full search's, however far its search had been resumed before
+        # first-listed terminal's full-search tree path, however often it was asked
         for graphs, ids, rnd in tie_heavy_graphs(31, 30):
             terminals = rnd.sample(ids, rnd.randint(1, min(len(ids), 6)))
             for road in graphs:
@@ -480,27 +483,25 @@ class TestShortestPathMatrix:
                 pairs = list(itertools.product(terminals, repeat=2)) * 2
                 rnd.shuffle(pairs)
                 for t, u in pairs:
-                    assert cg.path(t, u) == reference_path(*refs[t], t, u), (t, u)
+                    assert cg.path(t, u) == first_listed_path(refs, terminals, t, u), (t, u)
 
-    def test_search_in_steps_matches_full_run(self):
-        # a search paused and resumed at random targets agrees with one full
-        # run on every node it has settled, and settles each target it is given
-        for graphs, ids, rnd in tie_heavy_graphs(37, 30):
-            for road in graphs:
-                names = [row[0] for row in road.nodes]
-                source = rnd.choice(ids)
-                dist, pred = reference_dijkstra_mm(road, source)
-                search = _Search(road._adj, road._index[source])
-                for _ in range(4):
-                    targets = [road._index[u] for u in rnd.sample(ids, rnd.randint(0, 3))]
-                    search.settle(targets)
-                    for p in targets:
-                        assert search.done[p] == (names[p] in dist)
-                    for p, settled in enumerate(search.done):
-                        if settled:
-                            assert search.dist[p] == dist[names[p]]
-                            if names[p] != source:
-                                assert names[search.pred[p]] == pred[names[p]]
+    def test_tied_lattice_takes_the_first_listed_tree_path(self):
+        # one block of a lattice, with sides of 100, 100, 150 and 50 m: both ways
+        # round it from r0c0 to r1c1 are 200 m. A search takes the side it reaches
+        # first, so each corner's tree holds a different path, and a leg takes
+        # the tree path of the corner listed first, in either direction.
+        nodes = [(f"r{r}c{c}", 32.0 + r * 0.001, -97.0 + c * 0.001)
+                 for r in range(2) for c in range(2)]
+        edges = [("r0c0", "r0c1", 100.0), ("r0c1", "r1c1", 100.0),
+                 ("r0c0", "r1c0", 150.0), ("r1c0", "r1c1", 50.0)]
+        g = load_road_network(nodes, edges)
+        first = shortest_path_matrix(g, ["r0c0", "r1c1"])
+        assert first.path("r0c0", "r1c1") == ("r0c0", "r0c1", "r1c1")
+        assert first.path("r1c1", "r0c0") == ("r1c1", "r0c1", "r0c0")
+        last = shortest_path_matrix(g, ["r1c1", "r0c0"])
+        assert last.path("r0c0", "r1c1") == ("r0c0", "r1c0", "r1c1")
+        assert last.path("r1c1", "r0c0") == ("r1c1", "r1c0", "r0c0")
+        assert first.dist_m("r0c0", "r1c1") == last.dist_m("r1c1", "r0c0") == 200.0
 
     def test_unreachable_pair_after_heap_exhausted(self):
         g = load_road_network(NODES3 + [("d", 32.03, -97.0)],
@@ -508,10 +509,8 @@ class TestShortestPathMatrix:
         cg = shortest_path_matrix(g, ["a", "c", "d"])
         assert cg.path("a", "c") is None and cg.path("c", "a") is None
         assert cg.path("d", "c") == ("d", "c")
-        search = _Search(g._adj, g._index["a"])
-        search.settle([g._index["c"]])
-        assert not search.heap and not search.done[g._index["c"]]
-        assert search.dist[g._index["c"]] == -1
+        dist, pred = _dijkstra(g._adj, g._index["a"], [g._index["c"]])
+        assert dist[g._index["c"]] == -1 and pred[g._index["c"]] == -1
 
     def test_path_reconstruction(self):
         g = load_road_network(NODES3, [("a", "b", 100.0), ("b", "c", 200.0)])

@@ -229,6 +229,12 @@ DOCUMENTS = {
     "distance-bool": with_edge(0, ["a", "b", True]),
     "distance-null": with_edge(0, ["a", "b", None]),
     "distance-list": with_edge(0, ["a", "b", []]),
+    "distance-str-infinity": with_edge(0, ["a", "b", "Infinity"]),
+    "distance-str-minus-nan": with_edge(0, ["a", "b", "-nan"]),
+    "distance-str-past-float": with_edge(0, ["a", "b", "1e400"]),
+    "distance-str-underscore": with_edge(0, ["a", "b", "1_200.5"]),
+    "distance-nan-number": with_edge(0, ["a", "b", math.nan]),
+    "distance-last-edge-bad": with_edge(len(EDGES) - 1, [*EDGES[-1][:2], "1.0x"]),
     "edge-short-row": with_edge(0, ["a", "b"]),
     "edge-unhashable-id": with_edge(0, [["a"], "b", "1.000"]),
     "duplicate-node": with_node(2, ["a", 32.0, -97.01]),

@@ -1,6 +1,9 @@
 """Exact routing: DP vs permutation oracle, validation, error paths."""
 
+import gc
 import math
+import random
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from gridrestore.errors import (
     TooManyNodesError,
     UnreachableArcError,
 )
-from gridrestore.routing import SOLVE_NODE_CAP, validate_crew_arcs
+from gridrestore import routing
+from gridrestore.routing import BRUTE_NODE_CAP, SOLVE_NODE_CAP, validate_crew_arcs
 
 from conftest import random_metric_complete, random_routing_instance
 
@@ -373,6 +377,174 @@ class TestSolvedMap:
             for k, route in plan.routes.items():
                 key = (inst.required[k], inst.rate(k) > 0)
                 assert solved[key] == (route.depot_start, route.depot_end, route.visit_order)
+
+
+def _tie_heavy_complete(rnd, depots, nodes, p_cut):
+    """Arcs of 1, 1.5 or 2 m, so optimal routes tie everywhere; each pair is cut
+    (unreachable) with probability ``p_cut``, with no regard to transitivity."""
+    terms = [*depots, *nodes]
+    n = len(terms)
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = np.inf if rnd.random() < p_cut else rnd.choice((1.0, 1.5, 2.0))
+    return CompleteGraph.from_distances(terms, m)
+
+
+def _per_set(solver, cg, depots, nodes, required, rate):
+    """(depot_start, depot_end, order) of ``solver`` for one crew needing
+    ``required``, or None where it finds no route."""
+    inst = RoutingInstance(cg, {0: required}, frozenset(depots), cost_rate_per_m={0: rate},
+                           damaged=frozenset(nodes))
+    try:
+        found = solver(inst, 0)
+    except NodeUnreachableError:
+        return None
+    return found if isinstance(found, tuple) else (
+        found.depot_start, found.depot_end, found.visit_order)
+
+
+class _CountedTables:
+    """Records each Held-Karp table built while installed, by a weak reference."""
+
+    def __init__(self, monkeypatch):
+        self.built = []
+        built, table_class = self.built, routing._HeldKarp
+
+        class Counted(table_class):
+            def __init__(self, inst, positive, nodes):
+                super().__init__(inst, positive, nodes)
+                built.append((frozenset(nodes), positive, weakref.ref(self)))
+
+        monkeypatch.setattr(routing, "_HeldKarp", Counted)
+
+    def domains(self):
+        return sorted((sorted(nodes), positive) for nodes, positive, _ in self.built)
+
+
+class TestHeldKarpTables:
+    """One table over the union of several required sets answers each of them."""
+
+    def test_union_table_equals_per_set_held_karp_and_brute_force(self):
+        # rate-0 and positive crews, unreachable pairs, tie-heavy 1-2 m arcs,
+        # int and str ids, and unions of 1 to 10 nodes
+        rnd = random.Random(43)
+        compared = brute = 0
+        for trial in range(120):
+            depots = rnd.sample(["d0", "d1", 7], rnd.randint(1, 2))
+            nodes = [f"n{i}" if i % 2 else i * 10 for i in range(rnd.randint(1, 10))]
+            cg = _tie_heavy_complete(rnd, depots, nodes, rnd.choice((0.0, 0.05, 0.2)))
+            for positive, rate in ((True, rnd.choice((0.5, 1.0, 3.0))), (False, 0.0)):
+                inst = RoutingInstance(cg, {0: frozenset(nodes)}, frozenset(depots),
+                                       cost_rate_per_m={0: rate})
+                table = routing._HeldKarp(inst, positive, nodes)
+                for _ in range(4):
+                    required = frozenset(rnd.sample(nodes, rnd.randint(1, len(nodes))))
+                    want = _per_set(routing._solve_crew_dp, cg, depots, nodes, required, rate)
+                    assert table.order(required) == want, (trial, sorted(map(str, required)))
+                    compared += 1
+                    big = len(required) > 6  # brute force takes ~0.1 s past 6 nodes
+                    if len(required) <= BRUTE_NODE_CAP and (not big or brute < 3):
+                        brute += big
+                        assert want == _per_set(routing._solve_crew_brute, cg, depots, nodes,
+                                                required, rate), trial
+        assert compared == 960 and brute == 3
+
+    def test_solve_problems_answers_each_routable_problem(self):
+        # both rate flags at once, unions that pass and fail the domain rule, and
+        # sets that no single route can visit (left out)
+        rnd = random.Random(47)
+        for trial in range(60):
+            depots = ["d0", "d1"][:rnd.randint(1, 2)]
+            nodes = [f"n{i}" for i in range(rnd.randint(1, 9))]
+            cg = _tie_heavy_complete(rnd, depots, nodes, rnd.choice((0.0, 0.1)))
+            problems = [(frozenset(rnd.sample(nodes, rnd.randint(1, len(nodes)))),
+                         rnd.random() < 0.6) for _ in range(rnd.randint(1, 6))]
+            inst = RoutingInstance(cg, {}, frozenset(depots), damaged=frozenset(nodes))
+            solved = routing._solve_problems(inst, problems)
+            want = {}
+            for required, positive in problems:
+                answer = _per_set(routing._solve_crew_dp, cg, depots, nodes, required,
+                                  1.0 if positive else 0.0)
+                if answer is not None:
+                    want[required, positive] = answer
+            assert solved == want, trial
+
+    def test_disjoint_sets_get_tables_of_their_own(self, monkeypatch, rng):
+        # four disjoint 3-node sets over 12 damaged nodes: a union table would
+        # hold 2**12 x 12 states, four tables of their own 4 x 2**3 x 3
+        nodes = [f"n{i:02d}" for i in range(12)]
+        cg = random_metric_complete(rng, ["d0", "d1", *nodes])
+        inst = RoutingInstance(cg, {}, frozenset(["d0", "d1"]), damaged=frozenset(nodes))
+        sets = [frozenset(nodes[i:i + 3]) for i in range(0, 12, 3)]
+        tables = _CountedTables(monkeypatch)
+        solved = routing._solve_problems(inst, [(s, True) for s in sets])
+        assert tables.domains() == sorted((sorted(s), True) for s in sets)
+        assert len(solved) == 4
+
+    def test_overlapping_sets_share_one_table_per_rate_flag(self, monkeypatch, rng):
+        nodes = [f"n{i}" for i in range(5)]
+        cg = random_metric_complete(rng, ["d0", *nodes])
+        inst = RoutingInstance(cg, {}, frozenset(["d0"]), damaged=frozenset(nodes))
+        # 2 x 4 x 2**4 + 2 x 3 x 2**3 = 176 states apart, 5 x 2**5 = 160 together
+        sets = [frozenset(nodes[:4]), frozenset(nodes[1:]), frozenset(nodes[::2]),
+                frozenset(nodes[:3])]
+        tables = _CountedTables(monkeypatch)
+        solved = routing._solve_problems(inst, [(s, p) for s in sets for p in (True, False)])
+        assert tables.domains() == [(nodes, False), (nodes, True)]
+        assert len(solved) == 8
+
+    def test_union_past_the_cap_gets_tables_of_their_own(self, monkeypatch, rng):
+        # every 4 of 5 nodes: the union's table is the smaller, but exceeds a cap of 4
+        nodes = [f"n{i}" for i in range(5)]
+        cg = random_metric_complete(rng, ["d0", *nodes])
+        inst = RoutingInstance(cg, {}, frozenset(["d0"]), damaged=frozenset(nodes))
+        sets = [frozenset(nodes) - {i} for i in nodes]
+        tables = _CountedTables(monkeypatch)
+        monkeypatch.setattr(routing, "SOLVE_NODE_CAP", 4)
+        routing._solve_problems(inst, [(s, True) for s in sets])
+        assert tables.domains() == sorted((sorted(s), True) for s in sets)
+
+    def test_skipped_problems_raise_for_their_own_crew(self, monkeypatch, rng):
+        # an unreachable set and one over the cap, named ahead by the first call:
+        # left out of its tables, they raise in the call that routes them
+        nodes = [f"n{i:02d}" for i in range(SOLVE_NODE_CAP + 2)]
+        terms = ["d0", *nodes]
+        m = np.array(random_metric_complete(rng, terms).dist)
+        m[:, 1] = m[1, :] = np.inf  # n00 is cut off
+        m[1, 1] = 0.0
+        cg = CompleteGraph.from_distances(terms, m)
+        cut, wide = frozenset(nodes[:2]), frozenset(nodes[1:])
+        first = RoutingInstance(cg, {0: frozenset(nodes[1:4])}, frozenset(["d0"]),
+                                damaged=frozenset(nodes))
+        tables = _CountedTables(monkeypatch)
+        solved = {}
+        solve_routing(first, 0, solved=solved, ahead=[(cut, True), (wide, True)])
+        assert set(solved) == {(frozenset(nodes[1:4]), True)}
+        assert all(len(nodes) <= SOLVE_NODE_CAP for nodes, _ in tables.domains())
+        for crew, required, error in ((3, cut, NodeUnreachableError),
+                                      (1, wide, TooManyNodesError)):
+            later = RoutingInstance(cg, {crew: required}, frozenset(["d0"]),
+                                    damaged=frozenset(nodes))
+            with pytest.raises(error) as raised:
+                solve_routing(later, 1, solved=solved)
+            assert raised.value.crew == crew
+
+    def test_no_table_outlives_its_call(self, monkeypatch, rng):
+        nodes = [f"n{i}" for i in range(8)]
+        cg = random_metric_complete(rng, ["d0", "d1", *nodes])
+        inst = RoutingInstance(cg, {0: frozenset(nodes[:5]), 1: frozenset(nodes[2:])},
+                               frozenset(["d0", "d1"]), cost_rate_per_m={1: 0.0})
+        tables = _CountedTables(monkeypatch)
+        solved = {}
+        solve_routing(inst, 0, solved=solved,
+                      ahead=[(frozenset(nodes[3:6]), True), (frozenset(nodes), False)])
+        gc.collect()
+        assert len(tables.built) == 3  # crew 0's set and the first ahead: one each
+        assert all(ref() is None for _, _, ref in tables.built)
+        # the map keeps only orders and depots
+        for d0, d1, order in solved.values():
+            assert {d0, d1} <= {"d0", "d1"} and set(order) <= set(nodes)
 
 
 class TestValidation:
