@@ -336,19 +336,21 @@ def cmd_solve(args, config: PipelineConfig) -> int:
     # One closure per distinct failure set, kept only until its last scenario,
     # with the Held-Karp results solved over it (solve_routing's `solved`). Its
     # first scenario solves the crew problems of all its scenarios (`ahead`).
-    last_use, problems = {}, {}
+    last_use, problems, required = {}, {}, []
     for sc in sset.scenarios:
         last_use[sc.failed_edges] = sc.scenario_id
+        required.append(sc.required())
         problems.setdefault(sc.failed_edges, {}).update(
-            dict.fromkeys(crew_problems(sc.required(), rates).values()))
+            dict.fromkeys(crew_problems(required[-1], rates).values()))
     closures = {}
-    for scenario in sset.scenarios:
+    for scenario, needs in zip(sset.scenarios, required):
         failed = scenario.failed_edges
         complete, solved = closures.pop(failed, None) or (
             shortest_path_matrix(apply_road_failures(net.road, failed), terminals), {})
         if last_use[failed] > scenario.scenario_id:
             closures[failed] = complete, solved
-        rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates)
+        rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates,
+                                              required=needs)
         plan = solve_routing(rinst, scenario.scenario_id, solved=solved,
                              ahead=problems.pop(failed, ()))
         report = validate_routes(plan, rinst)

@@ -337,8 +337,9 @@ class CompleteGraph:
     ``reachable`` is derived from it as ``dist_mm >= 0``; ``dist`` is the
     float view in meters with inf where unreachable. When built from a road
     graph (``shortest_path_matrix``), it keeps the predecessor array of
-    terminal i's search as ``_preds[i]``, and ``positions[i]`` is that
-    terminal's position in ``road_nodes``; these three are keyword-only.
+    terminal i's search as ``_preds[i]`` for every terminal but the last, and
+    ``positions[i]`` is terminal i's position in ``road_nodes``; these three
+    are keyword-only.
 
     ``path(u, v)`` is the shortest-path tree path of whichever of u and v is
     listed first in ``terminals``: that terminal's search settled the other
@@ -407,18 +408,21 @@ class CompleteGraph:
 
     def path(self, u: NodeId, v: NodeId) -> tuple[NodeId, ...] | None:
         """One shortest road path from u to v, or None without a road graph."""
-        if not self._preds:
+        if not self.positions:
             return None
         iu, iv = self.index(u), self.index(v)
         found = self._paths.get((iu, iv))
         if found is not None or not self.reachable[iu, iv]:
             return found
-        # walk the tree of the terminal listed first, from the other terminal
+        # walk the tree of the terminal listed first, from the other terminal;
+        # the last-listed terminal is never the root of a walk, so it has no tree
         root, leaf = (iu, iv) if iu < iv else (iv, iu)
-        pred, start = self._preds[root], self.positions[root]
+        start = self.positions[root]
         seq = [self.positions[leaf]]
-        while seq[-1] != start:
-            seq.append(pred[seq[-1]])
+        if leaf != root:
+            pred = self._preds[root]
+            while seq[-1] != start:
+                seq.append(pred[seq[-1]])
         if iu < iv:
             seq.reverse()
         nodes = self.road_nodes
@@ -555,11 +559,12 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
 
     Each pair is settled once: terminal i's search stops when the terminals
     after i are settled, and ``dist_mm[j, i]`` is ``dist_mm[i, j]`` (the
-    graph is undirected and the lengths are integers). Only each search's
-    predecessor array is kept, and ``CompleteGraph.path`` reads a leg's road
-    path from the tree of the terminal listed first. Every order of
-    ``terminals`` gives the same distances; the order decides how much of the
-    road is searched, and which path a leg takes where shortest paths tie.
+    graph is undirected and the lengths are integers). The last terminal has
+    no later one, so it runs no search. Only each search's predecessor array
+    is kept, and ``CompleteGraph.path`` reads a leg's road path from the tree
+    of the terminal listed first. Every order of ``terminals`` gives the same
+    distances; the order decides how much of the road is searched, and which
+    path a leg takes where shortest paths tie.
     List first the terminals whose searches must reach farthest anyway, such
     as depots that every route leaves from.
     """
@@ -574,7 +579,7 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
     positions = tuple(road._index[t] for t in terminals)
     dist_mm = np.zeros((n, n), dtype=np.int64)
     preds = []
-    for i, p in enumerate(positions):
+    for i, p in enumerate(positions[:-1]):
         later = positions[i + 1:]
         dist, pred = _dijkstra(road._adj, p, later)
         row = [dist[q] for q in later]

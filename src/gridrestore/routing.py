@@ -52,7 +52,7 @@ from .network import (
 )
 from .scenario import N_CREWS, Scenario
 
-SOLVE_NODE_CAP = 15
+SOLVE_NODE_CAP = 16
 BRUTE_NODE_CAP = 8
 
 # what a stage-2 NumericOverflowError asks the user to scale down
@@ -112,12 +112,14 @@ class RoutingInstance:
         scenario: Scenario,
         depots: Iterable[NodeId],
         cost_rate_per_m: Mapping[int, float] | None = None,
+        required: Mapping[int, frozenset[NodeId]] | None = None,
     ) -> "RoutingInstance":
-        """Required sets are the nodes with positive demand per crew."""
+        """Required sets are the nodes with positive demand per crew: pass
+        ``required`` when ``scenario.required()`` is already at hand."""
         damaged = frozenset(i for (i, _k) in scenario.repair_demand)
         return cls(
             complete=complete,
-            required=scenario.required(),
+            required=scenario.required() if required is None else required,
             depots=frozenset(depots),
             cost_rate_per_m=dict(cost_rate_per_m or {}),
             damaged=damaged,
@@ -221,18 +223,26 @@ def route_cost(route: Route, inst: RoutingInstance) -> float:
     return total
 
 
-def _check_reachability(inst: RoutingInstance, crew: int, nodes: Sequence[NodeId]) -> None:
-    """Required nodes must share a component that contains a depot."""
+def _unreachable(inst: RoutingInstance, nodes: Sequence[NodeId]) -> tuple[NodeId, str] | None:
+    """The first of ``nodes`` that no single route from a depot can visit, and
+    why; None when they share a component that contains a depot."""
     depots = sorted(inst.depots, key=node_key)
     for i in nodes:
         if not any(inst.complete.is_reachable(d, i) for d in depots):
-            raise NodeUnreachableError(i, crew, "no depot can reach it")
+            return i, "no depot can reach it"
     rep = nodes[0]
     for i in nodes[1:]:
         if not inst.complete.is_reachable(rep, i):
-            raise NodeUnreachableError(
-                i, crew, f"disconnected from required node {rep!r}; no single route exists"
-            )
+            return i, f"disconnected from required node {rep!r}; no single route exists"
+    return None
+
+
+def _check_reachability(inst: RoutingInstance, crew: int, nodes: Sequence[NodeId]) -> None:
+    """Required nodes must share a component that contains a depot."""
+    refused = _unreachable(inst, nodes)
+    if refused is not None:
+        node, reason = refused
+        raise NodeUnreachableError(node, crew, reason)
 
 
 def _mtz_labels(order: Sequence[NodeId]) -> dict[NodeId, int]:
@@ -318,7 +328,15 @@ class _HeldKarp:
         for masks, grown, held in reversed(_mask_layers(n)):
             ahead = g[grown, idx]
             ahead[held] = np.inf
-            g[masks] = (step[None, :, :] + ahead[:, None, :]).min(axis=2)
+            ahead = ahead.T.copy()  # row j: on from next node j, for each mask
+            # g[mask, last] is the minimum over j of step[last, j] + ahead[j, mask],
+            # kept as a running minimum over j: no (masks, last, next) block
+            best = step[:, :1] + ahead[0]
+            cand = np.empty_like(best)
+            for j in range(1, n):
+                np.add(step[:, j, None], ahead[j], out=cand)
+                np.minimum(best, cand, out=best)
+            g[masks] = best.T
         self.g = g
         self.position = {node: i for i, node in enumerate(nodes)}
         # by node: the arcs out of each depot, the arcs to each node, the arcs home
@@ -376,12 +394,15 @@ def _solve_problems(inst: RoutingInstance, problems: Iterable[Problem]) -> Solve
     them all when D is within ``SOLVE_NODE_CAP`` and its table is no larger
     than their own tables together; otherwise each set gets its own table. A
     set over the cap, or one that ``_check_reachability`` refuses, is left
-    out: solving it for its own crew raises. Each table is dropped on return.
+    out of the union and gets no table: solving it for its own crew raises.
+    Each table is dropped on return.
     """
     solved: Solved = {}
+    connected = inst.complete.reachable.all()  # then no set is refused
     for positive in (True, False):
         sets = [nodes for nodes, pos in problems
-                if pos == positive and len(nodes) <= SOLVE_NODE_CAP]
+                if pos == positive and len(nodes) <= SOLVE_NODE_CAP
+                and (connected or _unreachable(inst, sorted(nodes, key=node_key)) is None)]
         if not sets:
             continue
         union = frozenset().union(*sets)
@@ -460,7 +481,7 @@ def crew_problems(required: Mapping[int, frozenset[NodeId]],
 
 def solve_routing(inst: RoutingInstance, scenario_id: int, *,
                   solved: Solved | None = None, ahead: Iterable[Problem] = ()) -> RoutePlan:
-    """Exact optimal route per crew via Held-Karp over subsets (cap 15).
+    """Exact optimal route per crew via Held-Karp over subsets (cap 16).
 
     ``solved`` keeps each problem's optimal order and depots, and is filled as
     problems are solved. Pass one map to every call over the same complete

@@ -774,12 +774,22 @@ class TestSolveAndSchedule:
         def refused(inst, crew):
             raise AssertionError("a crew solved apart from its closure's tables")
 
+        from gridrestore import Scenario
+        required, asked = Scenario.required, []
+
+        def counted_required(scenario):
+            asked.append(scenario.scenario_id)
+            return required(scenario)
+
+        monkeypatch.setattr(Scenario, "required", counted_required)
         monkeypatch.setattr(routing, "_HeldKarp", Counting)
         monkeypatch.setattr(routing, "_solve_crew_dp", refused)
         monkeypatch.setattr(cli, "solve_routing", recording)
         assert main(["--out-dir", str(out), "--config", str(config), "solve",
                      "--network", str(out / "network.json"),
                      "--scenarios", str(tmp_path / "scenarios.json")]) == EXIT_OK
+        # each scenario's required sets are computed once
+        assert sorted(asked) == list(range(len(order)))
         # one map per failure set, made with its closure and never passed with another
         assert len(seen) == len(order)
         for (map_a, closure_a), key_a in zip(seen, order):

@@ -439,11 +439,13 @@ class TestShortestPathMatrix:
         # tie-heavy 1-2 m lengths, int and str ids, self-loops, parallel edges,
         # isolated nodes and graphs derived by failures: every distance and
         # reachability flag equals the reference's, and every terminal-pair road
-        # path is the reference tree path of the terminal listed first
+        # path is the reference tree path of the terminal listed first, though
+        # the last-listed terminal keeps no tree of its own
         for graphs, ids, rnd in tie_heavy_graphs(23, 40):
             terminals = rnd.sample(ids, rnd.randint(1, min(len(ids), 6)))
             for road in graphs:
                 cg = shortest_path_matrix(road, terminals)
+                assert len(cg._preds) == len(terminals) - 1
                 refs = {t: reference_dijkstra_mm(road, t) for t in terminals}
                 for (i, t), (j, u) in itertools.product(enumerate(terminals), repeat=2):
                     dist = refs[t][0]

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,6 +27,7 @@ from gridrestore.errors import (
     UnreachableArcError,
 )
 from gridrestore import routing
+from gridrestore.network import node_key
 from gridrestore.routing import BRUTE_NODE_CAP, SOLVE_NODE_CAP, validate_crew_arcs
 
 from conftest import random_metric_complete, random_routing_instance
@@ -161,7 +163,7 @@ class TestSolveRouting:
                 assert mm(swapped) >= best, (i, j)
 
     def test_too_many_nodes_refused(self):
-        nodes = [f"n{i}" for i in range(16)]
+        nodes = [f"n{i}" for i in range(SOLVE_NODE_CAP + 1)]
         dists = {("d", x): 1.0 for x in nodes}
         dists |= {(a, b): 1.0 for i, a in enumerate(nodes) for b in nodes[i + 1:]}
         inst = _instance(dists, ["d"], {0: frozenset(nodes)})
@@ -522,6 +524,7 @@ class TestHeldKarpTables:
         solve_routing(first, 0, solved=solved, ahead=[(cut, True), (wide, True)])
         assert set(solved) == {(frozenset(nodes[1:4]), True)}
         assert all(len(nodes) <= SOLVE_NODE_CAP for nodes, _ in tables.domains())
+        assert tables.domains() and all("n00" not in nodes for nodes, _ in tables.domains())
         for crew, required, error in ((3, cut, NodeUnreachableError),
                                       (1, wide, TooManyNodesError)):
             later = RoutingInstance(cg, {crew: required}, frozenset(["d0"]),
@@ -545,6 +548,60 @@ class TestHeldKarpTables:
         # the map keeps only orders and depots
         for d0, d1, order in solved.values():
             assert {d0, d1} <= {"d0", "d1"} and set(order) <= set(nodes)
+
+
+def _broadcast_table(inst, positive, nodes):
+    """The Held-Karp cost-to-go of a backward pass that reduces each layer's
+    (masks, last, next) block over its next axis at once."""
+    depots = sorted(inst.depots, key=node_key)
+    nodes = sorted(nodes, key=node_key)
+    m, n = len(depots), len(nodes)
+    mm = routing._arc_mm(inst, positive, depots + nodes)
+    arcs = np.where(mm < 0, np.inf, mm)
+    step, home = arcs[m:, m:], arcs[m:, :m]
+    idx = np.arange(n)
+    g = np.empty((1 << n, n))
+    g[-1] = home.min(axis=1)
+    for masks, grown, held in reversed(routing._mask_layers(n)):
+        ahead = g[grown, idx]
+        ahead[held] = np.inf
+        g[masks] = (step[None, :, :] + ahead[:, None, :]).min(axis=2)
+    return g
+
+
+class TestHeldKarpKernel:
+    """The backward pass keeps a running minimum over the next node."""
+
+    def test_equals_broadcast_reference_entry_for_entry(self):
+        # n = 1..10, 1-3 depots, cut pairs (inf arcs), tie-heavy arcs and rate 0;
+        # mask 0 is never filled nor read, so the comparison starts at mask 1
+        rnd = random.Random(53)
+        for trial in range(90):
+            n = trial % 10 + 1
+            depots = ["d0", "d1", "d2"][:rnd.randint(1, 3)]
+            nodes = [f"n{i}" for i in range(n)]
+            cg = _tie_heavy_complete(rnd, depots, nodes, rnd.choice((0.0, 0.1, 0.3)))
+            inst = RoutingInstance(cg, {}, frozenset(depots), damaged=frozenset(nodes))
+            for positive in (True, False):
+                got = routing._HeldKarp(inst, positive, nodes).g
+                want = _broadcast_table(inst, positive, nodes)
+                assert np.array_equal(got[1:], want[1:]), (trial, positive)
+
+    def test_peak_memory_at_the_cap_tracks_the_table(self, rng):
+        # the table g is 2**n x n float64; the pass adds three (masks, n) layer
+        # arrays on top, where a (masks, last, next) block would take ~4.5x g
+        n = SOLVE_NODE_CAP
+        nodes = [f"n{i:02d}" for i in range(n)]
+        cg = random_metric_complete(rng, ["d0", "d1", *nodes])
+        inst = RoutingInstance(cg, {}, frozenset(["d0", "d1"]), damaged=frozenset(nodes))
+        routing._mask_layers(n)  # cached for the process: not the table's own memory
+        tracemalloc.start()
+        try:
+            routing._HeldKarp(inst, True, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (n << n) * 8, peak / ((n << n) * 8)
 
 
 class TestValidation:
