@@ -78,8 +78,11 @@ class Stage1Instance:
         if missing:
             raise DimensionMismatchError(f"loads_kw missing damaged node(s): {missing!r}")
         loads = np.array([require_finite(self.loads_kw[i], f"loads_kw[{i!r}]") for i in nodes])
-        margin = (self.power_weight * loads[None, :, None]
-                  - self.time_weight * self.scenarios.repair_times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            margin = (self.power_weight * loads[None, :, None]
+                      - self.time_weight * self.scenarios.repair_times)
+        if not np.isfinite(margin).all():
+            raise NumericOverflowError("stage 1: margin", _OVERFLOW_INPUTS)
         margin.setflags(write=False)
         object.__setattr__(self, "margin", margin)
 

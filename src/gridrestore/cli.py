@@ -326,7 +326,9 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         print(f"  crew {k} ({name}): capacity {alloc.capacity[k]}")
 
     rates = {k: float(r) for k, r in enumerate(config.cost_rate_per_m)}
-    # depots first: their searches reach every stop anyway (shortest_path_matrix)
+    # depots first: the order no longer sets what the closure's searches cost, only
+    # which terminal of each pair is its source, and so which of two tied road paths
+    # a leg takes (shortest_path_matrix, CompleteGraph.path)
     terminals = (sorted(net.depots, key=node_key)
                  + sorted((net.damaged | sset.damaged) - net.depots, key=node_key))
     outputs = ["allocation.json", "validation.json"]

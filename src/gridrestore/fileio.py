@@ -578,7 +578,7 @@ def read_allocation_file(path: str | Path):
 
 def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteGraph) -> None:
     """Route plan with per-leg costs, distances and road-level paths; the
-    complete graph supplies only the paths (null without predecessor data)."""
+    complete graph supplies only the paths (null without road data)."""
     routes = []
     for k in sorted(plan.routes):
         r = plan.routes[k]

@@ -35,6 +35,10 @@ NodeId = int | str
 
 POWER_COMPONENT_KINDS = ("line", "switch", "transformer", "substation")
 
+# The most millimetres a road's edges may add up to: every path length then fits
+# the closure's int64 matrix.
+MAX_ROAD_MM = 2**63 - 1
+
 
 def node_key(node: NodeId):
     """Deterministic sort key for node ids; ints order before strings."""
@@ -124,7 +128,13 @@ class RoadGraph:
 
     Each road fact is stored once: a coordinate in ``nodes``, a length in
     ``edges``, and ``_adj`` holds, per position, the (neighbour position, mm)
-    pairs in node_key order that Dijkstra reads.
+    pairs in node_key order, so by ascending position, that the searches read.
+
+    A graph derived by ``apply_road_failures`` keeps the graph it was derived
+    from as ``_base``; a built graph has none. ``_bound_memo`` holds, by
+    terminal position, the full-search distances that bound the closures of
+    this graph and of the graphs derived from it (``shortest_path_matrix``),
+    and goes with the graph.
     """
 
     nodes: tuple[tuple[NodeId, float, float], ...]
@@ -132,6 +142,8 @@ class RoadGraph:
 
     _index: dict = field(init=False, repr=False, compare=False)
     _adj: tuple = field(init=False, repr=False, compare=False)
+    _base: "RoadGraph | None" = field(init=False, repr=False, compare=False)
+    _bound_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows: dict[NodeId, tuple[NodeId, float, float]] = {}
@@ -161,7 +173,15 @@ class RoadGraph:
                 raise NonPositiveLengthError(
                     f"edge ({u!r}, {v!r}): length_m must be finite, got {length_m!r}"
                 )
-            mm = int(round(m * 1000.0))  # quantize_m
+            try:
+                mm = int(round(m * 1000.0))  # quantize_m
+            except OverflowError:  # m * 1000 is past the float range
+                mm = MAX_ROAD_MM + 1 if m > 0 else 0
+            if mm > MAX_ROAD_MM:
+                raise NonPositiveLengthError(
+                    f"edge ({u!r}, {v!r}): length_m must be at most "
+                    f"{MAX_ROAD_MM / 1000:.6g}, got {length_m!r}"
+                )
             if mm <= 0:
                 raise NonPositiveLengthError(
                     f"edge ({u!r}, {v!r}) has non-positive length {length_m!r} m"
@@ -170,6 +190,12 @@ class RoadGraph:
             prev = edge_mm.get(pair)
             if prev is None or mm < prev:
                 edge_mm[pair] = mm
+
+        if sum(edge_mm.values()) > MAX_ROAD_MM:
+            raise NonPositiveLengthError(
+                f"road edge lengths add up to more than {MAX_ROAD_MM / 1000:.6g} m, "
+                "past what exact millimetre distances hold"
+            )
 
         # Walking the sorted pairs gives each node its smaller neighbours
         # first, then its larger ones, both ascending: node_key order.
@@ -184,6 +210,8 @@ class RoadGraph:
         object.__setattr__(self, "edges", tuple(norm_edges))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_base", None)
+        object.__setattr__(self, "_bound_memo", {})
 
     @property
     def n_nodes(self) -> int:
@@ -234,8 +262,9 @@ class RoadGraph:
         Derived without re-validation: the nodes and index are shared, and
         only the endpoints of removed edges get a new adjacency tuple.
         Filtering keeps every tuple in node_key order, so the result equals
-        ``RoadGraph(self.nodes, kept_edges)`` and Dijkstra runs on it exactly
-        as on that rebuild. The kept rows are copied in slices.
+        ``RoadGraph(self.nodes, kept_edges)`` and a search runs on it exactly
+        as on that rebuild. The kept rows are copied in slices. The result
+        keeps this graph as its ``_base``.
         """
         index, edges = self._index, self.edges
         cut: dict[int, set[int]] = {}
@@ -257,6 +286,8 @@ class RoadGraph:
         object.__setattr__(g, "edges", tuple(kept))
         object.__setattr__(g, "_index", index)
         object.__setattr__(g, "_adj", tuple(adj))
+        object.__setattr__(g, "_base", self)
+        object.__setattr__(g, "_bound_memo", {})
         return g
 
 
@@ -336,22 +367,27 @@ class CompleteGraph:
     ``dist_mm`` is the integer-millimeter matrix (-1 where unreachable), and
     ``reachable`` is derived from it as ``dist_mm >= 0``; ``dist`` is the
     float view in meters with inf where unreachable. When built from a road
-    graph (``shortest_path_matrix``), it keeps the predecessor array of
-    terminal i's search as ``_preds[i]`` for every terminal but the last, and
-    ``positions[i]`` is terminal i's position in ``road_nodes``; these three
-    are keyword-only.
+    graph (``shortest_path_matrix``), it keeps ``_dists[i]``, the distance
+    list of terminal i's search, for every terminal but the last, and the
+    road graph's adjacency as ``_adj``; ``positions[i]`` is terminal i's
+    position in ``road_nodes``. These four are keyword-only.
 
-    ``path(u, v)`` is the shortest-path tree path of whichever of u and v is
-    listed first in ``terminals``: that terminal's search settled the other
-    one. Where two shortest paths tie, the order of ``terminals`` therefore
-    decides which one a leg takes. Each pair's path is kept once built.
+    ``path(u, v)`` walks back from whichever of u and v is listed later in
+    ``terminals`` to the one listed first, over the first one's distances. At
+    each node it steps to the tied neighbour (one that a shortest path from
+    the first terminal passes through on its way) nearest the first terminal,
+    and among equally near ones to the smallest position. The path therefore
+    depends on the graph and on which terminal is listed first, not on the
+    order in which a search settled the nodes. Each pair's path is kept once
+    built.
     """
 
     terminals: tuple[NodeId, ...]
     dist_mm: np.ndarray
     road_nodes: tuple[tuple[NodeId, float, float], ...] = field(default=(), kw_only=True)
     positions: tuple[int, ...] = field(default=(), kw_only=True)
-    _preds: tuple = field(default=(), repr=False, kw_only=True)
+    _dists: tuple = field(default=(), repr=False, kw_only=True)
+    _adj: tuple = field(default=(), repr=False, kw_only=True)
 
     reachable: np.ndarray = field(init=False)
     _index: dict = field(init=False, repr=False)
@@ -414,15 +450,21 @@ class CompleteGraph:
         found = self._paths.get((iu, iv))
         if found is not None or not self.reachable[iu, iv]:
             return found
-        # walk the tree of the terminal listed first, from the other terminal;
-        # the last-listed terminal is never the root of a walk, so it has no tree
+        # walk from the terminal listed later back to the one listed first; the
+        # last-listed terminal is never listed first, so it has no distances
         root, leaf = (iu, iv) if iu < iv else (iv, iu)
-        start = self.positions[root]
-        seq = [self.positions[leaf]]
+        x = self.positions[leaf]
+        seq = [x]
         if leaf != root:
-            pred = self._preds[root]
-            while seq[-1] != start:
-                seq.append(pred[seq[-1]])
+            dist, adj = self._dists[root], self._adj
+            while dist[x]:
+                dx = near = dist[x]
+                for w, mm in adj[x]:  # ascending position: the first of equals wins
+                    dw = dist[w]
+                    if 0 <= dw < near and dw + mm == dx:
+                        step, near = w, dw
+                seq.append(step)
+                x = step
         if iu < iv:
             seq.reverse()
         nodes = self.road_nodes
@@ -518,37 +560,98 @@ def apply_road_failures(
     return road._without(rows) if rows else road
 
 
-def _dijkstra(adj: tuple, source: int, targets: Sequence[int]) -> tuple[list, list]:
-    """Distances and predecessors of one source's Dijkstra search on node
-    positions, stopped once every target is settled or the heap is empty.
-
-    Distances are -1 where unreached. Equal distances pop in push order, and a
-    node's edges are relaxed before the stop check, so a settled node's
-    distance and predecessor chain are those of a search run to the end.
-    """
-    dist = [-1] * len(adj)
-    pred = [-1] * len(adj)
+def _distances(adj: tuple, source: int) -> list[int]:
+    """Every node's distance from ``source`` by a full Dijkstra search on node
+    positions; -1 where unreached."""
+    n = len(adj)
+    dist = [-1] * n
     dist[source] = 0
-    left = set(targets)
-    done = bytearray(len(adj))
-    heap = [(0, 0, source)]
-    pushed = 0
+    heap = [source]  # keys d * n + position: distance first, then position
     heappop, heappush = heapq.heappop, heapq.heappush
-    while heap and left:
-        d, _, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = 1
+    while heap:
+        d, u = divmod(heappop(heap), n)
+        if d > dist[u]:
+            continue  # a stale key: u was settled nearer
         for v, w in adj[u]:
             nd = d + w
             dv = dist[v]
             if dv < 0 or nd < dv:
                 dist[v] = nd
-                pred[v] = u
-                pushed += 1
-                heappush(heap, (nd, pushed, v))
-        left.discard(u)
-    return dist, pred
+                heappush(heap, nd * n + v)
+    return dist
+
+
+def _bounds(road: RoadGraph, positions: Sequence[int]) -> list[list[int]]:
+    """The distance lists that bound a closure's searches toward ``positions``.
+
+    They are full searches on the graph ``road`` was derived from
+    (``RoadGraph._base``), or on ``road`` itself when it was not derived, and
+    are memoised there by position. Removing edges never shortens a path, so
+    a node's distance to a terminal on that graph is at most its distance on
+    ``road``, and -1 there means unreachable on ``road`` too. Each list is
+    also consistent: it drops by at most an edge's length along any edge.
+    """
+    base = road if road._base is None else road._base
+    memo = base._bound_memo
+    for p in positions:
+        if p not in memo:
+            memo[p] = _distances(base._adj, p)
+    return [memo[p] for p in positions]
+
+
+def _search(adj: tuple, source: int, goals: Sequence[int],
+            bounds: Sequence[list[int]]) -> tuple[list[int], list[int]]:
+    """One source's distance list and its distances to ``goals`` (-1 where unreachable).
+
+    The goals are taken in turn, and the search keeps its settled nodes and
+    distances from one goal to the next. For goal j it is A* with the
+    potential ``bounds[j]`` (exact and consistent, ``_bounds``): the open
+    nodes are keyed by distance plus bound, a node whose bound is -1 cannot
+    reach j and is left open for later goals, and the phase ends once no open
+    node has a key <= d(source, j). Every node on a shortest path to j has
+    such a key, so each is settled then, with its exact distance, and
+    ``CompleteGraph.path`` finds every tied step among them. A node that is
+    reached but not settled holds a distance no shorter than its true one.
+    """
+    n = len(adj)
+    dist = [-1] * n
+    dist[source] = 0
+    done = bytearray(n)
+    frontier = [source]  # every reached node that is not settled, and some that are
+    row = []
+    heappop, heappush = heapq.heappop, heapq.heappush
+    for goal, bound in zip(goals, bounds):
+        if bound[source] < 0:  # j is not reachable even without the failures
+            row.append(-1)
+            continue
+        frontier = [v for v in frontier if not done[v]]
+        # keys (d + bound) * n + position; once d(source, j) is known, a key
+        # from stop on cannot be settled in this phase
+        stop = (dist[goal] + 1) * n if done[goal] else math.inf
+        heap = [k for v in frontier if bound[v] >= 0
+                and (k := (dist[v] + bound[v]) * n + v) < stop]
+        heapq.heapify(heap)
+        while heap and heap[0] < stop:
+            u = heappop(heap) % n
+            if done[u]:
+                continue  # a stale key: u was settled with a smaller one
+            done[u] = 1
+            d = dist[u]
+            for v, w in adj[u]:
+                nd = d + w
+                dv = dist[v]
+                if dv < 0:
+                    frontier.append(v)
+                elif nd >= dv:
+                    continue
+                dist[v] = nd
+                bv = bound[v]
+                if bv >= 0:
+                    heappush(heap, (nd + bv) * n + v)
+            if u == goal:
+                stop = (d + 1) * n
+        row.append(dist[goal] if done[goal] else -1)
+    return dist, row
 
 
 def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> CompleteGraph:
@@ -557,16 +660,18 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
     Exact integer arithmetic; unreachable pairs are marked rather than
     raised so downstream solvers can still work the reachable subproblem.
 
-    Each pair is settled once: terminal i's search stops when the terminals
-    after i are settled, and ``dist_mm[j, i]`` is ``dist_mm[i, j]`` (the
-    graph is undirected and the lengths are integers). The last terminal has
-    no later one, so it runs no search. Only each search's predecessor array
-    is kept, and ``CompleteGraph.path`` reads a leg's road path from the tree
-    of the terminal listed first. Every order of ``terminals`` gives the same
-    distances; the order decides how much of the road is searched, and which
-    path a leg takes where shortest paths tie.
-    List first the terminals whose searches must reach farthest anyway, such
-    as depots that every route leaves from.
+    Each pair is settled once: terminal i's search (``_search``) takes the
+    terminals after i as goals in turn, and ``dist_mm[j, i]`` is
+    ``dist_mm[i, j]`` (the graph is undirected and the lengths are
+    integers). The last terminal has no later one, so it runs no search.
+    Each search is A* toward its goal, with the goal's distances on the
+    graph ``road`` was derived from as the exact potential (``_bounds``):
+    the bound searches run once per terminal position on that graph, and
+    every closure derived from it shares them. Only each search's distance
+    list is kept, and ``CompleteGraph.path`` walks a leg's road path over the
+    list of the terminal listed first. Every order of ``terminals`` gives the
+    same distances; the order decides which terminal of a pair is the
+    source, and so which path a leg takes where shortest paths tie.
     """
     terminals = tuple(terminals)
     missing = [t for t in terminals if not road.has_node(t)]
@@ -577,14 +682,13 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
 
     n = len(terminals)
     positions = tuple(road._index[t] for t in terminals)
+    bounds = _bounds(road, positions[1:])
     dist_mm = np.zeros((n, n), dtype=np.int64)
-    preds = []
+    dists = []
     for i, p in enumerate(positions[:-1]):
-        later = positions[i + 1:]
-        dist, pred = _dijkstra(road._adj, p, later)
-        row = [dist[q] for q in later]
+        dist, row = _search(road._adj, p, positions[i + 1:], bounds[i:])
         dist_mm[i, i + 1:] = row
         dist_mm[i + 1:, i] = row
-        preds.append(pred)
+        dists.append(dist)
     return CompleteGraph(terminals, dist_mm, road_nodes=road.nodes, positions=positions,
-                         _preds=tuple(preds))
+                         _dists=tuple(dists), _adj=road._adj)

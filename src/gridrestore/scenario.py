@@ -282,14 +282,20 @@ def select_damage(
 
     A projected power node is damaged when its great-circle distance to the
     path segment is at most half the corridor width; a road edge fails when
-    both endpoints are inside the corridor.
+    both endpoints are inside the corridor. Each node's distance is computed
+    at most once.
     """
     half = event.corridor_width_m / 2.0
     (lat_a, lon_a), (lat_b, lon_b) = event.path_start, event.path_end
+    known: dict[NodeId, bool] = {}
 
     def inside(node: NodeId) -> bool:
-        lat, lon = net.road.coord(node)
-        return point_segment_distance_m(lat, lon, lat_a, lon_a, lat_b, lon_b) <= half
+        hit = known.get(node)
+        if hit is None:
+            lat, lon = net.road.coord(node)
+            hit = known[node] = (
+                point_segment_distance_m(lat, lon, lat_a, lon_a, lat_b, lon_b) <= half)
+        return hit
 
     projected = sorted(set(net.power_to_road.values()), key=node_key)
     damaged = frozenset(n for n in projected if inside(n))

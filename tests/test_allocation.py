@@ -166,6 +166,13 @@ class TestOverflow:
             default_scale_c({k: 1e300 for k in range(4)}, (1e-10,) * 4)
 
 
+    @pytest.mark.parametrize("weight", ["power_weight", "time_weight"])
+    def test_weight_that_overflows_the_margin_is_named(self, weight):
+        # a finite weight whose product with a load or a repair time leaves float64
+        with pytest.raises(NumericOverflowError, match="stage 1: margin overflows"):
+            Stage1Instance.from_scenarios(refcase.scenario_set(), **{weight: 1e308})
+
+
 class TestDefaultScaleC:
     def test_power_of_ten_rule(self):
         assert default_scale_c({0: 285.5, 1: 100.0, 2: 0.0, 3: 0.0},

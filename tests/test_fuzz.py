@@ -1,6 +1,6 @@
-"""Fuzzing the artifact readers through the stages that read them: a bad value is an
-exit code, never a crash. ``allocation.json``, which no stage reads, is fuzzed through
-its reader: a bad value is a SchemaError."""
+"""Fuzzing the artifact, config and input readers through the stages that read them: a
+bad value is an exit code, never a crash. ``allocation.json``, which no stage reads, is
+fuzzed through its reader: a bad value is a SchemaError."""
 
 import contextlib
 import csv
@@ -20,7 +20,7 @@ from gridrestore import (
     fileio,
     load_road_network,
 )
-from gridrestore.cli import EXIT_DOC, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from gridrestore.cli import EXIT_DOC, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, PipelineConfig, main
 from gridrestore.errors import SchemaError
 
 # what one leaf of an artifact is replaced with
@@ -55,12 +55,26 @@ def _roles(doc):
 
 
 def _bad_file(inputs, data, name):
-    """A fresh file holding the artifact ``name`` with one leaf (a role, then a leaf
-    of that role) replaced by one of BAD_VALUES."""
+    """A fresh file holding the artifact (or config) ``name`` with one leaf (a role, then
+    a leaf of that role) replaced by one of BAD_VALUES."""
     doc, roles = inputs[1][name]
     where = data.draw(st.sampled_from(data.draw(st.sampled_from(roles))), label="leaf")
     value = data.draw(st.sampled_from(BAD_VALUES), label="value")
     return _with_leaf(inputs[0], doc, where, value)
+
+
+def _bad_csv(path, data):
+    """A fresh file beside ``path`` holding its CSV with one cell (a column, then a row,
+    the header too) replaced by one of BAD_CELLS."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+    rows[data.draw(st.integers(0, len(rows) - 1), label="row")][column] = data.draw(
+        st.sampled_from(BAD_CELLS), label="value")
+    bad = path.parent / f"bad_{next(_FILE_NO)}.csv"
+    with open(bad, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return bad
 
 
 def _with_leaf(root, doc, where, value):
@@ -75,12 +89,36 @@ def _with_leaf(root, doc, where, value):
     return bad
 
 
+# the input CSVs of the triangle road in ``inputs``, and the flag each is passed with
+INPUT_CSVS = {
+    "road_nodes.csv": ("road_nodes", [["node_id", "lat", "lon"], ["a", "32.0", "-97.0"],
+                                      ["b", "32.01", "-97.0"], ["c", "32.0", "-97.01"]]),
+    "road_edges.csv": ("road_edges", [["u", "v", "length_m"], ["a", "b", "1200.0"],
+                                      ["b", "c", "1500.0"], ["a", "c", "900.0"]]),
+    "power.csv": ("power", [["bus_id", "x", "y", "downstream_load_kw", "kind"],
+                            ["bus1", "-97.0", "32.0", "40.0", "line"],
+                            ["bus2", "-97.01", "32.0", "25.0", "transformer"]]),
+    "power_edges.csv": ("power_edges", [["bus_u", "bus_v"], ["bus1", "bus2"]]),
+    "events.csv": ("events", [["ef", "start_lat", "start_lon", "end_lat", "end_lon", "width_m"],
+                              ["2", "32.0", "-97.02", "32.0", "-96.99", "500.0"]]),
+}
+BUILD_INPUTS = {flag: name for name, (flag, _) in INPUT_CSVS.items() if flag != "events"}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A triangle road with one depot and two damaged nodes that gen-scenarios samples
     from, and two scenarios that solve and schedule; the routes and the allocation stay
-    in ``routes/``. Each artifact's parsed document and leaf roles come along."""
+    in ``routes/``. Each artifact's parsed document and leaf roles come along, and so
+    do a config that names every key and the CSVs build-network reads the road from."""
     root = tmp_path_factory.mktemp("fuzz")
+    for name, (_, rows) in INPUT_CSVS.items():
+        with open(root / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    assert _stage(root, "built", "build-network", **BUILD_INPUTS)[0] == EXIT_OK
+    config = {**PipelineConfig().echo(), "corridor_width_m": 400.0, "scale_c": 1000.0,
+              "crew_costs": [1.0, 2.0, 3.0, 4.0]}
+    (root / "config.json").write_text(json.dumps(config))
     road = load_road_network([("a", 32.0, -97.0), ("b", 32.01, -97.0), ("c", 32.0, -97.01)],
                              [("a", "b", 1200.0), ("b", "c", 1500.0), ("a", "c", 900.0)])
     net = CoupledNetwork(road, {"bus1": "a", "bus2": "c"}, frozenset(["b"]),
@@ -94,28 +132,37 @@ def inputs(tmp_path_factory):
     sset = ScenarioSet(scenarios, seed=0, damaged=frozenset("ac"), config={"n_scenarios": 2},
                        loads_kw={"a": 40.0, "c": 25.0})
     fileio.write_scenario_file(sset, root / "scenarios.json")
-    assert _stage(root, "gen", "gen-scenarios")[0] == EXIT_OK
+    assert _stage(root, "gen", "gen-scenarios", events="events.csv")[0] == EXIT_OK
+    assert _stage(root, "routes", "solve", config="config.json")[0] == EXIT_OK
     assert _stage(root, "routes", "solve")[0] == EXIT_OK
     assert _stage(root, "routes", "schedule")[0] == EXIT_OK
     assert _stage(root, "render", "render", gantt="routes/gantt.csv")[0] == EXIT_OK
     docs = {path.name: json.loads(path.read_text())
-            for path in (root / "network.json", root / "scenarios.json",
+            for path in (root / "network.json", root / "scenarios.json", root / "config.json",
                          root / "routes" / "routes_s0.json", root / "routes" / "allocation.json")}
     return root, {name: (doc, _roles(doc)) for name, doc in docs.items()}
 
 
 def _stage(root, out, stage, network="network.json", scenarios="scenarios.json",
-           routes="routes", gantt=None):
-    """Run one stage on the files in ``root``; its exit code and stderr."""
-    argv = ["--out-dir", str(root / out), stage]
+           routes="routes", gantt=None, config=None, **files):
+    """Run one stage on the files in ``root``; its exit code and stderr. ``files`` maps
+    a file flag (``road_nodes`` for ``--road-nodes``) to a file name."""
+    argv = ["--out-dir", str(root / out)]
+    if config is not None:
+        argv += ["--config", str(root / config)]
+    argv.append(stage)
     if stage == "render":
         argv += ["--gantt", str(root / gantt)]
+    elif stage == "build-network":
+        argv += ["--depots", "b"]
     else:
         argv += ["--network", str(root / network)]
     if stage in ("solve", "schedule"):
         argv += ["--scenarios", str(root / scenarios)]
     if stage == "schedule":
         argv += ["--routes-dir", str(root / routes)]
+    for flag, name in files.items():
+        argv += ["--" + flag.replace("_", "-"), str(root / name)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -163,15 +210,32 @@ def test_one_bad_gantt_cell_never_exits_internal(inputs, data):
     """``gantt.csv`` with one cell (a column, then a row, the header too) replaced by
     one of BAD_CELLS, through ``render``."""
     root = inputs[0]
-    with open(root / "routes" / "gantt.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    column = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
-    rows[data.draw(st.integers(0, len(rows) - 1), label="row")][column] = data.draw(
-        st.sampled_from(BAD_CELLS), label="value")
-    bad = root / f"bad_{next(_FILE_NO)}.csv"
-    with open(bad, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
-    _assert_documented(_stage(root, "out", "render", gantt=bad.name))
+    bad = _bad_csv(root / "routes" / "gantt.csv", data)
+    _assert_documented(_stage(root, "out", "render", gantt=f"routes/{bad.name}"))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_one_bad_config_leaf_never_exits_internal(inputs, data):
+    """The ``--config`` file with one bad leaf, through ``solve``."""
+    bad = _bad_file(inputs, data, "config.json")
+    _assert_documented(_stage(inputs[0], "out", "solve", config=bad.name))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_one_bad_input_cell_never_exits_internal(inputs, data):
+    """One input CSV (drawn first) with one bad cell, through the stage that reads it:
+    ``events.csv`` through ``gen-scenarios``, the others through ``build-network``."""
+    root = inputs[0]
+    name = data.draw(st.sampled_from(sorted(INPUT_CSVS)), label="file")
+    flag = INPUT_CSVS[name][0]
+    bad = _bad_csv(root / name, data)
+    if flag == "events":
+        _assert_documented(_stage(root, "out", "gen-scenarios", events=bad.name))
+    else:
+        _assert_documented(_stage(root, "out", "build-network",
+                                  **{**BUILD_INPUTS, flag: bad.name}))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

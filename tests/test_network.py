@@ -1,11 +1,13 @@
 """Road graph construction, projection, failures, and metric closure."""
 
+import gc
 import heapq
 import itertools
 import logging
 import math
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from gridrestore.errors import (
 )
 from gridrestore.geo import haversine_m
 from gridrestore.network import (
-    _dijkstra,
+    _search,
     edge_key,
     is_finite_number,
     is_int,
@@ -47,11 +49,10 @@ from conftest import floyd_warshall_oracle, random_road_graph
 NODES3 = [("a", 32.0, -97.0), ("b", 32.01, -97.0), ("c", 32.02, -97.0)]
 
 
-def reference_dijkstra_mm(road, source):
-    """Id-keyed Dijkstra that settles every reachable node: the reference the
-    index-based, early-stopping closure must reproduce exactly."""
+def reference_distances_mm(road, source):
+    """Id-keyed Dijkstra that settles every reachable node: the distances the
+    goal-directed closure must reproduce exactly."""
     dist = {source: 0}
-    pred = {}
     counter = itertools.count()
     heap = [(0, next(counter), source)]
     done = set()
@@ -64,28 +65,31 @@ def reference_dijkstra_mm(road, source):
             nd = d + w
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
-                pred[v] = u
                 heapq.heappush(heap, (nd, next(counter), v))
-    return dist, pred
+    return dist
 
 
-def reference_path(dist, pred, source, target):
-    """The road path the reference's predecessors give, or None if unreached."""
-    if target not in dist:
+def reference_distances_list(road, source):
+    """``reference_distances_mm`` by position, -1 where unreached: a bound list."""
+    dist = reference_distances_mm(road, road.nodes[source][0])
+    return [dist.get(n, -1) for n, _, _ in road.nodes]
+
+
+def first_listed_path(road, refs, terminals, t, u):
+    """The rule ``CompleteGraph.path`` follows, over the reference distances of
+    whichever of t and u is listed first: walk back from the other one, stepping
+    at each node to the tied neighbour nearest the first-listed terminal and,
+    among equally near ones, to the smallest node_key; read from t to u."""
+    first, later = (t, u) if terminals.index(t) <= terminals.index(u) else (u, t)
+    dist = refs[first]
+    if later not in dist:
         return None
-    seq = [target]
-    while seq[-1] != source:
-        seq.append(pred[seq[-1]])
-    return tuple(reversed(seq))
-
-
-def first_listed_path(refs, terminals, t, u):
-    """The rule ``CompleteGraph.path`` follows: the reference tree path of whichever
-    of t and u is listed first in ``terminals``, read from t to u."""
-    if terminals.index(t) <= terminals.index(u):
-        return reference_path(*refs[t], t, u)
-    back = reference_path(*refs[u], u, t)
-    return None if back is None else back[::-1]
+    seq = [later]
+    while seq[-1] != first:
+        x = seq[-1]
+        tied = [w for w, mm in road.neighbors(x) if w in dist and dist[w] + mm == dist[x]]
+        seq.append(min(tied, key=lambda w: (dist[w], node_key(w))))
+    return tuple(seq) if first == u else tuple(reversed(seq))
 
 
 def tie_heavy_graphs(seed, trials):
@@ -147,6 +151,19 @@ class TestLoadRoadNetwork:
                 RoadGraph((NODES3[0], ("b", 32.01, bad)), ())
         g = RoadGraph((NODES3[0], ("b", 32, np.float64(-97.0))), ())
         assert g.coord("b") == (32.0, -97.0) and type(g.coord("b")[0]) is float
+
+    def test_lengths_past_int64_millimeters_refused(self):
+        # one edge past the cap (1e308 m overflows even as a float in mm), or
+        # edges that each fit but add up past it: every path must fit int64 mm
+        for length in (1e16, 1e308):
+            with pytest.raises(NonPositiveLengthError, match="length_m must be at most"):
+                load_road_network(NODES3, [("a", "b", length)])
+        with pytest.raises(NonPositiveLengthError, match="add up to more than"):
+            load_road_network(NODES3, [("a", "b", 5e15), ("b", "c", 5e15)])
+        with pytest.raises(NonPositiveLengthError, match="non-positive length"):
+            load_road_network(NODES3, [("a", "b", -1e308)])
+        g = load_road_network(NODES3, [("a", "b", 4e15), ("b", "c", 4e15)])
+        assert shortest_path_matrix(g, ["a", "c"]).dist_mm[0, 1] == 8 * 10**18
 
     def test_lengths_quantized_to_millimeters(self):
         g = load_road_network(NODES3, [("a", "b", 123.4567)])
@@ -281,7 +298,7 @@ class TestRoadFailures:
     def test_derived_graph_equals_rebuild(self, caplog):
         # int ids, a string id (node_key orders it last), a self-loop and a
         # parallel edge: the derived graph must match a from-scratch rebuild
-        # in every table and in every Dijkstra result, predecessors included
+        # in every table and in every closure result, road paths included
         rnd = random.Random(11)
         n = 4
         nodes = [(r * n + c, 32.0 + 0.001 * r, -97.0 + 0.001 * c)
@@ -439,19 +456,19 @@ class TestShortestPathMatrix:
         # tie-heavy 1-2 m lengths, int and str ids, self-loops, parallel edges,
         # isolated nodes and graphs derived by failures: every distance and
         # reachability flag equals the reference's, and every terminal-pair road
-        # path is the reference tree path of the terminal listed first, though
-        # the last-listed terminal keeps no tree of its own
+        # path is the stated walk over the distances of the terminal listed
+        # first, though the last-listed terminal keeps no distances of its own
         for graphs, ids, rnd in tie_heavy_graphs(23, 40):
             terminals = rnd.sample(ids, rnd.randint(1, min(len(ids), 6)))
             for road in graphs:
                 cg = shortest_path_matrix(road, terminals)
-                assert len(cg._preds) == len(terminals) - 1
-                refs = {t: reference_dijkstra_mm(road, t) for t in terminals}
+                assert len(cg._dists) == len(terminals) - 1
+                refs = {t: reference_distances_mm(road, t) for t in terminals}
                 for (i, t), (j, u) in itertools.product(enumerate(terminals), repeat=2):
-                    dist = refs[t][0]
+                    dist = refs[t]
                     assert cg.reachable[i, j] == (u in dist), (t, u)
                     assert cg.dist_mm[i, j] == dist.get(u, -1), (t, u)
-                    assert cg.path(t, u) == first_listed_path(refs, terminals, t, u), (t, u)
+                    assert cg.path(t, u) == first_listed_path(road, refs, terminals, t, u), (t, u)
 
     def test_terminal_order_changes_no_distance(self):
         # sorted, reversed and shuffled terminals: the same distances for every
@@ -461,37 +478,112 @@ class TestShortestPathMatrix:
             terminals = sorted(rnd.sample(ids, rnd.randint(1, min(len(ids), 7))), key=node_key)
             shuffled = rnd.sample(terminals, len(terminals))
             for road in graphs:
-                refs = {t: reference_dijkstra_mm(road, t) for t in terminals}
+                refs = {t: reference_distances_mm(road, t) for t in terminals}
                 orders = (terminals, terminals[::-1], shuffled)
                 cgs = [shortest_path_matrix(road, order) for order in orders]
                 for t, u in itertools.product(terminals, repeat=2):
                     assert len({cg.dist_m(t, u) for cg in cgs}) == 1, (t, u)
                     for order, cg in zip(orders, cgs):
                         path = cg.path(t, u)
-                        assert path == first_listed_path(refs, order, t, u), (t, u)
+                        assert path == first_listed_path(road, refs, order, t, u), (t, u)
                         if path is not None:
                             assert path == cg.path(u, t)[::-1]
                             meters = sum(road.edge_length_m(a, b) for a, b in zip(path, path[1:]))
-                            assert round(meters * 1000) == refs[t][0][u], (t, u)
+                            assert round(meters * 1000) == refs[t][u], (t, u)
 
     def test_paths_on_demand_equal_full_settle_reference(self):
         # legs asked in shuffled order, each several times: every path is the
-        # first-listed terminal's full-search tree path, however often it was asked
+        # stated walk over the first-listed terminal's reference distances,
+        # however often it was asked
         for graphs, ids, rnd in tie_heavy_graphs(31, 30):
             terminals = rnd.sample(ids, rnd.randint(1, min(len(ids), 6)))
             for road in graphs:
                 cg = shortest_path_matrix(road, terminals)
-                refs = {t: reference_dijkstra_mm(road, t) for t in terminals}
+                refs = {t: reference_distances_mm(road, t) for t in terminals}
                 pairs = list(itertools.product(terminals, repeat=2)) * 2
                 rnd.shuffle(pairs)
                 for t, u in pairs:
-                    assert cg.path(t, u) == first_listed_path(refs, terminals, t, u), (t, u)
+                    assert cg.path(t, u) == first_listed_path(road, refs, terminals, t, u), (t, u)
+
+    def test_base_bounds_equal_own_bounds(self):
+        # a closure of a derived graph is bounded by its base's distances, and a
+        # rebuild of the same graph bounds itself: on random failure sets, some
+        # of which cut every edge of a terminal, both equal the full-settle
+        # reference in every distance, reachability flag and path
+        cut = 0
+        for graphs, ids, rnd in tie_heavy_graphs(37, 30):
+            base = graphs[0]
+            terminals = rnd.sample(ids, rnd.randint(2, min(len(ids), 7)))
+            alone = [e[:2] for e in base.edges if terminals[-1] in e[:2]]
+            for failed in ([e[:2] for e in base.edges if rnd.random() < 0.4], alone,
+                           alone + [e[:2] for e in base.edges if rnd.random() < 0.2]):
+                derived = apply_road_failures(base, failed)
+                rebuilt = RoadGraph(derived.nodes, derived.edges)
+                assert rebuilt._base is None and derived._base in (None, base)
+                refs = {t: reference_distances_mm(derived, t) for t in terminals}
+                a = shortest_path_matrix(derived, terminals)
+                b = shortest_path_matrix(rebuilt, terminals)
+                cut += not a.reachable.all()
+                for cg in (a, b):
+                    for (i, t), (j, u) in itertools.product(enumerate(terminals), repeat=2):
+                        assert cg.dist_mm[i, j] == refs[t].get(u, -1), (t, u)
+                        assert cg.reachable[i, j] == (u in refs[t]), (t, u)
+                        assert cg.path(t, u) == first_listed_path(derived, refs, terminals,
+                                                                  t, u), (t, u)
+        assert cut > 30  # many of the sets disconnect a terminal pair
+
+    def test_bounds_come_from_the_base_and_are_dropped_with_it(self):
+        # the bound memo lives on the graph that apply_road_failures derived the
+        # closure graph from, keyed by the position of each terminal but the
+        # first; a built graph bounds itself. Once the base and its derived graph
+        # are gone, the memo is gone, while a kept closure still walks its paths.
+        ids = list(range(16))
+        base = load_road_network([(n, 32.0, -97.0) for n in ids],
+                                 [(n, n + 1, 10.0) for n in ids[:-1]] + [(0, 15, 200.0)])
+        derived = apply_road_failures(base, [(7, 8)])
+        assert derived._base is base
+        cg = shortest_path_matrix(derived, [3, 12, 9])
+        assert set(base._bound_memo) == {12, 9} and derived._bound_memo == {}
+        assert base._bound_memo[12] == [reference_distances_mm(base, 12)[n] for n in ids]
+        shortest_path_matrix(base, [3, 12, 9])
+        assert set(base._bound_memo) == {12, 9}  # memoised: no new entry
+        ref = weakref.ref(base)
+        del base, derived
+        gc.collect()
+        assert ref() is None
+        assert cg.path(3, 12) == (3, 2, 1, 0, 15, 14, 13, 12)
+        assert cg.dist_m(12, 9) == 30.0
+
+    def test_search_settles_a_small_share_of_a_grid(self):
+        # goal-directed: on a 40 x 40 grid with a failed block in the middle,
+        # the searches of 6 scattered terminals reach only a small share of
+        # the nodes, where searches that settle every node by distance until
+        # the later terminals are settled reach most of them
+        n = 40
+        rnd = random.Random(41)
+        nodes = [(r * n + c, 32.0, -97.0) for r in range(n) for c in range(n)]
+        edges = [(r * n + c, r * n + c + 1, rnd.choice((90.0, 100.0, 110.0)))
+                 for r in range(n) for c in range(n - 1)]
+        edges += [(r * n + c, (r + 1) * n + c, rnd.choice((90.0, 100.0, 110.0)))
+                  for r in range(n - 1) for c in range(n)]
+        base = load_road_network(nodes, edges)
+        failed = [(u, v) for u, v, _ in base.edges
+                  if all(15 <= x // n < 25 and 15 <= x % n < 25 for x in (u, v))]
+        road = apply_road_failures(base, failed)
+        terminals = [2 * n + 3, 37 * n + 36, 5 * n + 30, 33 * n + 4, 20 * n + 2, 20 * n + 38]
+        cg = shortest_path_matrix(road, terminals)
+        reached = sum(d >= 0 for dist in cg._dists for d in dist)
+        assert reached <= 0.35 * len(cg._dists) * n * n
+        ref = {t: reference_distances_mm(road, t) for t in terminals}
+        assert all(cg.dist_mm[i, j] == ref[t][u] for (i, t), (j, u)
+                   in itertools.product(enumerate(terminals), repeat=2))
 
     def test_tied_lattice_takes_the_first_listed_tree_path(self):
         # one block of a lattice, with sides of 100, 100, 150 and 50 m: both ways
-        # round it from r0c0 to r1c1 are 200 m. A search takes the side it reaches
-        # first, so each corner's tree holds a different path, and a leg takes
-        # the tree path of the corner listed first, in either direction.
+        # round it from r0c0 to r1c1 are 200 m. Walking back from the corner
+        # listed later, each leg steps to the tied neighbour nearest the corner
+        # listed first, so the order of the corners picks the side, in either
+        # direction.
         nodes = [(f"r{r}c{c}", 32.0 + r * 0.001, -97.0 + c * 0.001)
                  for r in range(2) for c in range(2)]
         edges = [("r0c0", "r0c1", 100.0), ("r0c1", "r1c1", 100.0),
@@ -505,14 +597,46 @@ class TestShortestPathMatrix:
         assert last.path("r1c1", "r0c0") == ("r1c1", "r1c0", "r0c0")
         assert first.dist_m("r0c0", "r1c1") == last.dist_m("r1c1", "r0c0") == 200.0
 
+    def test_double_tie_steps_to_the_smallest_position(self):
+        # a 3 x 3 lattice of 100 m sides, ids listed in no particular order: at
+        # every step back two tied neighbours are equally near the first-listed
+        # corner, and the walk takes the one with the smaller position (node_key)
+        # whatever the terminal order or the order the search settled them in
+        ids = {(r, c): 10 * (2 - c) + r for r in range(3) for c in range(3)}
+        nodes = [(nid, 32.0, -97.0) for nid in sorted(ids.values(), key=lambda x: -x)]
+        edges = [(ids[r, c], ids[r, c + 1], 100.0) for r in range(3) for c in range(2)]
+        edges += [(ids[r, c], ids[r + 1, c], 100.0) for r in range(2) for c in range(3)]
+        g = load_road_network(nodes, edges)
+        a, b = ids[0, 0], ids[2, 2]  # 20 and 2
+        for order in ([a, b], [b, a], [ids[1, 1], b, a]):
+            cg = shortest_path_matrix(g, order)
+            assert cg.dist_m(a, b) == 400.0
+            refs = {t: reference_distances_mm(g, t) for t in order}
+            assert cg.path(a, b) == first_listed_path(g, refs, order, a, b)
+            assert cg.path(b, a) == cg.path(a, b)[::-1]
+        # from 20 (listed first), walking back from 2: the tied neighbours of
+        # 2 are 1 and 12, both 300 m from 20, so 1; then 0 and 11, so 0; then 10
+        assert shortest_path_matrix(g, [a, b]).path(a, b) == (20, 10, 0, 1, 2)
+        # from 2 (listed first), walking back from 20: 10 and 21, so 10; then 0
+        # and 11, so 0; then 1
+        assert shortest_path_matrix(g, [b, a]).path(a, b) == (20, 10, 0, 1, 2)
+
     def test_unreachable_pair_after_heap_exhausted(self):
-        g = load_road_network(NODES3 + [("d", 32.03, -97.0)],
-                              [("a", "b", 100.0), ("c", "d", 50.0)])
-        cg = shortest_path_matrix(g, ["a", "c", "d"])
+        # c is cut off from a only on the derived graph: a's search toward c runs
+        # until its heap is empty and marks c unreached. On the built graph, d and
+        # e are in another component than a, so their bounds are -1 at a and the
+        # search toward them settles nothing more.
+        g = load_road_network(NODES3 + [("d", 32.03, -97.0), ("e", 32.04, -97.0)],
+                              [("a", "b", 100.0), ("b", "c", 60.0), ("d", "e", 50.0)])
+        cut = apply_road_failures(g, [("b", "c")])
+        cg = shortest_path_matrix(cut, ["a", "c", "d", "e"])
         assert cg.path("a", "c") is None and cg.path("c", "a") is None
-        assert cg.path("d", "c") == ("d", "c")
-        dist, pred = _dijkstra(g._adj, g._index["a"], [g._index["c"]])
-        assert dist[g._index["c"]] == -1 and pred[g._index["c"]] == -1
+        assert cg.path("e", "d") == ("e", "d") and not cg.is_reachable("a", "d")
+        a, c, d = (g._index[t] for t in "acd")
+        dist, row = _search(cut._adj, a, [c], [reference_distances_list(g, c)])
+        assert row == [-1] and dist[c] == -1 and dist[g._index["b"]] == 100_000
+        dist, row = _search(cut._adj, a, [d, c], [reference_distances_list(g, x) for x in (d, c)])
+        assert row == [-1, -1] and dist == [0, 100_000, -1, -1, -1]
 
     def test_path_reconstruction(self):
         g = load_road_network(NODES3, [("a", "b", 100.0), ("b", "c", 200.0)])
@@ -530,7 +654,7 @@ class TestCompleteGraphType:
         m = [[0.0, 12.5], [12.5, 0.0]]
         cg = CompleteGraph.from_distances(["x", "y"], m)
         assert cg.dist_m("x", "y") == 12.5
-        assert cg.path("x", "y") is None  # no predecessor data
+        assert cg.path("x", "y") is None  # no road data
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@
 ``fileio._road_from_json`` builds error text only for a bad value. Both must
 give exactly what the per-edge ``node_key`` / ``_finite`` versions below give:
 the same normalized tables, node positions and adjacency, and the same
-exception type and message for every bad input. The one exception is a
+exception type and message for every bad input. The exceptions are a
 string coordinate, which the reference parsed and the reader now refuses
-(``EXPECTED``). ``read_network_file`` pauses the cyclic garbage collector
+(``EXPECTED``), and a length whose millimetres overflow, which the reference
+let through to an OverflowError and the reader now names (``EXPECTED_LENGTH``). ``read_network_file`` pauses the cyclic garbage collector
 and must leave its state as it found it.
 """
 
@@ -258,10 +259,22 @@ EXPECTED = {
 }
 
 
+# a length past what int64 millimetres hold: a NonPositiveLengthError, which
+# read_network_file reports as a malformed network
+EXPECTED_LENGTH = {
+    "length-overflows-mm": "edge ('a', 'b'): length_m must be at most 9.22337e+15, got 1e+306",
+}
+
+
 def expected_outcome(name, reference, *args):
-    """The reference's outcome, or the SchemaError that ``EXPECTED`` names for ``name``."""
+    """The reference's outcome, or the error that ``EXPECTED`` or ``EXPECTED_LENGTH``
+    names for ``name``."""
     if name in EXPECTED:
         return SchemaError, EXPECTED[name].format(args[-1])
+    if name in EXPECTED_LENGTH:
+        if reference is reference_read_network_file:
+            return SchemaError, f"{args[-1]}: malformed network ({EXPECTED_LENGTH[name]})"
+        return NonPositiveLengthError, EXPECTED_LENGTH[name]
     return outcome(reference, *args)
 
 

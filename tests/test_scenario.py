@@ -1,6 +1,7 @@
 """Sampling distributions, corridor damage selection, and determinism."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from gridrestore import (
     select_damage,
 )
 from gridrestore.errors import InvalidRangeError, NoDamagedNodesError
-from gridrestore.geo import haversine_m
+from gridrestore import scenario as scenario_module
+from gridrestore.geo import haversine_m, point_segment_distance_m
+from gridrestore.network import edge_key
 from gridrestore.scenario import REPAIR_TIME_MU, REPAIR_TIME_SIGMA
 
 import refcase
@@ -212,6 +215,52 @@ class TestSelectDamage:
         _, failed = select_damage(ev, net)
         assert ("near", "on_path") in failed
         assert ("far", "near") not in failed
+
+    def test_each_node_once_and_equal_to_edge_by_edge(self, monkeypatch):
+        # random grids and corridors, zero-length segments among them, and
+        # corridors whose half-width is exactly some node's distance: the
+        # damaged nodes and failed edges equal an edge-by-edge reference that
+        # tests both endpoints of every edge, and no node is tested twice
+        rnd = random.Random(43)
+        calls = []
+
+        def counted(lat, lon, *segment):
+            calls.append((lat, lon))
+            return point_segment_distance_m(lat, lon, *segment)
+
+        monkeypatch.setattr(scenario_module, "point_segment_distance_m", counted)
+        for trial in range(40):
+            side = rnd.randint(2, 7)
+            ids = [r * side + c if rnd.random() < 0.5 else f"r{r}c{c}"
+                   for r in range(side) for c in range(side)]
+            nodes = [(nid, 32.0 + 0.001 * (k // side), -97.0 + 0.001 * (k % side))
+                     for k, nid in enumerate(ids)]
+            edges = [(ids[k], ids[k + 1], 100.0) for k in range(len(ids) - 1) if (k + 1) % side]
+            edges += [(ids[k], ids[k + side], 110.0) for k in range(len(ids) - side)]
+            edges += [(ids[0], ids[0], 5.0)]  # a self-loop never fails
+            road = load_road_network(nodes, edges)
+            power = [PowerNode(f"bus{k}", lon, lat, 1.0, "line")
+                     for k, (_, lat, lon) in enumerate(rnd.sample(nodes, rnd.randint(1, len(nodes))))]
+            net = build_coupled_network(road, power, 0.0, 0.0, [])
+            a = rnd.choice(nodes)[1:]
+            b = a if trial % 4 == 0 else (a[0] + rnd.uniform(-0.004, 0.004),
+                                          a[1] + rnd.uniform(-0.004, 0.004))
+            width = rnd.uniform(50.0, 500.0)
+            if trial % 2:
+                at = point_segment_distance_m(*rnd.choice(nodes)[1:], *a, *b)
+                width = 2 * at if at > 0 else width  # a node exactly at the half-width
+            ev = TornadoEvent(2, a, b, width)
+
+            def inside(node):
+                lat, lon = road.coord(node)
+                return point_segment_distance_m(lat, lon, *a, *b) <= width / 2.0
+
+            calls.clear()
+            damaged, failed = select_damage(ev, net)
+            assert len(calls) == len(set(calls)) <= road.n_nodes
+            assert damaged == frozenset(n for n in net.power_to_road.values() if inside(n))
+            assert failed == frozenset(edge_key(u, v) for u, v, _ in road.edges
+                                       if u != v and inside(u) and inside(v))
 
     def test_matches_point_to_segment_oracle(self, rng):
         a = (32.0, -97.0)
