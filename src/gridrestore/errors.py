@@ -19,8 +19,9 @@ class DanglingEdgeError(GridRestoreError):
 
 
 class NonPositiveLengthError(GridRestoreError):
-    """An edge length is zero or negative (after millimeter quantization), not finite,
-    or so long that the road's lengths add up to more than int64 millimetres hold."""
+    """An edge length is not a number, zero or negative (after millimeter quantization),
+    not finite, or so long that the road's lengths add up to more than int64
+    millimetres hold."""
 
 
 class EmptyRoadGraphError(GridRestoreError):

@@ -246,9 +246,14 @@ def _keyed(pairs: Sequence, path: str | Path, table: str, *args) -> dict:
 
 
 def _loads_kw(pairs: Sequence, path: str | Path) -> dict[NodeId, float]:
-    """``[[node, kw], ...]`` as a map; every load must be a finite number."""
-    return {node: _number(kw, "loads_kw", "{}: node {!r}", path, node)
-            for node, kw in _keyed(pairs, path, "loads_kw").items()}
+    """``[[node, kw], ...]`` as a map; every load must be a finite number >= 0, as a
+    bus's ``downstream_load_kw`` must."""
+    loads = {node: _number(kw, "loads_kw", "{}: node {!r}", path, node)
+             for node, kw in _keyed(pairs, path, "loads_kw").items()}
+    for node, kw in loads.items():
+        if kw < 0:
+            raise SchemaError(f"{path}: node {node!r}: loads_kw must be >= 0, got {kw!r}")
+    return loads
 
 
 def _road_json(road: RoadGraph) -> dict:

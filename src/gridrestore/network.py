@@ -23,6 +23,7 @@ from .errors import (
     DanglingEdgeError,
     EmptyRoadGraphError,
     NonPositiveLengthError,
+    NumericOverflowError,
     UnknownTerminalError,
 )
 from .geo import haversine_m_array
@@ -168,7 +169,14 @@ class RoadGraph:
             if (iu is None or iv is None or (type(u) is not str and not is_node_id(u))
                     or (type(v) is not str and not is_node_id(v))):
                 raise _dangling(u, v, index)
-            m = float(length_m)
+            if type(length_m) is not float and not is_number(length_m):
+                raise NonPositiveLengthError(
+                    f"edge ({u!r}, {v!r}): length_m must be a number, got {length_m!r}"
+                )
+            try:
+                m = float(length_m)
+            except OverflowError:  # an int past the float range
+                m = math.inf
             if not math.isfinite(m):
                 raise NonPositiveLengthError(
                     f"edge ({u!r}, {v!r}): length_m must be finite, got {length_m!r}"
@@ -494,7 +502,8 @@ def project_power_nodes(
 
     Local coordinates translate into geodesic ones as lon = x + offset_x,
     lat = y + offset_y; nearest is great-circle distance, ties break toward
-    the smallest node id.
+    the smallest node id: the first minimum, since ``road.nodes`` is in
+    ``node_key`` order.
     """
     if road.n_nodes == 0:
         raise EmptyRoadGraphError("cannot project onto an empty road graph")
@@ -506,10 +515,7 @@ def project_power_nodes(
     for p in power:
         lon = p.local_x + offset_x
         lat = p.local_y + offset_y
-        d = haversine_m_array(lat, lon, lats, lons)
-        best = d.min()
-        candidates = [ids[i] for i in np.flatnonzero(d == best)]
-        mapping[p.bus_id] = min(candidates, key=node_key)
+        mapping[p.bus_id] = ids[int(haversine_m_array(lat, lon, lats, lons).argmin())]
     return mapping
 
 
@@ -521,12 +527,18 @@ def build_coupled_network(
     depots: Iterable[NodeId],
     damaged: Iterable[NodeId] = (),
 ) -> CoupledNetwork:
-    """Project the feeder onto the road graph and assemble the coupled network."""
+    """Project the feeder onto the road graph and assemble the coupled network.
+
+    A road node's load is the sum of its buses' loads; NumericOverflowError when
+    that sum leaves the float64 range.
+    """
     mapping = project_power_nodes(power, offset_x, offset_y, road)
     loads: dict[NodeId, float] = {}
     for p in power:
         rn = mapping[p.bus_id]
         loads[rn] = loads.get(rn, 0.0) + float(p.downstream_load_kw)
+        if math.isinf(loads[rn]):
+            raise NumericOverflowError(f"load at road node {rn!r}", "downstream_load_kw")
     return CoupledNetwork(
         road=road,
         power_to_road=mapping,

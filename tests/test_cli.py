@@ -139,6 +139,24 @@ class TestBuildNetwork:
         assert code == EXIT_OK
         assert "3 road nodes / 2 road edges" in capsys.readouterr().out
 
+    def test_loads_that_add_up_past_float64_exit_input(self, tmp_path, capsys):
+        # each load is finite, but both buses snap to road node a
+        (tmp_path / "rn.csv").write_text("node_id,lat,lon\na,32.0,-97.0\nb,32.01,-97.0\n")
+        (tmp_path / "re.csv").write_text("u,v,length_m\na,b,100\n")
+        (tmp_path / "p.csv").write_text("bus_id,x,y,downstream_load_kw,kind\n"
+                                        "b1,-97.0,32.0,1e308,line\nb2,-97.0,32.0,1e308,line\n")
+        code = main([
+            "--out-dir", str(tmp_path / "out"), "build-network",
+            "--road-nodes", str(tmp_path / "rn.csv"),
+            "--road-edges", str(tmp_path / "re.csv"),
+            "--power", str(tmp_path / "p.csv"),
+            "--depots", "b",
+        ])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == ("error: load at road node 'a' overflows float64; "
+                                           "scale downstream_load_kw down\n")
+        assert not (tmp_path / "out" / "network.json").exists()
+
     @pytest.mark.parametrize("flag, bad", [("--offset-x", "nan"), ("--offset-x", "inf"),
                                            ("--offset-y", "-inf")])
     def test_offset_that_is_not_finite_exits_input(self, fixture_dir, tmp_path, capsys,
@@ -576,9 +594,10 @@ class TestSolveAndSchedule:
         (("scenarios", 1, "id"), True, "scenario_id must be an integer"),
         (("scenarios", 1, "id"), 1.5, "scenario_id must be an integer"),
         (("loads_kw", 0, 1), True, "bad loads_kw True"),
+        (("loads_kw", 0, 1), -500.0, "loads_kw must be >= 0, got -500.0"),
     ], ids=["cost-inf", "cost-nan", "demand-fraction", "demand-bool", "time-bool",
             "load-overflow", "cost-bool", "cost-string", "id-bool", "id-fraction",
-            "load-bool"])
+            "load-bool", "load-negative"])
     def test_bad_scenario_values_exit_input(self, fixture_dir, tmp_path, capsys, where, bad,
                                             named):
         """Each exits 3 naming the field, or stage 1 when finite inputs overflow."""

@@ -548,6 +548,23 @@ class TestJsonNumbers:
             with pytest.raises(SchemaError, match=re.escape(f"{bad_path}: {named}")):
                 read(bad_path)
 
+    def test_negative_load_rejected(self, tmp_path):
+        # the rule a bus's downstream_load_kw follows: a finite number >= 0
+        net_path, sc_path = tmp_path / "network.json", tmp_path / "scenarios.json"
+        fileio.write_network_file(_network(), net_path)
+        fileio.write_scenario_file(refcase.scenario_set(), sc_path)
+        for path, read, node in ((net_path, fileio.read_network_file, "'a'"),
+                                 (sc_path, fileio.read_scenario_file, "23214")):
+            obj = json.loads(path.read_text())
+            obj["loads_kw"][0][1] = -500.0
+            path.write_text(json.dumps(obj))
+            with pytest.raises(SchemaError, match=re.escape(
+                    f"{path}: node {node}: loads_kw must be >= 0, got -500.0")):
+                read(path)
+            obj["loads_kw"][0][1] = -0.0
+            path.write_text(json.dumps(obj))
+            read(path)
+
 
 class TestWriteText:
     """The one writer behind every artifact: skip identical bytes, overwrite in place."""

@@ -152,6 +152,17 @@ class TestLoadRoadNetwork:
         g = RoadGraph((NODES3[0], ("b", 32, np.float64(-97.0))), ())
         assert g.coord("b") == (32.0, -97.0) and type(g.coord("b")[0]) is float
 
+    def test_length_that_is_not_a_number_named(self):
+        # the coordinates' rule: float() would read True as 1 m and " 1_0 " as 10 m
+        for bad in (True, " 1_0 ", "10", None):
+            with pytest.raises(NonPositiveLengthError,
+                               match=r"edge \('a', 'b'\): length_m must be a number, got "):
+                RoadGraph(NODES3, (("a", "b", bad),))
+        with pytest.raises(NonPositiveLengthError, match="length_m must be finite"):
+            RoadGraph(NODES3, (("a", "b", 10**400),))
+        for length in (10, np.float64(10.0), np.int64(10)):
+            assert RoadGraph(NODES3, (("a", "b", length),)).edge_length_m("a", "b") == 10.0
+
     def test_lengths_past_int64_millimeters_refused(self):
         # one edge past the cap (1e308 m overflows even as a float in mm), or
         # edges that each fit but add up past it: every path must fit int64 mm

@@ -28,7 +28,9 @@ from gridrestore.errors import (
 )
 from gridrestore import routing
 from gridrestore.network import node_key
-from gridrestore.routing import BRUTE_NODE_CAP, SOLVE_NODE_CAP, validate_crew_arcs
+from gridrestore.routing import BRUTE_NODE_CAP, SOLVE_NODE_CAP
+
+from arc_checker import reference_validate_routes
 
 from conftest import random_metric_complete, random_routing_instance
 
@@ -604,6 +606,35 @@ class TestHeldKarpKernel:
         assert peak <= 2.5 * (n << n) * 8, peak / ((n << n) * 8)
 
 
+def _tampered_route(rnd, crew, required, depots, damaged):
+    """A valid route over ``required`` with up to three random faults: a stop
+    dropped, repeated, added or moved, a damaged endpoint, or a label dropped,
+    negated or changed."""
+    order = rnd.sample(sorted(required, key=node_key), len(required))
+    ends = [rnd.choice(depots), rnd.choice(depots)]
+    labels = {node: pos for pos, node in enumerate(order, start=1)}
+    for _ in range(rnd.choice((0, 0, 0, 0, 0, 1, 2, 3))):
+        fault = rnd.randrange(8)
+        if fault == 0 and order:
+            del order[rnd.randrange(len(order))]
+        elif fault == 1 and order:
+            order.insert(rnd.randrange(len(order) + 1), rnd.choice(order))
+        elif fault == 2:
+            order.insert(rnd.randrange(len(order) + 1), rnd.choice(damaged))
+        elif fault == 3 and order:
+            order.insert(rnd.randrange(len(order) + 1), order.pop(rnd.randrange(len(order))))
+        elif fault == 4:
+            ends[rnd.randrange(2)] = rnd.choice(damaged)
+        elif fault == 5 and labels:
+            del labels[rnd.choice(list(labels))]
+        elif fault == 6 and labels:
+            labels[rnd.choice(list(labels))] = rnd.randint(-3, 8)
+        elif fault == 7:
+            labels[rnd.choice(damaged)] = rnd.randint(-1, 8)
+    legs = (1.0,) * (len(order) + 1)
+    return Route(crew, ends[0], ends[1], tuple(order), legs, legs, float(len(legs)), labels)
+
+
 class TestValidation:
     def test_solver_output_passes(self, rng):
         for _ in range(20):
@@ -639,10 +670,21 @@ class TestValidation:
              ("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0},
             ["d"], {0: frozenset(["a", "b", "c"])},
         )
-        # depot serves only a; b and c form a detached 2-cycle
-        arcs = [("d", "a"), ("a", "d"), ("b", "c"), ("c", "b")]
-        report = validate_crew_arcs(arcs, 0, inst)
-        assert report["mtz"], "cycle among damaged nodes must be an ordering failure"
+        # the route closes the cycle a -> b -> a among damaged nodes and never reaches c
+        bad = Route(0, "d", "d", ("a", "b", "a"), (1.0,) * 4, (1.0,) * 4, 4.0,
+                    {"a": 1, "b": 2})
+        report = validate_routes(RoutePlan(0, {0: bad}), inst)
+        assert report.violations["mtz"], "cycle among damaged nodes must be an ordering failure"
+
+    def test_stray_stop_flagged(self):
+        # x is a terminal but neither damaged, required nor a depot
+        inst = _instance({("d", "a"): 1.0, ("d", "x"): 1.0, ("a", "x"): 1.0},
+                         ["d"], {0: frozenset(["a"])})
+        assert "x" not in inst.damaged
+        stray = Route(0, "d", "d", ("a", "x"), (1.0,) * 3, (1.0,) * 3, 3.0,
+                      {"a": 1, "x": 2})
+        report = validate_routes(RoutePlan(0, {0: stray}), inst)
+        assert report.violations["visit_once"] == ("crew 0: node 'x' visited but not required",)
 
     def test_decreasing_labels_fail(self):
         inst = _instance({("d", "a"): 1.0, ("d", "b"): 1.0, ("a", "b"): 1.0},
@@ -651,6 +693,36 @@ class TestValidation:
                     {"a": 2, "b": 1})
         report = validate_routes(RoutePlan(0, {0: bad}), inst)
         assert report.violations["mtz"]
+
+    def test_reports_equal_the_arc_checker(self):
+        # random valid and tampered routes whose stops are depots or damaged nodes,
+        # int and str ids mixed: the same report, family by family, message by message
+        rnd = random.Random(2025)
+        routes = passed = 0
+        seen = set()
+        for _ in range(250):
+            pool = rnd.sample([*range(20), *(f"n{i}" for i in range(20))], 9)
+            n_depots = rnd.randint(1, 3)
+            depots, damaged = pool[:n_depots], pool[n_depots:n_depots + rnd.randint(1, 6)]
+            terminals = depots + damaged
+            cg = CompleteGraph.from_distances(terminals, 1.0 - np.eye(len(terminals)))
+            crews = rnd.sample(range(4), rnd.randint(1, 4))
+            required = {k: frozenset(rnd.sample(damaged, rnd.randint(1, len(damaged)))
+                                     if rnd.random() < 0.9 else ()) for k in crews}
+            inst = RoutingInstance(cg, required, frozenset(depots),
+                                   damaged=frozenset(damaged))
+            for _ in range(10):
+                extra = [rnd.randrange(5)] if rnd.random() < 0.1 else []  # maybe unknown
+                plan = RoutePlan(0, {k: _tampered_route(rnd, k, required.get(k, ()),
+                                                        depots, damaged)
+                                     for k in {*crews, *extra} if rnd.random() < 0.95})
+                report = validate_routes(plan, inst)
+                assert report == reference_validate_routes(plan, inst), plan
+                routes += len(plan.routes)
+                passed += report.passed
+                seen.update(fam for fam, v in report.violations.items() if v)
+        assert routes >= 2000 and 500 <= passed <= 2000, (routes, passed)
+        assert seen == set(routing.FAMILIES)
 
     def test_report_never_raises(self):
         inst = _instance({("d", "a"): 1.0}, ["d"], {0: frozenset(["a"])})
