@@ -336,28 +336,31 @@ def cmd_solve(args, config: PipelineConfig) -> int:
     validation = []
     plans = []
     # One closure per distinct failure set, kept only until its last scenario,
-    # with the Held-Karp results solved over it (solve_routing's `solved`). Its
-    # first scenario solves the crew problems of all its scenarios (`ahead`).
+    # with the Held-Karp results solved over it (solve_routing's `solved`) and the
+    # Routes built from them (`routes`). Its first scenario solves the crew
+    # problems of all its scenarios (`ahead`). What was found on each route and
+    # each route's text live for this call (`checked`, `fragments`): their keys
+    # hold everything they depend on, and none of it is the closure's.
     last_use, problems, required = {}, {}, []
     for sc in sset.scenarios:
         last_use[sc.failed_edges] = sc.scenario_id
         required.append(sc.required())
         problems.setdefault(sc.failed_edges, {}).update(
             dict.fromkeys(crew_problems(required[-1], rates).values()))
-    closures = {}
+    closures, checked, fragments = {}, {}, {}
     for scenario, needs in zip(sset.scenarios, required):
         failed = scenario.failed_edges
-        complete, solved = closures.pop(failed, None) or (
-            shortest_path_matrix(apply_road_failures(net.road, failed), terminals), {})
+        complete, solved, routes = closures.pop(failed, None) or (
+            shortest_path_matrix(apply_road_failures(net.road, failed), terminals), {}, {})
         if last_use[failed] > scenario.scenario_id:
-            closures[failed] = complete, solved
+            closures[failed] = complete, solved, routes
         rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates,
                                               required=needs)
         plan = solve_routing(rinst, scenario.scenario_id, solved=solved,
-                             ahead=problems.pop(failed, ()))
-        report = validate_routes(plan, rinst)
+                             ahead=problems.pop(failed, ()), routes=routes)
+        report = validate_routes(plan, rinst, checked=checked)
         name = f"routes_s{scenario.scenario_id}.json"
-        fileio.write_route_plan_file(plan, out_dir / name, complete)
+        fileio.write_route_plan_file(plan, out_dir / name, complete, fragments=fragments)
         outputs.append(name)
         plans.append(plan)
         validation.append(
@@ -370,7 +373,7 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         all_passed &= report.passed
         print(f"  scenario {scenario.scenario_id}: route cost {plan.total_cost:.3f}, "
               f"validation {'pass' if report.passed else 'FAIL'}")
-        del complete, solved, rinst  # a closure no later scenario needs is freed here
+        del complete, solved, routes, rinst  # a closure no later scenario needs dies here
     fileio.write_json_artifact(
         out_dir / "validation.json",
         {"schema": "route_validation/1", "all_passed": all_passed, "scenarios": validation},

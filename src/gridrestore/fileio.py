@@ -167,9 +167,23 @@ def _encode(value, pad: str) -> str:
         return encode_basestring_ascii(value)
     if kind is int or kind is float and math.isfinite(value):
         return kind.__repr__(value)
+    if kind is _Encoded:
+        if value.pad != pad:
+            raise ValueError("a fragment is placed only at the pad it was encoded at")
+        return value.text
     if isinstance(value, (dict, list, tuple)):
         raise TypeError(f"a {kind.__name__} is not written to a JSON artifact")
     return json.dumps(value)  # a bool, None, a non-finite float, a str or number subclass
+
+
+class _Encoded:
+    """A value's ``_encode`` text at ``pad``, which ``_encode`` writes as it is
+    wherever the value would stand at that pad."""
+
+    __slots__ = ("text", "pad")
+
+    def __init__(self, value, pad: str):
+        self.text, self.pad = _encode(value, pad), pad
 
 
 @contextmanager
@@ -581,29 +595,64 @@ def read_allocation_file(path: str | Path):
 # --- route plan artifact ------------------------------------------------------
 
 
-def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteGraph) -> None:
+# the pad of each route in a route plan's "routes", and of each leg in a route's "legs"
+_ROUTE_PAD = "\n    "
+_LEG_PAD = _ROUTE_PAD + "    "
+
+
+def write_route_plan_file(plan: RoutePlan, path: str | Path, complete: CompleteGraph, *,
+                          fragments: dict[tuple, _Encoded] | None = None) -> None:
     """Route plan with per-leg costs, distances and road-level paths; the
-    complete graph supplies only the paths (null without road data)."""
+    complete graph supplies only the paths (null without road data).
+
+    ``fragments`` keeps each route's encoded text by all it holds: its crew,
+    stops, leg costs, leg meters, road paths, total and labels. It keeps each
+    leg's text by its arc, cost, meters and road path. A route or leg met again
+    is not encoded again. The keys compare numbers by ``==``, under which
+    ``1 == 1.0`` and ``0.0 == -0.0``, so share one map only between plans whose
+    numbers come alike, as ``solve_routing``'s do under one set of rates.
+    """
+    if fragments is None:
+        fragments = {}
     routes = []
     for k in sorted(plan.routes):
         r = plan.routes[k]
-        legs = [{"from": u, "to": v, "cost": cost, "distance_m": meters_str(meters),
-                 "road_path": complete.path(u, v)}
-                for (u, v), cost, meters in zip(r.arcs(), r.leg_costs, r.leg_m)]
-        routes.append({
-            "crew": k,
-            "depot_start": r.depot_start,
-            "depot_end": r.depot_end,
-            "visit_order": r.visit_order,
-            "leg_costs": r.leg_costs,
-            "total_cost": r.total_cost,
-            "mtz_labels": [[i, r.mtz_labels[i]] for i in sorted(r.mtz_labels, key=node_key)],
-            "legs": legs,
-        })
+        stops = r.stops()
+        paths = tuple(map(complete.path, stops, stops[1:]))
+        key = (k, stops, r.leg_costs, r.leg_m, paths, r.total_cost,
+               tuple(r.mtz_labels.items()))
+        text = fragments.get(key)
+        if text is None:
+            text = fragments[key] = _Encoded(_route_json(k, r, paths, fragments), _ROUTE_PAD)
+        routes.append(text)
     # _write_text, not write_json_artifact: perfbench times each write_* call and
     # counts its bytes once
     _write_text(path, _json_text({"schema": SCHEMA_ROUTES, "scenario_id": plan.scenario_id,
                                   "routes": routes, "total_cost": plan.total_cost}))
+
+
+def _route_json(k: int, r: Route, paths: Sequence, fragments: dict) -> dict:
+    """Crew ``k``'s route ``r`` as a route plan holds it, each leg as its encoded text
+    from ``fragments``; ``paths`` are the legs' road paths."""
+    legs = []
+    for leg in zip(r.arcs(), r.leg_costs, r.leg_m, paths):
+        text = fragments.get(leg)
+        if text is None:
+            (u, v), cost, meters, road_path = leg
+            text = fragments[leg] = _Encoded(
+                {"from": u, "to": v, "cost": cost, "distance_m": meters_str(meters),
+                 "road_path": road_path}, _LEG_PAD)
+        legs.append(text)
+    return {
+        "crew": k,
+        "depot_start": r.depot_start,
+        "depot_end": r.depot_end,
+        "visit_order": r.visit_order,
+        "leg_costs": r.leg_costs,
+        "total_cost": r.total_cost,
+        "mtz_labels": [[i, r.mtz_labels[i]] for i in sorted(r.mtz_labels, key=node_key)],
+        "legs": legs,
+    }
 
 
 def _leg_meters(rec: dict, path: str | Path) -> tuple[float, ...]:

@@ -454,10 +454,12 @@ class CompleteGraph:
         """One shortest road path from u to v, or None without a road graph."""
         if not self.positions:
             return None
-        iu, iv = self.index(u), self.index(v)
-        found = self._paths.get((iu, iv))
-        if found is not None or not self.reachable[iu, iv]:
+        found = self._paths.get((u, v))
+        if found is not None:
             return found
+        iu, iv = self.index(u), self.index(v)
+        if not self.reachable[iu, iv]:
+            return None
         # walk from the terminal listed later back to the one listed first; the
         # last-listed terminal is never listed first, so it has no distances
         root, leaf = (iu, iv) if iu < iv else (iv, iu)
@@ -476,7 +478,7 @@ class CompleteGraph:
         if iu < iv:
             seq.reverse()
         nodes = self.road_nodes
-        found = self._paths[iu, iv] = tuple(nodes[p][0] for p in seq)
+        found = self._paths[u, v] = tuple(nodes[p][0] for p in seq)
         return found
 
 

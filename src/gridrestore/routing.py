@@ -17,9 +17,10 @@ set and on whether the rate is positive: the crew's problem. ``solve_routing``
 therefore solves each distinct problem once and shares the result between
 crews. A caller that routes many scenarios over one closure can pass the same
 ``solved`` map to each call, and the problems of the later scenarios as
-``ahead`` to the first. One table over the union of several required sets
-answers each of them (``_HeldKarp``), so a closure's problems cost one table
-per rate flag wherever that table is no larger than theirs together.
+``ahead`` to the first; a ``routes`` map passed alike keeps each crew's
+Route. One table over the union of several required sets answers each of
+them (``_HeldKarp``), so a closure's problems cost one table per rate flag
+wherever that table is no larger than theirs together.
 Reported leg costs and totals are each crew's own float arc costs summed left
 to right, and a cost that leaves the float64 range raises
 ``NumericOverflowError``.
@@ -32,7 +33,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -258,9 +259,11 @@ def _route_from_order(
     order: tuple[NodeId, ...],
 ) -> Route:
     stops = (d0, *order, d1)
-    arcs = tuple(zip(stops, stops[1:]))
-    legs = tuple(inst.arc_cost(u, v, crew) for u, v in arcs)
-    leg_m = tuple(inst.complete.dist_m(u, v) for u, v in arcs)
+    # each leg costs its meters x the rate, as arc_cost has it: consecutive stops
+    # never coincide, since the order holds no depot and no node twice
+    leg_m = tuple(map(inst.complete.dist_m, stops, stops[1:]))
+    rate = inst.rate(crew)
+    legs = tuple(meters * rate for meters in leg_m)
     total = 0.0
     for c in legs:
         total += c
@@ -421,18 +424,16 @@ def _solve_problems(inst: RoutingInstance, problems: Iterable[Problem]) -> Solve
     return solved
 
 
-def _solve_crew_dp(inst: RoutingInstance, crew: int) -> tuple[NodeId, NodeId, tuple[NodeId, ...]]:
-    """The optimal (depot_start, depot_end, visit order) under the shared tie-break,
-    from a Held-Karp table over the crew's required set alone."""
+def _refuse(inst: RoutingInstance, crew: int) -> NoReturn:
+    """Raise for a crew whose problem ``_solve_problems`` left unanswered: its set
+    is over the cap, ``_check_reachability`` refuses it, or, as its own table
+    would find, no depot-to-depot route exists."""
     nodes = sorted(inst.required[crew], key=node_key)
     n = len(nodes)
     if n > SOLVE_NODE_CAP:
         raise TooManyNodesError(crew, n, SOLVE_NODE_CAP)
     _check_reachability(inst, crew, nodes)
-    answer = _HeldKarp(inst, inst.rate(crew) > 0, nodes).order(inst.required[crew])
-    if answer is None:
-        raise NodeUnreachableError(nodes[0], crew, "no feasible depot-to-depot route")
-    return answer
+    raise NodeUnreachableError(nodes[0], crew, "no feasible depot-to-depot route")
 
 
 def _solve_crew_brute(inst: RoutingInstance, crew: int) -> Route:
@@ -481,7 +482,8 @@ def crew_problems(required: Mapping[int, frozenset[NodeId]],
 
 
 def solve_routing(inst: RoutingInstance, scenario_id: int, *,
-                  solved: Solved | None = None, ahead: Iterable[Problem] = ()) -> RoutePlan:
+                  solved: Solved | None = None, ahead: Iterable[Problem] = (),
+                  routes: dict[tuple[int, Problem], Route] | None = None) -> RoutePlan:
     """Exact optimal route per crew via Held-Karp over subsets (cap 16).
 
     ``solved`` keeps each problem's optimal order and depots, and is filled as
@@ -489,20 +491,27 @@ def solve_routing(inst: RoutingInstance, scenario_id: int, *,
     graph and depots, and never share it beyond them. ``ahead`` names problems
     that later calls with the same map will pose, over this instance's
     terminals: they are solved now, from the same tables as this scenario's
-    own (``_solve_problems``).
+    own (``_solve_problems``). ``routes`` keeps each crew's Route by (crew,
+    problem), so a crew that poses a problem again gets the same Route: share
+    it as ``solved`` is shared, and only under the same rates.
     """
     if solved is None:
         solved = {}
+    if routes is None:
+        routes = {}
     problems = crew_problems(inst.required, inst.cost_rate_per_m)
     pending = [p for p in dict.fromkeys([*problems.values(), *ahead]) if p not in solved]
     if pending:
         solved.update(_solve_problems(inst, pending))
-    routes = {}
+    plan_routes = {}
     for k, problem in problems.items():
-        if problem not in solved:  # over the cap or unreachable: raises for crew k
-            solved[problem] = _solve_crew_dp(inst, k)
-        routes[k] = _route_from_order(inst, k, *solved[problem])
-    plan = RoutePlan(scenario_id, routes)
+        route = routes.get((k, problem))
+        if route is None:
+            if problem not in solved:  # over the cap or unreachable
+                _refuse(inst, k)
+            route = routes[k, problem] = _route_from_order(inst, k, *solved[problem])
+        plan_routes[k] = route
+    plan = RoutePlan(scenario_id, plan_routes)
     if not math.isfinite(plan.total_cost):
         raise NumericOverflowError(f"stage 2: scenario {scenario_id}: route cost",
                                    _OVERFLOW_INPUTS)
@@ -548,73 +557,101 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_routes(plan: RoutePlan, inst: RoutingInstance) -> ValidationReport:
+# what validate_routes found on one route: (family, line) pairs in the order found
+Findings = tuple[tuple[str, str], ...]
+
+
+def validate_routes(plan: RoutePlan, inst: RoutingInstance, *,
+                    checked: dict[tuple, Findings] | None = None) -> ValidationReport:
     """Check a plan against the four routing constraint families.
 
     One pass over each crew's stops: a stop's arrivals are counted over
     ``stops[1:]`` and its departures over ``stops[:-1]``. A stop that is
     neither a required node nor a depot is a ``visit_once`` violation.
     Never raises; every problem lands in the report.
+
+    ``checked`` keeps what was found on each route by all it depends on: the
+    crew, its required set, the depots, and the route's stops and labels. It
+    keeps only routes whose every stop is required or a depot. Such a route
+    meets no other damaged node, so the rest of the damaged set cannot change
+    what is found, and one map may serve any calls.
     """
+    if checked is None:
+        checked = {}
     out: dict[str, list[str]] = {fam: [] for fam in FAMILIES}
     depots, damaged = inst.depots, inst.damaged
     for k in sorted(inst.required):
         required = inst.required[k]
         route = plan.routes.get(k)
-        tag = f"crew {k}"
         if route is None:
             if required:
                 out["visit_once"].append(
-                    f"{tag}: no route although {len(required)} node(s) require it")
+                    f"crew {k}: no route although {len(required)} node(s) require it")
             continue
-        if not required:
-            out["visit_once"].append(f"{tag}: route present but nothing requires it")
         stops = route.stops()
-        arrivals, departures = Counter(stops[1:]), Counter(stops[:-1])
-
-        for i in sorted(required, key=node_key):
-            if arrivals[i] != 1 or departures[i] != 1:
-                out["visit_once"].append(
-                    f"{tag}: node {i!r} visited {arrivals[i]} time(s), expected exactly 1")
-        for i in sorted(set(stops) - required - depots, key=node_key):
-            out["visit_once"].append(f"{tag}: node {i!r} visited but not required")
-
-        for end, node in (("start", stops[0]), ("end", stops[-1])):
-            if node not in depots:
-                out["depot_endpoints"].append(f"{tag}: {end} {node!r} is not a depot")
-        depot_out = sum(n for i, n in departures.items() if i in depots)
-        depot_in = sum(n for i, n in arrivals.items() if i in depots)
-        if depot_out != 1 or depot_in != 1:
-            out["depot_endpoints"].append(
-                f"{tag}: expected exactly one departure from and one arrival at a depot, "
-                f"got {depot_out} departure(s), {depot_in} arrival(s)")
-
-        # on a path only the two endpoints can enter and leave unequally often
-        for i in sorted({stops[0], stops[-1]} & damaged, key=node_key):
-            if arrivals[i] != departures[i]:
-                out["flow_conservation"].append(
-                    f"{tag}: node {i!r} has in-degree {arrivals[i]} != "
-                    f"out-degree {departures[i]}")
-
-        # MTZ, u_i - u_j + |N| <= |N| - 1 on each arc between damaged nodes: with integer
-        # labels, u_i < u_j
-        labels = route.mtz_labels
-        for u, v in zip(stops, stops[1:]):
-            if u in damaged and v in damaged:
-                lu, lv = labels.get(u), labels.get(v)
-                if lu is None or lv is None:
-                    out["mtz"].append(f"{tag}: arc {u!r} -> {v!r} lacks ordering labels")
-                elif lu >= lv:
-                    out["mtz"].append(f"{tag}: arc {u!r} -> {v!r} violates ordering: "
-                                      f"u[{u!r}]={lu}, u[{v!r}]={lv}")
-        out["mtz"].extend(f"{tag}: label u[{i!r}]={lab} is negative"
-                          for i, lab in labels.items() if lab < 0)
-        order = route.visit_order
-        for a, b in zip(order, order[1:]):
-            la, lb = labels.get(a), labels.get(b)
-            if la is None or lb is None or not la < lb:
-                out["mtz"].append(f"{tag}: labels not strictly increasing at {a!r} -> {b!r}")
+        key = (k, required, depots, stops, tuple(route.mtz_labels.items()))
+        found = checked.get(key)
+        if found is None:
+            found = _route_findings(k, required, depots, damaged, route, stops)
+            if depots.union(required).issuperset(stops):
+                checked[key] = found
+        for fam, line in found:
+            out[fam].append(line)
     for k in sorted(plan.routes):
         if k not in inst.required:
             out["visit_once"].append(f"crew {k}: route present for unknown crew")
     return ValidationReport({fam: tuple(v) for fam, v in out.items()})
+
+
+def _route_findings(k: int, required: frozenset[NodeId], depots: frozenset[NodeId],
+                    damaged: frozenset[NodeId], route: Route,
+                    stops: tuple[NodeId, ...]) -> Findings:
+    """The violations of crew ``k``'s ``route``, whose stops are ``stops``."""
+    found: list[tuple[str, str]] = []
+    tag = f"crew {k}"
+    if not required:
+        found.append(("visit_once", f"{tag}: route present but nothing requires it"))
+    arrivals, departures = Counter(stops[1:]), Counter(stops[:-1])
+
+    for i in sorted(required, key=node_key):
+        if arrivals[i] != 1 or departures[i] != 1:
+            found.append(("visit_once", f"{tag}: node {i!r} visited {arrivals[i]} time(s), "
+                                        "expected exactly 1"))
+    for i in sorted(set(stops) - required - depots, key=node_key):
+        found.append(("visit_once", f"{tag}: node {i!r} visited but not required"))
+
+    for end, node in (("start", stops[0]), ("end", stops[-1])):
+        if node not in depots:
+            found.append(("depot_endpoints", f"{tag}: {end} {node!r} is not a depot"))
+    depot_out = sum(n for i, n in departures.items() if i in depots)
+    depot_in = sum(n for i, n in arrivals.items() if i in depots)
+    if depot_out != 1 or depot_in != 1:
+        found.append(("depot_endpoints",
+                      f"{tag}: expected exactly one departure from and one arrival at a "
+                      f"depot, got {depot_out} departure(s), {depot_in} arrival(s)"))
+
+    # on a path only the two endpoints can enter and leave unequally often
+    for i in sorted({stops[0], stops[-1]} & damaged, key=node_key):
+        if arrivals[i] != departures[i]:
+            found.append(("flow_conservation", f"{tag}: node {i!r} has in-degree "
+                                               f"{arrivals[i]} != out-degree {departures[i]}"))
+
+    # MTZ, u_i - u_j + |N| <= |N| - 1 on each arc between damaged nodes: with integer
+    # labels, u_i < u_j
+    labels = route.mtz_labels
+    for u, v in zip(stops, stops[1:]):
+        if u in damaged and v in damaged:
+            lu, lv = labels.get(u), labels.get(v)
+            if lu is None or lv is None:
+                found.append(("mtz", f"{tag}: arc {u!r} -> {v!r} lacks ordering labels"))
+            elif lu >= lv:
+                found.append(("mtz", f"{tag}: arc {u!r} -> {v!r} violates ordering: "
+                                     f"u[{u!r}]={lu}, u[{v!r}]={lv}"))
+    found.extend(("mtz", f"{tag}: label u[{i!r}]={lab} is negative")
+                 for i, lab in labels.items() if lab < 0)
+    order = route.visit_order
+    for a, b in zip(order, order[1:]):
+        la, lb = labels.get(a), labels.get(b)
+        if la is None or lb is None or not la < lb:
+            found.append(("mtz", f"{tag}: labels not strictly increasing at {a!r} -> {b!r}"))
+    return tuple(found)

@@ -739,10 +739,10 @@ class TestSolveAndSchedule:
             built.append(weakref.ref(complete))
             return complete
 
-        def watching(plan, path, complete):
+        def watching(plan, path, complete, **memo):
             gc.collect()
             alive.append(sum(ref() is not None for ref in built))
-            write_plan(plan, path, complete)
+            write_plan(plan, path, complete, **memo)
 
         monkeypatch.setattr(cli, "shortest_path_matrix", counting)
         monkeypatch.setattr(fileio, "write_route_plan_file", watching)
@@ -786,9 +786,9 @@ class TestSolveAndSchedule:
                 tables.append((inst.complete, positive, frozenset(nodes)))
                 super().__init__(inst, positive, nodes)
 
-        def recording(inst, scenario_id, *, solved=None, ahead=()):
+        def recording(inst, scenario_id, *, solved=None, **memo):
             seen.append((solved, inst.complete))
-            return solve(inst, scenario_id, solved=solved, ahead=ahead)
+            return solve(inst, scenario_id, solved=solved, **memo)
 
         def refused(inst, crew):
             raise AssertionError("a crew solved apart from its closure's tables")
@@ -802,7 +802,7 @@ class TestSolveAndSchedule:
 
         monkeypatch.setattr(Scenario, "required", counted_required)
         monkeypatch.setattr(routing, "_HeldKarp", Counting)
-        monkeypatch.setattr(routing, "_solve_crew_dp", refused)
+        monkeypatch.setattr(routing, "_refuse", refused)
         monkeypatch.setattr(cli, "solve_routing", recording)
         assert main(["--out-dir", str(out), "--config", str(config), "solve",
                      "--network", str(out / "network.json"),

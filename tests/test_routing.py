@@ -395,6 +395,21 @@ def _tie_heavy_complete(rnd, depots, nodes, p_cut):
     return CompleteGraph.from_distances(terms, m)
 
 
+def _solve_crew_dp(inst, crew):
+    """The per-set reference: the optimal (depot_start, depot_end, visit order)
+    under the shared tie-break, from a Held-Karp table over the crew's required
+    set alone; it raises as ``solve_routing`` refuses a crew."""
+    nodes = sorted(inst.required[crew], key=node_key)
+    n = len(nodes)
+    if n > SOLVE_NODE_CAP:
+        raise TooManyNodesError(crew, n, SOLVE_NODE_CAP)
+    routing._check_reachability(inst, crew, nodes)
+    answer = routing._HeldKarp(inst, inst.rate(crew) > 0, nodes).order(inst.required[crew])
+    if answer is None:
+        raise NodeUnreachableError(nodes[0], crew, "no feasible depot-to-depot route")
+    return answer
+
+
 def _per_set(solver, cg, depots, nodes, required, rate):
     """(depot_start, depot_end, order) of ``solver`` for one crew needing
     ``required``, or None where it finds no route."""
@@ -426,6 +441,57 @@ class _CountedTables:
         return sorted((sorted(nodes), positive) for nodes, positive, _ in self.built)
 
 
+def _outcome(solve, inst, crew):
+    """(depot_start, depot_end, order) of ``solve``, or the type and text of its refusal."""
+    try:
+        found = solve(inst, crew)
+    except (NodeUnreachableError, TooManyNodesError) as exc:
+        return type(exc), str(exc)
+    return found
+
+
+def test_refusals_equal_the_per_set_reference(monkeypatch):
+    # nodes no depot reaches, sets split apart, a set no depot-to-depot route
+    # covers, and a set over the cap: solve_routing raises what a table over the
+    # set alone raises, message for message, and builds no table to raise it
+    rnd = random.Random(53)
+    cases = []
+    for _ in range(200):
+        depots = ["d0", "d1"][:rnd.randint(1, 2)]
+        nodes = [f"n{i}" for i in range(rnd.randint(1, 7))]
+        cg = _tie_heavy_complete(rnd, depots, nodes, rnd.choice((0.2, 0.4, 0.6)))
+        cases.append((cg, depots, frozenset(rnd.sample(nodes, rnd.randint(1, len(nodes))))))
+    # a is next to every node, but b, c and e only to a and the depot: no path
+    # through all four alternates them with a
+    star = np.ones((5, 5)) - np.eye(5)
+    for i in (2, 3, 4):
+        for j in (2, 3, 4):
+            if i != j:
+                star[i, j] = np.inf
+    cases.append((CompleteGraph.from_distances(["d", "a", "b", "c", "e"], star), ["d"],
+                  frozenset("abce")))
+    nodes = [f"n{i:02d}" for i in range(SOLVE_NODE_CAP + 1)]
+    cases.append((CompleteGraph.from_distances(["d", *nodes], 1 - np.eye(len(nodes) + 1)),
+                  ["d"], frozenset(nodes)))
+    kinds = ("no depot can reach", "disconnected", "no feasible", "capped")
+    refusals = set()
+    for n, (cg, depots, required) in enumerate(cases):
+        inst = RoutingInstance(cg, {2: required}, frozenset(depots),
+                               damaged=frozenset(cg.terminals) - frozenset(depots))
+        want = _outcome(_solve_crew_dp, inst, 2)
+        tables = _CountedTables(monkeypatch)
+        got = _outcome(lambda inst, k: solve_routing(inst, 0).routes[k], inst, 2)
+        if isinstance(want[0], type):
+            assert got == want, n
+            refusals.update(kind for kind in kinds if kind in want[1])
+            # only the set that passes the reachability check gets its one table
+            assert len(tables.built) == ("no feasible" in want[1]), n
+        else:
+            assert (got.depot_start, got.depot_end, got.visit_order) == want, n
+        monkeypatch.undo()
+    assert refusals == set(kinds)
+
+
 class TestHeldKarpTables:
     """One table over the union of several required sets answers each of them."""
 
@@ -444,7 +510,7 @@ class TestHeldKarpTables:
                 table = routing._HeldKarp(inst, positive, nodes)
                 for _ in range(4):
                     required = frozenset(rnd.sample(nodes, rnd.randint(1, len(nodes))))
-                    want = _per_set(routing._solve_crew_dp, cg, depots, nodes, required, rate)
+                    want = _per_set(_solve_crew_dp, cg, depots, nodes, required, rate)
                     assert table.order(required) == want, (trial, sorted(map(str, required)))
                     compared += 1
                     big = len(required) > 6  # brute force takes ~0.1 s past 6 nodes
@@ -468,7 +534,7 @@ class TestHeldKarpTables:
             solved = routing._solve_problems(inst, problems)
             want = {}
             for required, positive in problems:
-                answer = _per_set(routing._solve_crew_dp, cg, depots, nodes, required,
+                answer = _per_set(_solve_crew_dp, cg, depots, nodes, required,
                                   1.0 if positive else 0.0)
                 if answer is not None:
                     want[required, positive] = answer
@@ -723,6 +789,39 @@ class TestValidation:
                 seen.update(fam for fam, v in report.violations.items() if v)
         assert routes >= 2000 and 500 <= passed <= 2000, (routes, passed)
         assert seen == set(routing.FAMILIES)
+
+    def test_checked_map_changes_no_report(self, monkeypatch):
+        # routes met again under other damaged sets, among them stray stops that are
+        # damaged in one instance and not in the next: with one map shared by every
+        # call, each report equals the one found without it
+        rnd = random.Random(2026)
+        checked, calls = {}, []
+        findings = routing._route_findings
+
+        def counting(*args):
+            calls.append(args[0])
+            return findings(*args)
+
+        monkeypatch.setattr(routing, "_route_findings", counting)
+        reused = 0
+        for _ in range(60):
+            pool = rnd.sample([*range(12), *(f"n{i}" for i in range(12))], 10)
+            depots, nodes = pool[:2], pool[2:]
+            terminals = depots + nodes
+            cg = CompleteGraph.from_distances(terminals, 1.0 - np.eye(len(terminals)))
+            required = {k: frozenset(rnd.sample(nodes[:4], rnd.randint(0, 3)))
+                        for k in range(3)}
+            routes = [_tampered_route(rnd, k, required[k], depots, nodes)
+                      for k in range(3) for _ in range(3)]
+            for _ in range(8):
+                damaged = frozenset(nodes[:4]).union(rnd.sample(nodes[4:], rnd.randint(0, 4)))
+                inst = RoutingInstance(cg, required, frozenset(depots), damaged=damaged)
+                plan = RoutePlan(0, {r.crew: r for r in rnd.sample(routes, 4)})
+                calls.clear()
+                report = validate_routes(plan, inst, checked=checked)
+                reused += len(plan.routes) - len(calls)
+                assert report == validate_routes(plan, inst)
+        assert reused > 0 and checked
 
     def test_report_never_raises(self):
         inst = _instance({("d", "a"): 1.0}, ["d"], {0: frozenset(["a"])})
