@@ -28,7 +28,6 @@ to right, and a cost that leaves the float64 range raises
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -291,23 +290,6 @@ def _arc_table(inst: RoutingInstance, crew: int,
             for row in _arc_mm(inst, inst.rate(crew) > 0, stops).tolist()]
 
 
-@functools.lru_cache(maxsize=None)
-def _mask_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per popcount 1..n-1: the masks, each mask with node j's bit set, and
-    whether the mask already holds node j (the last two shaped (masks, n))."""
-    masks = np.arange(1 << n)
-    bits = 1 << np.arange(n)
-    popcount = ((masks[:, None] & bits) != 0).sum(axis=1)
-    layers = []
-    for k in range(1, n):
-        layer = masks[popcount == k]
-        arrays = (layer, layer[:, None] | bits, (layer[:, None] & bits) != 0)
-        for a in arrays:
-            a.setflags(write=False)
-        layers.append(arrays)
-    return tuple(layers)
-
-
 class _HeldKarp:
     """The Held-Karp cost-to-go over a node set, which answers any subset of it.
 
@@ -326,20 +308,21 @@ class _HeldKarp:
         mm = _arc_mm(inst, positive, self.depots + nodes)  # node i is stop m + i
         arcs = np.where(mm < 0, np.inf, mm)
         first, step, home = arcs[:m, m:], arcs[m:, m:], arcs[m:, :m]
-        idx = np.arange(n)
-        g = np.empty((1 << n, n))
+        # g starts as inf, and each layer is written only once it is complete: a
+        # next node j already in mask reads g[mask, j], a row of the layer being
+        # built, so a held node is never taken again
+        g = np.full((1 << n, n), np.inf)
         g[-1] = home.min(axis=1)
-        for masks, grown, held in reversed(_mask_layers(n)):
-            ahead = g[grown, idx]
-            ahead[held] = np.inf
-            ahead = ahead.T.copy()  # row j: on from next node j, for each mask
-            # g[mask, last] is the minimum over j of step[last, j] + ahead[j, mask],
+        popcount = np.zeros(1, np.uint8)  # by mask: masks 2**i..2**(i+1)-1 add bit i
+        for _ in range(n):
+            popcount = np.concatenate((popcount, popcount + 1))
+        for k in range(n - 1, 0, -1):
+            masks = np.flatnonzero(popcount == k)
+            # g[mask, last] is the minimum over j of step[last, j] + g[mask | 1 << j, j],
             # kept as a running minimum over j: no (masks, last, next) block
-            best = step[:, :1] + ahead[0]
-            cand = np.empty_like(best)
+            best = step[:, :1] + g[masks | 1, 0]
             for j in range(1, n):
-                np.add(step[:, j, None], ahead[j], out=cand)
-                np.minimum(best, cand, out=best)
+                np.minimum(best, step[:, j, None] + g[masks | 1 << j, j], out=best)
             g[masks] = best.T
         self.g = g
         self.position = {node: i for i, node in enumerate(nodes)}
@@ -484,7 +467,8 @@ def crew_problems(required: Mapping[int, frozenset[NodeId]],
 def solve_routing(inst: RoutingInstance, scenario_id: int, *,
                   solved: Solved | None = None, ahead: Iterable[Problem] = (),
                   routes: dict[tuple[int, Problem], Route] | None = None) -> RoutePlan:
-    """Exact optimal route per crew via Held-Karp over subsets (cap 16).
+    """Exact optimal route per crew via Held-Karp over subsets (at most
+    ``SOLVE_NODE_CAP`` required nodes per crew).
 
     ``solved`` keeps each problem's optimal order and depots, and is filled as
     problems are solved. Pass one map to every call over the same complete

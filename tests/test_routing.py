@@ -620,32 +620,87 @@ class TestHeldKarpTables:
 
 def _broadcast_table(inst, positive, nodes):
     """The Held-Karp cost-to-go of a backward pass that reduces each layer's
-    (masks, last, next) block over its next axis at once."""
+    (masks, last, next) block over its next axis at once, with the next nodes a
+    mask already holds set to inf."""
     depots = sorted(inst.depots, key=node_key)
     nodes = sorted(nodes, key=node_key)
     m, n = len(depots), len(nodes)
     mm = routing._arc_mm(inst, positive, depots + nodes)
     arcs = np.where(mm < 0, np.inf, mm)
     step, home = arcs[m:, m:], arcs[m:, :m]
-    idx = np.arange(n)
+    all_masks = np.arange(1 << n)
+    bits = 1 << np.arange(n)
+    holds = (all_masks[:, None] & bits) != 0  # (mask, j): mask holds node j
+    popcount = holds.sum(axis=1)
     g = np.empty((1 << n, n))
     g[-1] = home.min(axis=1)
-    for masks, grown, held in reversed(routing._mask_layers(n)):
-        ahead = g[grown, idx]
-        ahead[held] = np.inf
+    for k in range(n - 1, 0, -1):
+        masks = all_masks[popcount == k]
+        ahead = g[masks[:, None] | bits, np.arange(n)]
+        ahead[holds[masks]] = np.inf
         g[masks] = (step[None, :, :] + ahead[:, None, :]).min(axis=2)
     return g
+
+
+def _integer_held_karp(cg, depots, required, positive):
+    """The optimal (depot_start, depot_end, visit order) through ``required``,
+    or None: a forward Held-Karp over dicts in plain Python integers.
+
+    Each (mask, last) state keeps the least (cost, path, depot_start) tuple of
+    node and depot ranks, so ties fall to the smaller path, then the smaller
+    depot, as the shared tie-break has it. A set the reachability check refuses
+    (a node no depot reaches, or one cut from the set's first node) gets None.
+    """
+    depots = sorted(depots, key=node_key)
+    todo = sorted(required, key=node_key)
+
+    def arc(u, v):
+        mm = int(cg.dist_mm[cg.index(u), cg.index(v)])
+        return None if mm < 0 else mm if positive else 0
+
+    if any(arc(todo[0], i) is None or all(arc(d, i) is None for d in depots)
+           for i in todo):
+        return None
+    n = len(todo)
+    states = {}  # mask -> {last: (cost, path, depot_start)}
+    for i, node in enumerate(todo):
+        for r, d in enumerate(depots):
+            c = arc(d, node)
+            if c is not None:
+                cand = (c, (i,), r)
+                held = states.setdefault(1 << i, {})
+                if i not in held or cand < held[i]:
+                    held[i] = cand
+    for mask in range(1, (1 << n) - 1):  # every mask grows into larger ones
+        for last, (cost, path, r) in states.get(mask, {}).items():
+            for j in range(n):
+                c = arc(todo[last], todo[j])
+                if not mask >> j & 1 and c is not None:
+                    cand = (cost + c, path + (j,), r)
+                    held = states.setdefault(mask | 1 << j, {})
+                    if j not in held or cand < held[j]:
+                        held[j] = cand
+    best = None
+    for last, (cost, path, r) in states.get((1 << n) - 1, {}).items():
+        for s, d in enumerate(depots):
+            c = arc(todo[last], d)
+            if c is not None and (best is None or (cost + c, path, r, s) < best):
+                best = (cost + c, path, r, s)
+    if best is None:
+        return None
+    _, path, r, s = best
+    return depots[r], depots[s], tuple(todo[i] for i in path)
 
 
 class TestHeldKarpKernel:
     """The backward pass keeps a running minimum over the next node."""
 
     def test_equals_broadcast_reference_entry_for_entry(self):
-        # n = 1..10, 1-3 depots, cut pairs (inf arcs), tie-heavy arcs and rate 0;
-        # mask 0 is never filled nor read, so the comparison starts at mask 1
+        # n = 1..10, then 13 and the cap once each; 1-3 depots, cut pairs (inf
+        # arcs), tie-heavy arcs and rate 0. Mask 0 is never read, so the
+        # comparison starts at mask 1
         rnd = random.Random(53)
-        for trial in range(90):
-            n = trial % 10 + 1
+        for trial, n in enumerate([*(t % 10 + 1 for t in range(90)), 13, SOLVE_NODE_CAP]):
             depots = ["d0", "d1", "d2"][:rnd.randint(1, 3)]
             nodes = [f"n{i}" for i in range(n)]
             cg = _tie_heavy_complete(rnd, depots, nodes, rnd.choice((0.0, 0.1, 0.3)))
@@ -655,21 +710,64 @@ class TestHeldKarpKernel:
                 want = _broadcast_table(inst, positive, nodes)
                 assert np.array_equal(got[1:], want[1:]), (trial, positive)
 
+    def test_orders_equal_the_integer_oracle(self):
+        # unions of 1 to 11 nodes, 1-3 depots, cut pairs, tie-heavy arcs and
+        # rate 0: the union's table and each set's own answer every set as the
+        # integer forward pass does
+        rnd = random.Random(59)
+        compared = past_brute = 0
+        for trial in range(66):
+            n = trial % 11 + 1
+            depots = rnd.sample(["d0", "d1", 7], rnd.randint(1, 3))
+            nodes = [f"n{i}" if i % 2 else i * 10 for i in range(n)]
+            cg = _tie_heavy_complete(rnd, depots, nodes, rnd.choice((0.0, 0.0, 0.1)))
+            inst = RoutingInstance(cg, {}, frozenset(depots), damaged=frozenset(nodes))
+            positive = trial % 4 != 3
+            union = routing._HeldKarp(inst, positive, nodes)
+            queries = [frozenset(nodes)]
+            queries += [frozenset(rnd.sample(nodes, rnd.randint(1, n))) for _ in range(2)]
+            for required in queries:
+                want = _integer_held_karp(cg, depots, required, positive)
+                assert union.order(required) == want, (trial, positive)
+                own = routing._HeldKarp(inst, positive, sorted(required, key=node_key))
+                assert own.order(required) == want, (trial, positive)
+                compared += 1
+                past_brute += want is not None and len(required) > BRUTE_NODE_CAP
+        assert compared == 198 and past_brute == 16
+
     def test_peak_memory_at_the_cap_tracks_the_table(self, rng):
-        # the table g is 2**n x n float64; the pass adds three (masks, n) layer
-        # arrays on top, where a (masks, last, next) block would take ~4.5x g
+        # the table g is 2**n x n float64; a cold pass adds only its largest
+        # layer's (last, masks) arrays on top, where a (masks, last, next) block
+        # would take ~4.5x g
         n = SOLVE_NODE_CAP
         nodes = [f"n{i:02d}" for i in range(n)]
         cg = random_metric_complete(rng, ["d0", "d1", *nodes])
         inst = RoutingInstance(cg, {}, frozenset(["d0", "d1"]), damaged=frozenset(nodes))
-        routing._mask_layers(n)  # cached for the process: not the table's own memory
         tracemalloc.start()
         try:
             routing._HeldKarp(inst, True, nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (n << n) * 8, peak / ((n << n) * 8)
+        assert peak <= 1.6 * (n << n) * 8, peak / ((n << n) * 8)
+
+    def test_a_dropped_table_leaves_no_memory_behind(self, rng):
+        # a table over 14 nodes holds 1.8 MB; once it is dropped, nothing the
+        # pass built for it may stay with the process
+        nodes = [f"n{i:02d}" for i in range(14)]
+        cg = random_metric_complete(rng, ["d0", *nodes])
+        inst = RoutingInstance(cg, {}, frozenset(["d0"]), damaged=frozenset(nodes))
+        routing._HeldKarp(inst, True, nodes[:3])  # first-call state of numpy and routing
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            routing._HeldKarp(inst, True, nodes)  # dropped at once
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert left <= 16 << 10, left
 
 
 def _tampered_route(rnd, crew, required, depots, damaged):
