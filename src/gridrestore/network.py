@@ -10,6 +10,7 @@ fixed-point meters with 3 decimals, which round-trips the quantization.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import math
 from bisect import bisect_left
@@ -133,9 +134,9 @@ class RoadGraph:
 
     A graph derived by ``apply_road_failures`` keeps the graph it was derived
     from as ``_base``; a built graph has none. ``_bound_memo`` holds, by
-    terminal position, the full-search distances that bound the closures of
-    this graph and of the graphs derived from it (``shortest_path_matrix``),
-    and goes with the graph.
+    terminal position, the distance lists that bound the closures of this
+    graph and of the graphs derived from it (``_bounds``), each a list of
+    every node's distance from that terminal, and goes with the graph.
     """
 
     nodes: tuple[tuple[NodeId, float, float], ...]
@@ -574,42 +575,69 @@ def apply_road_failures(
     return road._without(rows) if rows else road
 
 
-def _distances(adj: tuple, source: int) -> list[int]:
-    """Every node's distance from ``source`` by a full Dijkstra search on node
-    positions; -1 where unreached."""
+def _bound_lists(adj: tuple, sources: Sequence[int]) -> list[list[int]]:
+    """Every node's distance from each of ``sources`` on the graph of ``adj``; -1
+    where unreached.
+
+    One label-correcting search (Bellman 1958) serves every source at once, in
+    numpy over the adjacency in CSR form: the labels are a (source, node) array,
+    and each round relaxes the edges out of every label that fell in the round
+    before, keeping the least candidate per label (``np.minimum.at``, which no
+    write order sways). A label is then the shortest walk of at most as many
+    edges as rounds run, so the search ends, exact, after one round more than
+    the most edges on a shortest path. The labels are uint64 with its max as
+    "unreached": a real distance is at most ``MAX_ROAD_MM`` and an edge no
+    longer, so no candidate reaches the sentinel, and uint64 is never mixed
+    with int64, which numpy would promote to float64.
+    """
     n = len(adj)
-    dist = [-1] * n
-    dist[source] = 0
-    heap = [source]  # keys d * n + position: distance first, then position
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        d, u = divmod(heappop(heap), n)
-        if d > dist[u]:
-            continue  # a stale key: u was settled nearer
-        for v, w in adj[u]:
-            nd = d + w
-            dv = dist[v]
-            if dv < 0 or nd < dv:
-                dist[v] = nd
-                heappush(heap, nd * n + v)
-    return dist
+    pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(adj)),
+                        dtype=np.int64)
+    head, mm = pairs[0::2], pairs[1::2].astype(np.uint64)
+    degree = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    first = np.cumsum(degree) - degree  # each node's first CSR position
+    unreached = np.iinfo(np.uint64).max
+    dist = np.full(len(sources) * n, unreached, dtype=np.uint64)
+    # labels by flat index s * n + node; those that fell last round
+    fell = np.arange(len(sources), dtype=np.int64) * n + np.asarray(sources, dtype=np.int64)
+    dist[fell] = 0
+    slot = np.zeros(len(dist), dtype=np.int64)
+    while len(fell):
+        node = fell % n
+        out = degree[node]
+        # the CSR positions of the edges out of each fallen label, in turn
+        ends = np.cumsum(out)
+        edge = np.arange(ends[-1], dtype=np.int64) + np.repeat(first[node] - ends + out, out)
+        target = np.repeat(fell - node, out) + head[edge]
+        cand = np.repeat(dist[fell], out) + mm[edge]
+        lower = cand < dist[target]
+        target, cand = target[lower], cand[lower]
+        np.minimum.at(dist, target, cand)
+        # each label that fell, once: whichever of its writes to ``slot`` lands,
+        # exactly one of its places in ``target`` reads itself back
+        place = np.arange(len(target), dtype=np.int64)
+        slot[target] = place
+        fell = target[slot[target] == place]
+    return dist.view(np.int64).reshape(len(sources), n).tolist()  # the sentinel views as -1
 
 
 def _bounds(road: RoadGraph, positions: Sequence[int]) -> list[list[int]]:
     """The distance lists that bound a closure's searches toward ``positions``.
 
-    They are full searches on the graph ``road`` was derived from
+    They are exact distances on the graph ``road`` was derived from
     (``RoadGraph._base``), or on ``road`` itself when it was not derived, and
-    are memoised there by position. Removing edges never shortens a path, so
-    a node's distance to a terminal on that graph is at most its distance on
-    ``road``, and -1 there means unreachable on ``road`` too. Each list is
-    also consistent: it drops by at most an edge's length along any edge.
+    are memoised there by position: the positions not yet memoised are
+    computed together, by one batched search (``_bound_lists``). Removing
+    edges never shortens a path, so a node's distance to a terminal on that
+    graph is at most its distance on ``road``, and -1 there means unreachable
+    on ``road`` too. Each list is also consistent: it drops by at most an
+    edge's length along any edge.
     """
     base = road if road._base is None else road._base
     memo = base._bound_memo
-    for p in positions:
-        if p not in memo:
-            memo[p] = _distances(base._adj, p)
+    missing = [p for p in positions if p not in memo]
+    if missing:
+        memo.update(zip(missing, _bound_lists(base._adj, missing)))
     return [memo[p] for p in positions]
 
 
@@ -680,10 +708,11 @@ def shortest_path_matrix(road: RoadGraph, terminals: Sequence[NodeId]) -> Comple
     integers). The last terminal has no later one, so it runs no search.
     Each search is A* toward its goal, with the goal's distances on the
     graph ``road`` was derived from as the exact potential (``_bounds``):
-    the bound searches run once per terminal position on that graph, and
-    every closure derived from it shares them. Only each search's distance
-    list is kept, and ``CompleteGraph.path`` walks a leg's road path over the
-    list of the terminal listed first. Every order of ``terminals`` gives the
+    the terminal positions that graph has not yet bounded get their distance
+    lists from one batched search there, and every closure derived from it
+    shares them. Only each search's distance list is kept, and
+    ``CompleteGraph.path`` walks a leg's road path over the list of the
+    terminal listed first. Every order of ``terminals`` gives the
     same distances; the order decides which terminal of a pair is the
     source, and so which path a leg takes where shortest paths tie.
     """

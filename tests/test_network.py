@@ -7,6 +7,7 @@ import logging
 import math
 import random
 import re
+import sys
 import weakref
 
 import numpy as np
@@ -26,6 +27,7 @@ from gridrestore import (
     project_power_nodes,
     shortest_path_matrix,
 )
+from gridrestore import network
 from gridrestore.errors import (
     DanglingEdgeError,
     EmptyRoadGraphError,
@@ -34,6 +36,7 @@ from gridrestore.errors import (
 )
 from gridrestore.geo import haversine_m
 from gridrestore.network import (
+    _bound_lists,
     _search,
     edge_key,
     is_finite_number,
@@ -543,21 +546,37 @@ class TestShortestPathMatrix:
                                                                   t, u), (t, u)
         assert cut > 30  # many of the sets disconnect a terminal pair
 
-    def test_bounds_come_from_the_base_and_are_dropped_with_it(self):
+    def test_bounds_come_from_the_base_and_are_dropped_with_it(self, monkeypatch):
         # the bound memo lives on the graph that apply_road_failures derived the
         # closure graph from, keyed by the position of each terminal but the
-        # first; a built graph bounds itself. Once the base and its derived graph
-        # are gone, the memo is gone, while a kept closure still walks its paths.
+        # first; a built graph bounds itself. A closure computes the positions
+        # not yet memoised, and only those, in one batched call. Once the base
+        # and its derived graph are gone, the memo is gone, while a kept closure
+        # still walks its paths.
+        calls = []
+        bound_lists = network._bound_lists
+
+        def spy(adj, sources):
+            calls.append(list(sources))
+            return bound_lists(adj, sources)
+
+        monkeypatch.setattr(network, "_bound_lists", spy)
         ids = list(range(16))
         base = load_road_network([(n, 32.0, -97.0) for n in ids],
                                  [(n, n + 1, 10.0) for n in ids[:-1]] + [(0, 15, 200.0)])
         derived = apply_road_failures(base, [(7, 8)])
         assert derived._base is base
         cg = shortest_path_matrix(derived, [3, 12, 9])
+        assert calls == [[12, 9]]
         assert set(base._bound_memo) == {12, 9} and derived._bound_memo == {}
         assert base._bound_memo[12] == [reference_distances_mm(base, 12)[n] for n in ids]
         shortest_path_matrix(base, [3, 12, 9])
         assert set(base._bound_memo) == {12, 9}  # memoised: no new entry
+        assert calls == [[12, 9]]
+        shortest_path_matrix(derived, [12, 5, 9, 0, 3])
+        assert calls == [[12, 9], [5, 0, 3]]  # partly memoised: the rest at once
+        assert all(base._bound_memo[p] == reference_distances_list(base, p) for p in ids
+                   if p in base._bound_memo)
         ref = weakref.ref(base)
         del base, derived
         gc.collect()
@@ -658,6 +677,85 @@ class TestShortestPathMatrix:
         path = cg.path("a", "c")
         total = sum(g.edge_length_m(u, v) for u, v in zip(path, path[1:]))
         assert total == cg.dist_m("a", "c")
+
+
+class TestBoundLists:
+    """``_bound_lists``: every list equals ``reference_distances_list`` entry for
+    entry, the -1 of an unreached node included."""
+
+    @staticmethod
+    def assert_exact(road, sources):
+        lists = _bound_lists(road._adj, sources)
+        assert lists == [reference_distances_list(road, s) for s in sources]
+        assert all(type(d) is int for dist in lists for d in dist)
+        return lists
+
+    def test_random_graphs(self, rng):
+        for connected in (True, False):
+            for n in (2, 9, 30, 60):
+                road = random_road_graph(rng, n, n // 2, connected=connected)
+                sources = [int(i) for i in rng.choice(n, size=min(n, 7), replace=False)]
+                self.assert_exact(road, sources)
+
+    def test_parts_parallel_edges_self_loops_and_an_isolated_source(self):
+        # two parts, a parallel pair (the shorter kept), a self-loop and node 9
+        # with no edge at all, taken as a source among the others
+        nodes = [(n, 32.0, -97.0) for n in range(10)]
+        edges = [(0, 1, 5.0), (1, 0, 3.0), (1, 2, 4.0), (2, 2, 1.0), (0, 2, 9.0),
+                 (5, 6, 2.0), (6, 7, 2.0), (5, 7, 5.0), (7, 7, 0.5)]
+        road = load_road_network(nodes, edges)
+        lists = self.assert_exact(road, [9, 0, 6, 3])
+        assert lists[0] == [-1] * 9 + [0]
+        assert lists[1][:3] == [0, 3000, 7000] and lists[1][5] == -1
+        for graphs, ids, rnd in tie_heavy_graphs(43, 30):
+            for road in graphs:
+                self.assert_exact(road, rnd.sample(range(road.n_nodes),
+                                                   rnd.randint(1, road.n_nodes)))
+
+    def test_int_and_str_ids(self):
+        nodes = [(n, 32.0, -97.0) for n in (3, "b", 1, "a", 2)]
+        edges = [(3, "a", 2.0), ("a", 1, 1.0), (1, "b", 4.0), ("b", 3, 1.5), (2, "a", 7.0)]
+        road = load_road_network(nodes, edges)
+        self.assert_exact(road, [road._index[t] for t in ("b", 3, 2)])
+
+    def test_no_position_and_one_position(self):
+        road = load_road_network(NODES3, [("a", "b", 100.0)])
+        assert _bound_lists(road._adj, []) == []
+        assert self.assert_exact(road, [2]) == [[-1, -1, 0]]
+        assert self.assert_exact(road, [0]) == [[0, 100_000, -1]]
+
+    def test_a_chain_takes_a_round_per_edge(self):
+        # from one end of an n-node chain the labels fall one node a round:
+        # n - 1 rounds lower a label and the n-th lowers none, each a single
+        # np.minimum.at; a source in the middle halves them
+        n = 50
+        road = load_road_network([(i, 32.0, -97.0) for i in range(n)],
+                                 [(i, i + 1, 1.0 + i % 3) for i in range(n - 1)])
+        for sources, rounds in (([0], n), ([n - 1, 0], n), ([n // 2], n // 2 + 1)):
+            calls = []
+            sys.setprofile(lambda frame, event, arg: event == "c_call"
+                           and arg is not None and getattr(arg, "__name__", "") == "at"
+                           and calls.append(arg))
+            try:
+                self.assert_exact(road, sources)
+            finally:
+                sys.setprofile(None)
+            assert len(calls) == rounds, sources
+
+    def test_lengths_past_float64_precision(self):
+        # two ways from a to d, of b + 2 and b + 1 mm with b near 3 * 2**60:
+        # both are past 2**53 and round to the same float64, so any float step
+        # in the search would tie them or move a distance
+        big = 3 * 2**60 / 1000
+        nodes = [(n, 32.0, -97.0) for n in "abcde"]
+        edges = [("a", "b", big), ("b", "c", 0.001), ("c", "d", 0.001),
+                 ("a", "e", 0.001), ("e", "d", big)]
+        road = load_road_network(nodes, edges)
+        b = dict(road.neighbors("a"))["b"]
+        assert b > 2**61 and dict(road.neighbors("d"))["e"] == b
+        lists = self.assert_exact(road, [0, 3, 4])
+        assert lists[0][3] == lists[1][0] == b + 1 and lists[0][2] == b + 1
+        assert float(b + 1) == float(b + 2)
 
 
 class TestCompleteGraphType:
