@@ -28,6 +28,8 @@ from .errors import (
 )
 from . import fileio
 from .network import (
+    NodeId,
+    RoadGraph,
     apply_road_failures,
     build_coupled_network,
     is_finite_number,
@@ -210,8 +212,21 @@ def _update_manifest(out_dir: Path, command: str, seed: int, config: PipelineCon
     fileio.write_json_artifact(path, manifest)
 
 
-def _parse_id_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _road_ids(road: RoadGraph, text: str) -> list[NodeId]:
+    """The road ids a comma-separated list names: each token the str id equal to it,
+    or else the int id it spells; a token that names both or neither is refused."""
+    ids = []
+    for token in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            spelled = [token, int(token)]
+        except ValueError:
+            spelled = [token]
+        named = [i for i in spelled if str(i) == token and road.has_node(i)]
+        if len(named) != 1:
+            raise SchemaError(f"{'ambiguous' if named else 'unknown'} road node id "
+                              f"{token!r} in --depots/--damaged")
+        ids += named
+    return ids
 
 
 # --- subcommands -----------------------------------------------------------
@@ -247,11 +262,8 @@ def cmd_build_network(args, config: PipelineConfig) -> int:
             if u not in known or v not in known:
                 raise SchemaError(f"{args.power_edges}: edge ({u!r}, {v!r}) references unknown bus")
 
-    depots = _parse_id_list(args.depots)
-    damaged = _parse_id_list(args.damaged) if args.damaged else []
-    for d in depots + damaged:
-        if not road.has_node(d):
-            raise SchemaError(f"unknown road node id {d!r} in --depots/--damaged")
+    depots = _road_ids(road, args.depots)
+    damaged = _road_ids(road, args.damaged or "")
 
     net = build_coupled_network(road, power, args.offset_x, args.offset_y, depots, damaged)
     out_path = out_dir / args.output
@@ -335,9 +347,8 @@ def cmd_solve(args, config: PipelineConfig) -> int:
     all_passed = True
     validation = []
     plans = []
-    # One closure per distinct failure set, kept only until its last scenario,
-    # with the Held-Karp results solved over it (solve_routing's `solved`) and the
-    # Routes built from them (`routes`). Its first scenario solves the crew
+    # One closure per distinct failure set, kept only until its last scenario with
+    # the results solve_routing keeps on it. Its first scenario solves the crew
     # problems of all its scenarios (`ahead`). What was found on each route and
     # each route's text live for this call (`checked`, `fragments`): their keys
     # hold everything they depend on, and none of it is the closure's.
@@ -350,14 +361,13 @@ def cmd_solve(args, config: PipelineConfig) -> int:
     closures, checked, fragments = {}, {}, {}
     for scenario, needs in zip(sset.scenarios, required):
         failed = scenario.failed_edges
-        complete, solved, routes = closures.pop(failed, None) or (
-            shortest_path_matrix(apply_road_failures(net.road, failed), terminals), {}, {})
+        complete = closures.pop(failed, None) or shortest_path_matrix(
+            apply_road_failures(net.road, failed), terminals)
         if last_use[failed] > scenario.scenario_id:
-            closures[failed] = complete, solved, routes
+            closures[failed] = complete
         rinst = RoutingInstance.from_scenario(complete, scenario, net.depots, rates,
                                               required=needs)
-        plan = solve_routing(rinst, scenario.scenario_id, solved=solved,
-                             ahead=problems.pop(failed, ()), routes=routes)
+        plan = solve_routing(rinst, scenario.scenario_id, ahead=problems.pop(failed, ()))
         report = validate_routes(plan, rinst, checked=checked)
         name = f"routes_s{scenario.scenario_id}.json"
         fileio.write_route_plan_file(plan, out_dir / name, complete, fragments=fragments)
@@ -373,7 +383,7 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         all_passed &= report.passed
         print(f"  scenario {scenario.scenario_id}: route cost {plan.total_cost:.3f}, "
               f"validation {'pass' if report.passed else 'FAIL'}")
-        del complete, solved, routes, rinst  # a closure no later scenario needs dies here
+        del complete, rinst  # a closure no later scenario needs dies here
     fileio.write_json_artifact(
         out_dir / "validation.json",
         {"schema": "route_validation/1", "all_passed": all_passed, "scenarios": validation},

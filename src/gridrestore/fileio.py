@@ -211,15 +211,30 @@ def _gc_paused():
             gc.enable()
 
 
+@contextmanager
+def _readable(path: Path):
+    """Report a file that cannot be opened or read as UTF-8 text as a SchemaError
+    naming ``path``."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise SchemaError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read file ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_json_artifact(path: str | Path, expected_schema: str) -> dict:
     p = Path(path)
     try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SchemaError(f"{p}: file not found") from None
+        with _readable(p):
+            obj = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{p}:{exc.lineno}: invalid JSON ({exc.msg})") from None
-    if not isinstance(obj, dict) or obj.get("schema") != expected_schema:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{p}: expected a JSON object, got {type(obj).__name__}")
+    if obj.get("schema") != expected_schema:
         raise SchemaError(
             f"{p}: expected schema {expected_schema!r}, got {obj.get('schema')!r}"
         )
@@ -307,11 +322,7 @@ def _road_from_json(obj: dict, path: str | Path) -> RoadGraph:
 def _read_csv(path: str | Path, header: Sequence[str]):
     """Yield (line_number, row_dict); enforce the exact expected header."""
     p = Path(path)
-    try:
-        fh = open(p, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise SchemaError(f"{p}: file not found") from None
-    with fh:
+    with _readable(p), open(p, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)

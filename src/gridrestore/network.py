@@ -388,7 +388,8 @@ class CompleteGraph:
     and among equally near ones to the smallest position. The path therefore
     depends on the graph and on which terminal is listed first, not on the
     order in which a search settled the nodes. Each pair's path is kept once
-    built.
+    built, as ``_orders`` and ``_routes`` keep what ``routing.solve_routing``
+    solved over this graph.
     """
 
     terminals: tuple[NodeId, ...]
@@ -401,7 +402,9 @@ class CompleteGraph:
     reachable: np.ndarray = field(init=False)
     _index: dict = field(init=False, repr=False)
     _dist_m: np.ndarray = field(init=False, repr=False)
-    _paths: dict = field(init=False, repr=False)
+    _paths: dict = field(init=False, repr=False, default_factory=dict)
+    _orders: dict = field(init=False, repr=False, default_factory=dict)
+    _routes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.terminals)
@@ -423,7 +426,6 @@ class CompleteGraph:
         object.__setattr__(self, "reachable", reachable)
         object.__setattr__(self, "_dist_m", dist_m)
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.terminals)})
-        object.__setattr__(self, "_paths", {})
 
     @classmethod
     def from_distances(cls, terminals: Sequence[NodeId], dist_m) -> "CompleteGraph":

@@ -14,13 +14,12 @@ smallest visit order, then smallest (depot_start, depot_end).
 Both solvers optimize integer millimeters x the crew's rate, so equal costs
 are exact ties, and the optimal order and depots depend only on the required
 set and on whether the rate is positive: the crew's problem. ``solve_routing``
-therefore solves each distinct problem once and shares the result between
-crews. A caller that routes many scenarios over one closure can pass the same
-``solved`` map to each call, and the problems of the later scenarios as
-``ahead`` to the first; a ``routes`` map passed alike keeps each crew's
-Route. One table over the union of several required sets answers each of
-them (``_HeldKarp``), so a closure's problems cost one table per rate flag
-wherever that table is no larger than theirs together.
+therefore solves each distinct problem once, and keeps its result and each
+crew's Route on the closure it was solved over, for every later call over it;
+the first call can solve the later calls' problems (``ahead``) too. One table
+over the union of several required sets answers each of them (``_HeldKarp``),
+so a closure's problems cost one table per rate flag wherever that table is no
+larger than theirs together.
 Reported leg costs and totals are each crew's own float arc costs summed left
 to right, and a cost that leaves the float64 range raises
 ``NumericOverflowError``.
@@ -465,35 +464,31 @@ def crew_problems(required: Mapping[int, frozenset[NodeId]],
 
 
 def solve_routing(inst: RoutingInstance, scenario_id: int, *,
-                  solved: Solved | None = None, ahead: Iterable[Problem] = (),
-                  routes: dict[tuple[int, Problem], Route] | None = None) -> RoutePlan:
+                  ahead: Iterable[Problem] = ()) -> RoutePlan:
     """Exact optimal route per crew via Held-Karp over subsets (at most
     ``SOLVE_NODE_CAP`` required nodes per crew).
 
-    ``solved`` keeps each problem's optimal order and depots, and is filled as
-    problems are solved. Pass one map to every call over the same complete
-    graph and depots, and never share it beyond them. ``ahead`` names problems
-    that later calls with the same map will pose, over this instance's
-    terminals: they are solved now, from the same tables as this scenario's
-    own (``_solve_problems``). ``routes`` keeps each crew's Route by (crew,
-    problem), so a crew that poses a problem again gets the same Route: share
-    it as ``solved`` is shared, and only under the same rates.
+    Each problem's optimal order and depots are kept on ``inst.complete`` by
+    (depots, problem), and each crew's Route by (depots, crew, rate with its
+    sign, problem), for every later call over that closure: a caller that
+    keeps a closure keeps one of each per distinct key. ``ahead`` names
+    problems that later calls over it with these depots will pose: they are
+    solved now, from the same tables as this scenario's own.
     """
-    if solved is None:
-        solved = {}
-    if routes is None:
-        routes = {}
+    orders, routes, depots = inst.complete._orders, inst.complete._routes, inst.depots
     problems = crew_problems(inst.required, inst.cost_rate_per_m)
-    pending = [p for p in dict.fromkeys([*problems.values(), *ahead]) if p not in solved]
+    pending = [p for p in dict.fromkeys([*problems.values(), *ahead]) if (depots, p) not in orders]
     if pending:
-        solved.update(_solve_problems(inst, pending))
+        orders.update(((depots, p), answer) for p, answer in _solve_problems(inst, pending).items())
     plan_routes = {}
     for k, problem in problems.items():
-        route = routes.get((k, problem))
+        # a rate of -0.0 writes -0.0 leg costs, so the key keeps the rate's sign
+        key = depots, k, float(inst.rate(k)).hex(), problem
+        route = routes.get(key)
         if route is None:
-            if problem not in solved:  # over the cap or unreachable
+            if (depots, problem) not in orders:  # over the cap or unreachable
                 _refuse(inst, k)
-            route = routes[k, problem] = _route_from_order(inst, k, *solved[problem])
+            route = routes[key] = _route_from_order(inst, k, *orders[depots, problem])
         plan_routes[k] = route
     plan = RoutePlan(scenario_id, plan_routes)
     if not math.isfinite(plan.total_cost):

@@ -269,6 +269,69 @@ def test_malformed_network_files_exit_input(fixture_dir, tmp_path, capsys, kind,
     assert f"{bad}: malformed" in err and named in err, err
 
 
+def _int_id_road(fixture_dir, path):
+    """The grid fixture's road as a road_graph/1 file with int ids: r<r>c<c> is 5r + c."""
+    def as_int(node):
+        return int(node[1]) * 5 + int(node[3])
+
+    road = load_road_network(
+        [(as_int(i), lat, lon) for i, lat, lon in fileio.read_road_nodes_csv(
+            fixture_dir / "road_nodes.csv")],
+        [(as_int(u), as_int(v), m) for u, v, m in fileio.read_road_edges_csv(
+            fixture_dir / "road_edges.csv")])
+    fileio.write_road_graph_json(road, path)
+    return path
+
+
+class TestRoadIds:
+    """``--depots``/``--damaged`` tokens name a road's str ids, or else its int ids."""
+
+    def test_int_id_road_runs_end_to_end(self, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        road = _int_id_road(fixture_dir, tmp_path / "road.json")
+        common = ["--out-dir", str(out)]
+        network, scenarios = ["--network", str(out / "network.json")], [
+            "--scenarios", str(out / "scenarios.json")]
+        assert main([*common, "build-network", "--road", str(road),
+                     "--power", str(fixture_dir / "power.csv"),
+                     "--offset-x", "-97.0", "--offset-y", "32.9",
+                     "--depots", "0, 24", "--damaged", "12"]) == EXIT_OK
+        net = fileio.read_network_file(out / "network.json")
+        assert net.depots == {0, 24} and net.damaged == {12}
+        assert main([*common, "gen-scenarios", *network,
+                     "--events", str(fixture_dir / "events.csv")]) == EXIT_OK
+        assert main([*common, "solve", *network, *scenarios]) == EXIT_OK
+        assert main([*common, "schedule", *network, *scenarios]) == EXIT_OK
+        plan = fileio.read_route_plan_file(out / "routes_s0.json")
+        assert plan.routes and all(
+            {r.depot_start, r.depot_end} <= {0, 24} for r in plan.routes.values())
+
+    @pytest.mark.parametrize("ids, token, named", [
+        (["5", 5], "5", "ambiguous road node id '5'"),
+        ([5, "a"], "05", "unknown road node id '05'"),
+        ([5, "a"], "+5", "unknown road node id '+5'"),
+        (["05", 5], "5", None),
+        (["05", 5], "05", None),
+        ([-3, "b"], "-3", None),
+    ])
+    def test_each_token_names_one_id(self, tmp_path, capsys, ids, token, named):
+        road = load_road_network([(i, 32.0, -97.0 + n * 0.001) for n, i in enumerate(ids)],
+                                 [(ids[0], ids[1], 100.0)])
+        fileio.write_road_graph_json(road, tmp_path / "road.json")
+        (tmp_path / "p.csv").write_text("bus_id,x,y,downstream_load_kw,kind\nb1,0,0,5,line\n")
+        code = main(["--out-dir", str(tmp_path / "out"), "build-network",
+                     "--road", str(tmp_path / "road.json"), "--power", str(tmp_path / "p.csv"),
+                     "--offset-x", "-97.0", "--offset-y", "32.0", "--depots", token])
+        err = capsys.readouterr().err
+        if named is None:
+            assert code == EXIT_OK, err
+            depots = fileio.read_network_file(tmp_path / "out" / "network.json").depots
+            assert [(type(d), str(d)) for d in depots] == [
+                (type(i), str(i)) for i in ids if str(i) == token]
+        else:
+            assert code == EXIT_INPUT and named in err, err
+
+
 class TestGenScenarios:
     def test_roundtrip_and_digest(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -786,9 +849,9 @@ class TestSolveAndSchedule:
                 tables.append((inst.complete, positive, frozenset(nodes)))
                 super().__init__(inst, positive, nodes)
 
-        def recording(inst, scenario_id, *, solved=None, **memo):
-            seen.append((solved, inst.complete))
-            return solve(inst, scenario_id, solved=solved, **memo)
+        def recording(inst, scenario_id, **kwargs):
+            seen.append(inst.complete)
+            return solve(inst, scenario_id, **kwargs)
 
         def refused(inst, crew):
             raise AssertionError("a crew solved apart from its closure's tables")
@@ -809,11 +872,11 @@ class TestSolveAndSchedule:
                      "--scenarios", str(tmp_path / "scenarios.json")]) == EXIT_OK
         # each scenario's required sets are computed once
         assert sorted(asked) == list(range(len(order)))
-        # one map per failure set, made with its closure and never passed with another
+        # one closure per failure set, never passed for another
         assert len(seen) == len(order)
-        for (map_a, closure_a), key_a in zip(seen, order):
-            for (map_b, closure_b), key_b in zip(seen, order):
-                assert (map_a is map_b) == (closure_a is closure_b) == (key_a == key_b)
+        for closure_a, key_a in zip(seen, order):
+            for closure_b, key_b in zip(seen, order):
+                assert (closure_a is closure_b) == (key_a == key_b)
         # per closure and rate flag: one table over the union of the required sets
         # when it is no larger than their own tables together, else one table each
         problems = {(key, positive): set() for key in order for positive in (True, False)}
@@ -824,7 +887,7 @@ class TestSolveAndSchedule:
                 if required:
                     problems[key, rates[k] > 0].add(required)
                     n_problems += 1
-        closure_key = {id(closure): key for (_, closure), key in zip(seen, order)}
+        closure_key = {id(closure): key for closure, key in zip(seen, order)}
         for (key, positive), sets in problems.items():
             got = sorted((sorted(nodes) for closure, pos, nodes in tables
                           if closure_key[id(closure)] == key and pos == positive))
@@ -832,6 +895,12 @@ class TestSolveAndSchedule:
             joined = (len(union) << len(union)) <= sum(len(s) << len(s) for s in sets)
             assert got == (sorted([sorted(union)] if joined else map(sorted, sets))
                            if sets else []), (key, positive)
+        # each closure keeps the orders of its failure set's problems, and nothing else
+        depots = frozenset(fileio.read_network_file(out / "network.json").depots)
+        for closure, key in zip(seen, order):
+            assert set(closure._orders) == {
+                (depots, (nodes, positive)) for (k, positive), sets in problems.items()
+                if k == key for nodes in sets}
         assert len(tables) < n_problems
 
     def test_schedule_contains_checkpoint_hours(self, fixture_dir, tmp_path):

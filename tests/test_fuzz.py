@@ -110,7 +110,8 @@ def inputs(tmp_path_factory):
     """A triangle road with one depot and two damaged nodes that gen-scenarios samples
     from, and two scenarios that solve and schedule; the routes and the allocation stay
     in ``routes/``. Each artifact's parsed document and leaf roles come along, and so
-    do a config that names every key and the CSVs build-network reads the road from."""
+    do a config that names every key and the CSVs (and ``road.json``) build-network
+    reads the road from."""
     root = tmp_path_factory.mktemp("fuzz")
     for name, (_, rows) in INPUT_CSVS.items():
         with open(root / name, "w", newline="", encoding="utf-8") as fh:
@@ -124,6 +125,7 @@ def inputs(tmp_path_factory):
     net = CoupledNetwork(road, {"bus1": "a", "bus2": "c"}, frozenset(["b"]),
                          frozenset(["a", "c"]), {"a": 40.0, "c": 25.0})
     fileio.write_network_file(net, root / "network.json")
+    fileio.write_road_graph_json(road, root / "road.json")
     scenarios = tuple(
         Scenario(s, {(i, k): 1.5 + s + k for i in "ac" for k in range(4)},
                  {(i, k): (s + k) % 3 for i in "ac" for k in range(4)}, failed)
@@ -297,4 +299,50 @@ def test_every_id_position_refuses_a_non_id(inputs, name):
         else:
             code, err = _stage(root, "out", "solve", scenarios=bad.name)
         assert code == EXIT_INPUT, (where, value, err)
+        assert "Traceback" not in err, err
+
+
+# Every file a stage reads, by the dir of ``inputs`` it stands in, and the runs that
+# read it: (out dir, stage, file flags). None stands for the spoiled file, or, for a
+# file a stage finds in a dir (a route plan, the manifest), for the dir holding it.
+WHOLE_FILES = {
+    **{name: ("", [("out", "build-network", {**BUILD_INPUTS, flag: None})])
+       for name, (flag, _) in INPUT_CSVS.items() if flag != "events"},
+    "road.json": ("", [("out", "build-network", {"road": None, "power": "power.csv"})]),
+    "events.csv": ("", [("out", "gen-scenarios", {"events": None})]),
+    "network.json": ("", [("out", stage, {"network": None})
+                          for stage in ("gen-scenarios", "solve", "schedule")]),
+    "scenarios.json": ("", [("out", stage, {"scenarios": None})
+                            for stage in ("solve", "schedule")]),
+    "config.json": ("", [("out", "solve", {"config": None})]),
+    "routes_s0.json": ("routes", [("out", "schedule", {"routes": None})]),
+    "gantt.csv": ("routes", [("out", "render", {"gantt": None})]),
+    "run_manifest.json": ("routes", [(None, "solve", {})]),
+}
+
+
+@pytest.mark.parametrize("spoil", ("non-object", "0xff byte", "directory"))
+@pytest.mark.parametrize("name", sorted(WHOLE_FILES))
+def test_an_unreadable_file_exits_input_naming_it(inputs, name, spoil):
+    """Each file a stage reads, replaced whole by a top-level JSON array, by its own
+    bytes with a 0xff byte in the middle, or by a directory: exit 3, naming the path."""
+    root = inputs[0]
+    where, runs = WHOLE_FILES[name]
+    data = (root / where / name).read_bytes()
+    run = root / f"whole_{next(_FILE_NO)}"
+    run.mkdir()
+    if name == "routes_s0.json":
+        shutil.copy(root / "routes" / "routes_s1.json", run)
+    bad = run / name
+    if spoil == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"[1, 2]" if spoil == "non-object"
+                        else data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    given = str((run if name in ("routes_s0.json", "run_manifest.json") else bad).relative_to(root))
+    for out, stage, files in runs:
+        code, err = _stage(root, out or given, stage,
+                           **{flag: value or given for flag, value in files.items()})
+        assert code == EXIT_INPUT, (stage, err)
+        assert str(bad) in err, (stage, err)
         assert "Traceback" not in err, err

@@ -26,13 +26,13 @@ from gridrestore.errors import (
     TooManyNodesError,
     UnreachableArcError,
 )
-from gridrestore import routing
-from gridrestore.network import node_key
+from gridrestore import fileio, routing
+from gridrestore.network import node_key, shortest_path_matrix
 from gridrestore.routing import BRUTE_NODE_CAP, SOLVE_NODE_CAP
 
 from arc_checker import reference_validate_routes
 
-from conftest import random_metric_complete, random_routing_instance
+from conftest import random_metric_complete, random_road_graph, random_routing_instance
 
 
 def _instance(dists, depots, required, rates=None):
@@ -350,8 +350,26 @@ class TestOracleEquality:
         )
 
 
+def _fresh(cg):
+    """A copy of ``cg`` that holds no solved results."""
+    return CompleteGraph(cg.terminals, cg.dist_mm)
+
+
+def _road_closure(rng):
+    """A closure over a random road graph: depots n0 and n1, damaged n2-n7."""
+    road = random_road_graph(rng, 30, 25)
+    return lambda: shortest_path_matrix(road, [f"n{i}" for i in range(8)])
+
+
+def _written(tmp_path, plan, cg, name):
+    path = tmp_path / name
+    fileio.write_route_plan_file(plan, path, cg)
+    return path.read_bytes()
+
+
 class TestSolvedMap:
-    """One ``solved`` map passed to every scenario routed over one complete graph."""
+    """The orders and Routes that ``solve_routing`` keeps on the closure they were
+    solved over, each keyed by all else it depends on."""
 
     def test_shared_map_gives_the_plans_of_a_fresh_map(self, rng):
         depots = ["d0", "d1"]
@@ -360,27 +378,94 @@ class TestSolvedMap:
         pool = [frozenset(rng.choice(nodes, size=int(rng.integers(1, 6)), replace=False).tolist())
                 for _ in range(5)]
         rates = {0: 1.0, 1: 0.0, 2: 2.5, 3: 0.7}
-        solved, keys, problems = {}, set(), 0
+        keys, problems = set(), 0
         for sid in range(16):
             required = {k: pool[int(rng.integers(0, len(pool)))]
                         for k in range(4) if rng.random() < 0.8}
             inst = RoutingInstance(cg, required, frozenset(depots), cost_rate_per_m=rates)
-            plan = solve_routing(inst, sid, solved=solved)
-            assert plan == solve_routing(inst, sid) == brute_force_routing(inst, sid)
-            keys |= {(nodes, rates[k] > 0) for k, nodes in required.items()}
+            plan = solve_routing(inst, sid)
+            fresh = RoutingInstance(_fresh(cg), required, frozenset(depots), cost_rate_per_m=rates)
+            assert plan == solve_routing(fresh, sid) == brute_force_routing(inst, sid)
+            keys |= {(inst.depots, (nodes, rates[k] > 0)) for k, nodes in required.items()}
             problems += len(required)
-        # the map holds each (required set, rate > 0) once, and so spared solves
-        assert set(solved) == keys
+        # the closure holds each (depots, required set, rate > 0) once, and so spared solves
+        assert set(cg._orders) == keys
         assert len(keys) < problems
 
     def test_map_entries_are_the_held_karp_results(self, rng):
         for _ in range(10):
             inst = random_routing_instance(rng)
-            solved = {}
-            plan = solve_routing(inst, 0, solved=solved)
+            plan = solve_routing(inst, 0)
             for k, route in plan.routes.items():
-                key = (inst.required[k], inst.rate(k) > 0)
-                assert solved[key] == (route.depot_start, route.depot_end, route.visit_order)
+                problem = (inst.required[k], inst.rate(k) > 0)
+                assert inst.complete._orders[inst.depots, problem] == (
+                    route.depot_start, route.depot_end, route.visit_order)
+                assert inst.complete._routes[
+                    inst.depots, k, inst.rate(k).hex(), problem] is route
+
+    def test_other_depots_over_one_closure_write_what_a_fresh_closure_writes(
+            self, rng, tmp_path):
+        closure = _road_closure(rng)
+        cg = closure()
+        required = {k: frozenset(f"n{i}" for i in range(2 + k, 8)) for k in range(4)}
+        written = []
+        for depots in (["n0"], ["n1"], ["n0", "n1"]):
+            def plan(cg, depots=depots):
+                return solve_routing(RoutingInstance(cg, required, frozenset(depots)), 0)
+            fresh = closure()
+            written.append(_written(tmp_path, plan(cg), cg, "shared.json"))
+            assert written[-1] == _written(tmp_path, plan(fresh), fresh, "fresh.json")
+        assert written[0] != written[1]
+        assert len({depots for depots, _ in cg._orders}) == 3
+
+    def test_rates_of_either_zero_write_what_a_fresh_closure_writes(self, rng, tmp_path):
+        closure = _road_closure(rng)
+        cg = closure()
+        required = {k: frozenset(f"n{i}" for i in range(2, 6 + k % 2)) for k in range(4)}
+        written = []
+        for rate in (0.0, -0.0, 0.0):
+            def plan(cg, rate=rate):
+                return solve_routing(RoutingInstance(cg, required, frozenset(["n0", "n1"]),
+                                                     cost_rate_per_m={1: rate}), 0)
+            fresh = closure()
+            written.append(_written(tmp_path, plan(cg), cg, "shared.json"))
+            assert written[-1] == _written(tmp_path, plan(fresh), fresh, "fresh.json")
+        # the two zeros pose the same problem, and their routes equal under ==,
+        # but only -0.0 writes -0.0 leg costs
+        assert written[0] == written[2] != written[1]
+        assert b"-0.0" in written[1] and b"-0.0" not in written[0]
+        assert len([key for key in cg._orders if key[1][1] is False]) == 1
+
+    def test_library_loop_over_one_closure_builds_each_table_once(self, rng, monkeypatch):
+        # one closure kept across a loop of scenarios, each routed on its own as
+        # demos/03_two_stage_planning.py routes them, with no ``ahead``: each
+        # (depots, problem) is solved in the first scenario that poses it
+        cg = _road_closure(rng)()
+        pool = [frozenset(f"n{i}" for i in range(lo, hi)) for lo, hi in
+                ((2, 4), (3, 6), (2, 8), (5, 8))]
+        rates = {1: 0.0, 2: 2.0}
+        solve_problems, solved = routing._solve_problems, []
+
+        def recording(inst, problems):
+            solved.extend((inst.depots, p) for p in problems)
+            return solve_problems(inst, problems)
+
+        monkeypatch.setattr(routing, "_solve_problems", recording)
+        tables = _CountedTables(monkeypatch)
+        instances, plans, posed = [], [], []
+        for sid in range(24):
+            depots = frozenset(["n0", "n1"][:1 + sid % 2])
+            required = {k: pool[int(rng.integers(0, len(pool)))] for k in range(4)}
+            instances.append(RoutingInstance(cg, required, depots, cost_rate_per_m=rates))
+            plans.append(solve_routing(instances[-1], sid))
+            posed += [(depots, (nodes, rates.get(k, 1.0) > 0)) for k, nodes in required.items()]
+        monkeypatch.undo()
+        assert len(solved) == len(set(solved)) < len(posed)
+        assert set(solved) == set(posed)
+        assert len(tables.built) <= len(solved)
+        for sid, (inst, plan) in enumerate(zip(instances, plans)):
+            fresh = RoutingInstance(_fresh(cg), inst.required, inst.depots, cost_rate_per_m=rates)
+            assert plan == solve_routing(fresh, sid)
 
 
 def _tie_heavy_complete(rnd, depots, nodes, p_cut):
@@ -588,9 +673,8 @@ class TestHeldKarpTables:
         first = RoutingInstance(cg, {0: frozenset(nodes[1:4])}, frozenset(["d0"]),
                                 damaged=frozenset(nodes))
         tables = _CountedTables(monkeypatch)
-        solved = {}
-        solve_routing(first, 0, solved=solved, ahead=[(cut, True), (wide, True)])
-        assert set(solved) == {(frozenset(nodes[1:4]), True)}
+        solve_routing(first, 0, ahead=[(cut, True), (wide, True)])
+        assert set(cg._orders) == {(first.depots, (frozenset(nodes[1:4]), True))}
         assert all(len(nodes) <= SOLVE_NODE_CAP for nodes, _ in tables.domains())
         assert tables.domains() and all("n00" not in nodes for nodes, _ in tables.domains())
         for crew, required, error in ((3, cut, NodeUnreachableError),
@@ -598,7 +682,7 @@ class TestHeldKarpTables:
             later = RoutingInstance(cg, {crew: required}, frozenset(["d0"]),
                                     damaged=frozenset(nodes))
             with pytest.raises(error) as raised:
-                solve_routing(later, 1, solved=solved)
+                solve_routing(later, 1)
             assert raised.value.crew == crew
 
     def test_no_table_outlives_its_call(self, monkeypatch, rng):
@@ -607,15 +691,15 @@ class TestHeldKarpTables:
         inst = RoutingInstance(cg, {0: frozenset(nodes[:5]), 1: frozenset(nodes[2:])},
                                frozenset(["d0", "d1"]), cost_rate_per_m={1: 0.0})
         tables = _CountedTables(monkeypatch)
-        solved = {}
-        solve_routing(inst, 0, solved=solved,
-                      ahead=[(frozenset(nodes[3:6]), True), (frozenset(nodes), False)])
+        solve_routing(inst, 0, ahead=[(frozenset(nodes[3:6]), True), (frozenset(nodes), False)])
         gc.collect()
         assert len(tables.built) == 3  # crew 0's set and the first ahead: one each
         assert all(ref() is None for _, _, ref in tables.built)
-        # the map keeps only orders and depots
-        for d0, d1, order in solved.values():
+        # the closure keeps only orders and depots, and the crews' Routes
+        assert len(cg._orders) == 4
+        for d0, d1, order in cg._orders.values():
             assert {d0, d1} <= {"d0", "d1"} and set(order) <= set(nodes)
+        assert all(type(route) is Route for route in cg._routes.values())
 
 
 def _broadcast_table(inst, positive, nodes):
