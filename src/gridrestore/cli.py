@@ -189,27 +189,34 @@ class PipelineConfig:
         )
 
 
-def _update_manifest(out_dir: Path, command: str, seed: int, config: PipelineConfig,
-                     inputs: list[str], outputs: list[str]) -> None:
+def _read_manifest(out_dir: Path, seed: int, config: PipelineConfig) -> dict:
+    """``out_dir``'s run manifest, checked, with this run's seed and config; a new one
+    when there is none. A stage reads it before it writes anything, so a manifest that
+    cannot be read or is malformed fails the stage with no artifact written."""
     path = out_dir / "run_manifest.json"
-    manifest = {"schema": fileio.SCHEMA_MANIFEST, "tool_version": __version__,
+    if not path.exists():
+        return {"schema": fileio.SCHEMA_MANIFEST, "tool_version": __version__,
                 "seed": seed, "config": config.echo(), "commands": {}}
-    if path.exists():
-        manifest = fileio.read_json_artifact(path, fileio.SCHEMA_MANIFEST)
-        if "commands" not in manifest:
-            raise SchemaError(f"{path}: missing key 'commands'")
-        if not isinstance(manifest["commands"], dict):
-            raise SchemaError(f"{path}: commands must be an object, "
-                              f"got {manifest['commands']!r}")
-        manifest["tool_version"] = __version__
-        manifest["seed"] = seed
-        manifest["config"] = config.echo()
+    manifest = fileio.read_json_artifact(path, fileio.SCHEMA_MANIFEST)
+    if "commands" not in manifest:
+        raise SchemaError(f"{path}: missing key 'commands'")
+    if not isinstance(manifest["commands"], dict):
+        raise SchemaError(f"{path}: commands must be an object, "
+                          f"got {manifest['commands']!r}")
+    manifest["tool_version"] = __version__
+    manifest["seed"] = seed
+    manifest["config"] = config.echo()
+    return manifest
+
+
+def _write_manifest(out_dir: Path, manifest: dict, command: str, inputs: list[str],
+                    outputs: list[str]) -> None:
     # inputs keyed by basename so manifests compare equal across output dirs
     manifest["commands"][command] = {
         "inputs": {Path(p).name: fileio.sha256_file(p) for p in sorted(inputs)},
         "outputs": sorted(outputs),
     }
-    fileio.write_json_artifact(path, manifest)
+    fileio.write_json_artifact(out_dir / "run_manifest.json", manifest)
 
 
 def _road_ids(road: RoadGraph, text: str) -> list[NodeId]:
@@ -235,6 +242,7 @@ def _road_ids(road: RoadGraph, text: str) -> list[NodeId]:
 def cmd_build_network(args, config: PipelineConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _read_manifest(out_dir, args.seed, config)
     inputs: list[str] = []
 
     if args.road:
@@ -283,13 +291,14 @@ def cmd_build_network(args, config: PipelineConfig) -> int:
         "{power_nodes} power nodes / {power_edges} power edges, "
         "{depots} depot(s), {damaged} damaged node(s)".format(**summary)
     )
-    _update_manifest(out_dir, "build-network", args.seed, config, inputs, [args.output])
+    _write_manifest(out_dir, manifest, "build-network", inputs, [args.output])
     return EXIT_OK
 
 
 def cmd_gen_scenarios(args, config: PipelineConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _read_manifest(out_dir, args.seed, config)
     net = fileio.read_network_file(args.network)
     events = []
     inputs = [args.network]
@@ -307,13 +316,14 @@ def cmd_gen_scenarios(args, config: PipelineConfig) -> int:
     print(f"scenarios: {sset.n_scenarios} over {len(sset.damaged)} damaged node(s), seed {args.seed}")
     for sc in sset.scenarios:
         print(f"  scenario {sc.scenario_id}: {len(sc.failed_edges)} failed road edge(s)")
-    _update_manifest(out_dir, "gen-scenarios", args.seed, config, inputs, [args.output])
+    _write_manifest(out_dir, manifest, "gen-scenarios", inputs, [args.output])
     return EXIT_OK
 
 
 def cmd_solve(args, config: PipelineConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _read_manifest(out_dir, args.seed, config)
     net = fileio.read_network_file(args.network)
     sset = fileio.read_scenario_file(args.scenarios)
 
@@ -389,8 +399,7 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         {"schema": "route_validation/1", "all_passed": all_passed, "scenarios": validation},
     )
     print(f"expected route cost over scenarios: {expected_cost(plans):.3f}")
-    _update_manifest(out_dir, "solve", args.seed, config,
-                     [args.network, args.scenarios], outputs)
+    _write_manifest(out_dir, manifest, "solve", [args.network, args.scenarios], outputs)
     if not all_passed:
         print("route validation failed; see validation.json", file=sys.stderr)
         return EXIT_INVALID_PLAN
@@ -400,6 +409,7 @@ def cmd_solve(args, config: PipelineConfig) -> int:
 def cmd_schedule(args, config: PipelineConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _read_manifest(out_dir, args.seed, config)
     depots = fileio.read_network_file(args.network).depots  # legs come from the plans
     sset = fileio.read_scenario_file(args.scenarios)
     routes_dir = Path(args.routes_dir) if args.routes_dir else out_dir
@@ -426,18 +436,19 @@ def cmd_schedule(args, config: PipelineConfig) -> int:
     outputs += ["gantt.csv", "gantt.svg"]
     print(f"wrote {out_dir / 'gantt.csv'} and {len(charts) + 1} SVG chart(s)")
     print(f"combined makespan: {combined.makespan_h:.2f} h")
-    _update_manifest(out_dir, "schedule", args.seed, config, inputs, outputs)
+    _write_manifest(out_dir, manifest, "schedule", inputs, outputs)
     return EXIT_OK
 
 
 def cmd_render(args, config: PipelineConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _read_manifest(out_dir, args.seed, config)
     chart = fileio.read_gantt_csv(args.gantt)
     out_path = out_dir / args.output
     fileio.write_gantt_svg(chart, out_path)
     print(f"wrote {out_path}")
-    _update_manifest(out_dir, "render", args.seed, config, [args.gantt], [args.output])
+    _write_manifest(out_dir, manifest, "render", [args.gantt], [args.output])
     return EXIT_OK
 
 

@@ -320,9 +320,12 @@ def _road_from_json(obj: dict, path: str | Path) -> RoadGraph:
 
 
 def _read_csv(path: str | Path, header: Sequence[str]):
-    """Yield (line_number, row_dict); enforce the exact expected header."""
+    """Yield ``(line_number, cells)``, each cell stripped, for every row that holds a
+    cell that is not blank; enforce the exact expected header and the field count. A
+    byte-order mark that opens the file is skipped, as spreadsheets save one."""
     p = Path(path)
-    with _readable(p), open(p, newline="", encoding="utf-8") as fh:
+    width = len(header)
+    with _readable(p), open(p, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)
@@ -333,39 +336,31 @@ def _read_csv(path: str | Path, header: Sequence[str]):
                 f"{p}:1: expected header {','.join(header)!r}, got {','.join(first)!r}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            cells = list(map(str.strip, row))
+            if not any(cells):
                 continue
-            if len(row) != len(header):
-                raise SchemaError(f"{p}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, dict(zip(header, (cell.strip() for cell in row)))
+            if len(cells) != width:
+                raise SchemaError(f"{p}:{lineno}: expected {width} fields, got {len(cells)}")
+            yield lineno, cells
 
 
-def _float_field(row: dict, key: str, path, lineno: int) -> float:
-    return _parse_number(row[key], key, "{}:{}", path, lineno)
-
-
-def _int_field(row: dict, key: str, path, lineno: int) -> int:
+def _parse_int(text: str, column: str, path, lineno: int) -> int:
+    """A CSV cell as an int; a SchemaError naming ``path:lineno`` and the column otherwise."""
     try:
-        return int(row[key])
+        return int(text)
     except ValueError:
-        raise SchemaError(f"{path}:{lineno}: bad {key} value {row[key]!r}") from None
+        raise SchemaError(f"{path}:{lineno}: bad {column} value {text!r}") from None
 
 
 def read_road_nodes_csv(path: str | Path) -> list[tuple[NodeId, float, float]]:
-    rows = []
-    for lineno, row in _read_csv(path, ("node_id", "lat", "lon")):
-        rows.append(
-            (row["node_id"], _float_field(row, "lat", path, lineno),
-             _float_field(row, "lon", path, lineno))
-        )
-    return rows
+    return [(node, _parse_number(lat, "lat", "{}:{}", path, lineno),
+             _parse_number(lon, "lon", "{}:{}", path, lineno))
+            for lineno, (node, lat, lon) in _read_csv(path, ("node_id", "lat", "lon"))]
 
 
 def read_road_edges_csv(path: str | Path) -> list[tuple[NodeId, NodeId, float]]:
-    rows = []
-    for lineno, row in _read_csv(path, ("u", "v", "length_m")):
-        rows.append((row["u"], row["v"], _float_field(row, "length_m", path, lineno)))
-    return rows
+    return [(u, v, _parse_number(length, "length_m", "{}:{}", path, lineno))
+            for lineno, (u, v, length) in _read_csv(path, ("u", "v", "length_m"))]
 
 
 def read_road_graph_json(path: str | Path) -> RoadGraph:
@@ -381,15 +376,17 @@ def write_road_graph_json(road: RoadGraph, path: str | Path) -> None:
 
 def read_power_nodes_csv(path: str | Path) -> list[PowerNode]:
     out = []
-    for lineno, row in _read_csv(path, ("bus_id", "x", "y", "downstream_load_kw", "kind")):
+    header = ("bus_id", "x", "y", "downstream_load_kw", "kind")
+    for lineno, (bus, x, y, load, kind) in _read_csv(path, header):
         try:
             out.append(
                 PowerNode(
-                    bus_id=row["bus_id"],
-                    local_x=_float_field(row, "x", path, lineno),
-                    local_y=_float_field(row, "y", path, lineno),
-                    downstream_load_kw=_float_field(row, "downstream_load_kw", path, lineno),
-                    component_kind=row["kind"],
+                    bus_id=bus,
+                    local_x=_parse_number(x, "x", "{}:{}", path, lineno),
+                    local_y=_parse_number(y, "y", "{}:{}", path, lineno),
+                    downstream_load_kw=_parse_number(load, "downstream_load_kw", "{}:{}",
+                                                     path, lineno),
+                    component_kind=kind,
                 )
             )
         except ValueError as exc:
@@ -398,7 +395,7 @@ def read_power_nodes_csv(path: str | Path) -> list[PowerNode]:
 
 
 def read_power_edges_csv(path: str | Path) -> list[tuple[NodeId, NodeId]]:
-    return [(row["bus_u"], row["bus_v"]) for _, row in _read_csv(path, ("bus_u", "bus_v"))]
+    return [(u, v) for _, (u, v) in _read_csv(path, ("bus_u", "bus_v"))]
 
 
 def read_events_csv(
@@ -406,23 +403,23 @@ def read_events_csv(
 ) -> list[TornadoEvent]:
     out = []
     header = ("ef", "start_lat", "start_lon", "end_lat", "end_lon", "width_m")
-    for lineno, row in _read_csv(path, header):
-        width_text = row["width_m"]
+    for lineno, (ef, start_lat, start_lon, end_lat, end_lon, width_text) in _read_csv(
+            path, header):
         if not width_text and default_width_m is not None:
             width = float(default_width_m)
         else:
-            width = _float_field(row, "width_m", path, lineno)
+            width = _parse_number(width_text, "width_m", "{}:{}", path, lineno)
         try:
             out.append(
                 TornadoEvent(
-                    ef_rating=_int_field(row, "ef", path, lineno),
+                    ef_rating=_parse_int(ef, "ef", path, lineno),
                     path_start=(
-                        _float_field(row, "start_lat", path, lineno),
-                        _float_field(row, "start_lon", path, lineno),
+                        _parse_number(start_lat, "start_lat", "{}:{}", path, lineno),
+                        _parse_number(start_lon, "start_lon", "{}:{}", path, lineno),
                     ),
                     path_end=(
-                        _float_field(row, "end_lat", path, lineno),
-                        _float_field(row, "end_lon", path, lineno),
+                        _parse_number(end_lat, "end_lat", "{}:{}", path, lineno),
+                        _parse_number(end_lon, "end_lon", "{}:{}", path, lineno),
                     ),
                     corridor_width_m=width,
                 )
@@ -734,11 +731,11 @@ def write_gantt_csv(chart: GanttChart, path: str | Path) -> None:
 
 def read_gantt_csv(path: str | Path) -> GanttChart:
     entries = []
-    for lineno, row in _read_csv(path, GANTT_HEADER):
-        fields = (_int_field(row, "scenario", path, lineno), row["node"],
-                  _int_field(row, "crew", path, lineno),
-                  _float_field(row, "start_h", path, lineno),
-                  _float_field(row, "finish_h", path, lineno))
+    for lineno, (scenario, node, crew, start, finish) in _read_csv(path, GANTT_HEADER):
+        fields = (_parse_int(scenario, "scenario", path, lineno), node,
+                  _parse_int(crew, "crew", path, lineno),
+                  _parse_number(start, "start_h", "{}:{}", path, lineno),
+                  _parse_number(finish, "finish_h", "{}:{}", path, lineno))
         try:
             entries.append(GanttEntry(*fields))
         except ValueError as exc:  # an interval out of order

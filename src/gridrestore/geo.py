@@ -78,3 +78,48 @@ def point_segment_distance_m(
         # foot lies beyond b
         return haversine_m(lat_b, lon_b, lat, lon)
     return abs(ang_xt) * EARTH_RADIUS_M
+
+
+def point_segment_distance_m_array(
+    lats: np.ndarray,
+    lons: np.ndarray,
+    lat_a: float,
+    lon_a: float,
+    lat_b: float,
+    lon_b: float,
+) -> np.ndarray:
+    """``point_segment_distance_m`` from each point (lats[i], lons[i]) to the arc a-b.
+
+    Every branch of the scalar construction is evaluated for every point, and the
+    scalar's branch order picks each result. The arithmetic is the scalar's, step for
+    step; only numpy's transcendental functions stand in for ``math``'s. So a value
+    differs from the scalar one by rounding alone (a relative ~1e-15), except where
+    the two pick different branches. That happens only at a branch threshold, where
+    the branches meet and give the same distance. The one ill-conditioned step is
+    ``arccos`` near 1 in the along-track distance: an ulp of its argument moves the
+    along-track distance by up to ~0.1 m, and so moves the "beyond b" test and the
+    result by about that much at most. A point whose scalar computation would fail
+    (a latitude past a pole that rounds the haversine term below 0) comes out NaN,
+    with no warning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_ap = haversine_m_array(lat_a, lon_a, lats, lons)
+        d_ab = haversine_m(lat_a, lon_a, lat_b, lon_b)
+        if d_ab == 0.0:
+            return d_ap
+        p1 = math.radians(lat_a)
+        p2 = np.radians(lats)
+        dlam = np.radians(lons - lon_a)
+        theta_ap = np.arctan2(
+            np.sin(dlam) * np.cos(p2),
+            math.cos(p1) * np.sin(p2) - math.sin(p1) * np.cos(p2) * np.cos(dlam))
+        delta = theta_ap - initial_bearing_rad(lat_a, lon_a, lat_b, lon_b)
+        ang_ap = d_ap / EARTH_RADIUS_M
+        ang_xt = np.arcsin(np.clip(np.sin(ang_ap) * np.sin(delta), -1.0, 1.0))
+        cos_xt = np.cos(ang_xt)
+        d_at = np.arccos(np.clip(np.cos(ang_ap) / cos_xt, -1.0, 1.0)) * EARTH_RADIUS_M
+        xt = np.abs(ang_xt) * EARTH_RADIUS_M
+        beyond_b = (d_at > d_ab) & (cos_xt != 0.0)
+        dist = np.where(beyond_b, haversine_m_array(lat_b, lon_b, lats, lons), xt)
+        dist = np.where(np.cos(delta) <= 0.0, d_ap, dist)  # foot behind a
+        return np.where(d_ap == 0.0, 0.0, dist)

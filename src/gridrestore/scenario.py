@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidRangeError, NoDamagedNodesError
-from .geo import point_segment_distance_m
+from .geo import point_segment_distance_m, point_segment_distance_m_array
 from .network import (
     CoupledNetwork,
     NodeId,
@@ -39,6 +39,10 @@ DEMAND_LO = 5
 DEMAND_HI = 19
 # Largest demand a scenario accepts, so that demand sums stay exact in int64.
 MAX_REPAIR_DEMAND = 2**31 - 1
+
+# select_damage trusts the numpy corridor distance of a node farther than this from
+# the corridor's half-width, and asks point_segment_distance_m about the others.
+CORRIDOR_GUARD_M = 1.0
 
 CREW_NAMES = ("initial_inspection", "tree", "line", "final_inspection")
 # Hourly cost per person: inspections are specialized technicians, tree and
@@ -282,26 +286,35 @@ def select_damage(
 
     A projected power node is damaged when its great-circle distance to the
     path segment is at most half the corridor width; a road edge fails when
-    both endpoints are inside the corridor. Each node's distance is computed
-    at most once.
+    both endpoints are inside the corridor.
+
+    ``point_segment_distance_m`` decides, as it always has: one numpy pass
+    (``point_segment_distance_m_array``) only spares it the clear cases. A node
+    whose array distance lies more than ``CORRIDOR_GUARD_M``, plus 1e-9 of the
+    half-width, from the half-width is decided by that value; every other node,
+    a NaN among them, goes to the scalar formula once. Away from the formula's
+    branch thresholds the two distances differ by rounding alone (at most
+    ~5e-12 m over the bench's 70x70 grids); at the "beyond b" threshold the
+    array's ``arccos`` near 1 can pick the other branch, which moves the
+    distance by ~0.1 m at most, since both branches agree where they meet. A
+    guard of 1 m therefore leaves every decision the scalar's, under any numpy.
     """
     half = event.corridor_width_m / 2.0
     (lat_a, lon_a), (lat_b, lon_b) = event.path_start, event.path_end
-    known: dict[NodeId, bool] = {}
+    nodes = net.road.nodes
+    lats = np.fromiter((lat for _, lat, _ in nodes), float, len(nodes))
+    lons = np.fromiter((lon for _, _, lon in nodes), float, len(nodes))
+    dist = point_segment_distance_m_array(lats, lons, lat_a, lon_a, lat_b, lon_b)
+    inside = dist <= half
+    for i in np.flatnonzero(~(np.abs(dist - half) > CORRIDOR_GUARD_M + 1e-9 * half)):
+        _, lat, lon = nodes[i]
+        inside[i] = point_segment_distance_m(lat, lon, lat_a, lon_a, lat_b, lon_b) <= half
+    hit = {nodes[i][0] for i in np.flatnonzero(inside)}
 
-    def inside(node: NodeId) -> bool:
-        hit = known.get(node)
-        if hit is None:
-            lat, lon = net.road.coord(node)
-            hit = known[node] = (
-                point_segment_distance_m(lat, lon, lat_a, lon_a, lat_b, lon_b) <= half)
-        return hit
-
-    projected = sorted(set(net.power_to_road.values()), key=node_key)
-    damaged = frozenset(n for n in projected if inside(n))
-    failed = frozenset(
-        edge_key(u, v) for u, v, _ in net.road.edges if u != v and inside(u) and inside(v)
-    )
+    damaged = frozenset(hit.intersection(net.power_to_road.values()))
+    # a self-loop is no neighbour, so it never fails
+    failed = frozenset(edge_key(u, v) for u in hit for v, _ in net.road.neighbors(u)
+                       if v in hit)
     return damaged, failed
 
 

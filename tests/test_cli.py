@@ -1476,3 +1476,35 @@ class TestManifest:
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "run_manifest.json" in err and message in err, err
+
+    @pytest.mark.parametrize("stage", ["build-network", "gen-scenarios", "solve", "schedule",
+                                       "render"])
+    def test_unreadable_manifest_fails_before_any_artifact(self, fixture_dir, tmp_path,
+                                                           capsys, stage):
+        """A manifest that is a directory fails the stage (exit 3, naming it) before the
+        stage writes anything into its out-dir."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        fresh = tmp_path / "fresh"
+        (fresh / "run_manifest.json").mkdir(parents=True)
+        flags = {
+            "build-network": ["--road-nodes", str(fixture_dir / "road_nodes.csv"),
+                              "--road-edges", str(fixture_dir / "road_edges.csv"),
+                              "--power", str(fixture_dir / "power.csv"),
+                              "--offset-x", "-97.0", "--offset-y", "32.9",
+                              "--depots", "r0c0,r4c4"],
+            "gen-scenarios": ["--network", str(out / "network.json"),
+                              "--events", str(fixture_dir / "events.csv")],
+            "solve": ["--network", str(out / "network.json"),
+                      "--scenarios", str(out / "scenarios.json")],
+            "schedule": ["--network", str(out / "network.json"),
+                         "--scenarios", str(out / "scenarios.json"), "--routes-dir", str(out)],
+            "render": ["--gantt", str(out / "gantt.csv")],
+        }[stage]
+        capsys.readouterr()
+        assert main(["--out-dir", str(fresh), "--seed", "42", stage, *flags]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {fresh / 'run_manifest.json'}: cannot read file "
+                                "(Is a directory)\n")
+        assert captured.out == ""
+        assert [p.name for p in fresh.iterdir()] == ["run_manifest.json"]

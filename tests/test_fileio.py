@@ -522,6 +522,161 @@ class TestCsvIngestion:
                 fileio.read_road_graph_json(path)
 
 
+# Every CSV reader: its header, a good row, and its numeric columns in order.
+CSV_READERS = {
+    "road_nodes": (fileio.read_road_nodes_csv, "node_id,lat,lon", "a,32.0,-97.0",
+                   ("lat", "lon")),
+    "road_edges": (fileio.read_road_edges_csv, "u,v,length_m", "a,b,1200.5", ("length_m",)),
+    "power": (fileio.read_power_nodes_csv, "bus_id,x,y,downstream_load_kw,kind",
+              "bus1,-97.0,32.0,12.5,line", ("x", "y", "downstream_load_kw")),
+    "power_edges": (fileio.read_power_edges_csv, "bus_u,bus_v", "bus1,bus2", ()),
+    "events": (fileio.read_events_csv, "ef,start_lat,start_lon,end_lat,end_lon,width_m",
+               "2,32.0,-97.0,32.1,-96.9,800",
+               ("ef", "start_lat", "start_lon", "end_lat", "end_lon", "width_m")),
+    "gantt": (fileio.read_gantt_csv, "scenario,node,crew,start_h,finish_h",
+              "0,a,1,0.0000,2.5000", ("scenario", "crew", "start_h", "finish_h")),
+}
+INT_COLUMNS = {"ef", "scenario", "crew"}
+
+
+def _csv_error(read, path, text: str) -> str:
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as raised:
+        read(path)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+class TestCsvErrors:
+    """The exact text of every CSV reader's errors, and the rows it skips."""
+
+    def test_header_mismatch(self, tmp_path, name):
+        read, header, good, _ = CSV_READERS[name]
+        path = tmp_path / f"{name}.csv"
+        wrong = "x" + header[header.index(","):]
+        assert _csv_error(read, path, f"{wrong}\n{good}\n") == (
+            f"{path}:1: expected header {header!r}, got {wrong!r}")
+        short = header[:header.rindex(",")]
+        assert _csv_error(read, path, f"{short}\n{good}\n") == (
+            f"{path}:1: expected header {header!r}, got {short!r}")
+        assert _csv_error(read, path, "") == f"{path}:1: empty file, expected header {header}"
+
+    def test_header_cells_are_stripped(self, tmp_path, name):
+        read, header, good, _ = CSV_READERS[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"{header}\n{good}\n")
+        expected = read(path)
+        path.write_text(" " + header.replace(",", " ,\t") + " \n" + good + "\n")
+        assert read(path) == expected
+
+    def test_wrong_field_count(self, tmp_path, name):
+        read, header, good, _ = CSV_READERS[name]
+        path = tmp_path / f"{name}.csv"
+        n = header.count(",") + 1
+        fewer = good[:good.rindex(",")]
+        assert _csv_error(read, path, f"{header}\n{good}\n{fewer}\n") == (
+            f"{path}:3: expected {n} fields, got {n - 1}")
+        assert _csv_error(read, path, f"{header}\n{good}\n{good},x\n") == (
+            f"{path}:3: expected {n} fields, got {n + 1}")
+        # an empty last cell still counts
+        assert _csv_error(read, path, f"{header}\n{good},\n") == (
+            f"{path}:2: expected {n} fields, got {n + 1}")
+
+    def test_blank_and_whitespace_rows_skipped(self, tmp_path, name):
+        read, header, good, _ = CSV_READERS[name]
+        path = tmp_path / f"{name}.csv"
+        n = header.count(",") + 1
+        path.write_text(f"{header}\n{good}\n")
+        expected = read(path)
+        blanks = ["", "   ", "\t", ",".join([" "] * n), ",".join([""] * n), ", ,"]
+        path.write_text(f"{header}\n" + "\n".join(blanks) + f"\n{good}\n" +
+                        "\r\n".join(blanks) + "\n")
+        assert read(path) == expected
+        # a row after the skipped ones is named by its own line
+        fewer = good[:good.rindex(",")]
+        assert _csv_error(read, path, f"{header}\n\n  \n{fewer}\n") == (
+            f"{path}:4: expected {n} fields, got {n - 1}")
+
+    def test_cells_are_stripped(self, tmp_path, name):
+        read, header, good, _ = CSV_READERS[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"{header}\n{good}\n")
+        expected = read(path)
+        path.write_text(f"{header}\n" + ",".join(f" {cell}\t" for cell in good.split(","))
+                        + "\n")
+        assert read(path) == expected
+
+    def test_bad_number_names_file_line_and_column(self, tmp_path, name):
+        read, header, good, numeric = CSV_READERS[name]
+        path = tmp_path / f"{name}.csv"
+        cells = good.split(",")
+        for column in numeric:
+            index, integer = header.split(",").index(column), column in INT_COLUMNS
+            bad_values = ["oops", "", "2.5", "1e3"] if integer else ["oops", "", "nan", "inf",
+                                                                     "-inf", "1e999"]
+            for bad in bad_values:
+                row = ",".join(cells[:index] + [bad] + cells[index + 1:])
+                got = _csv_error(read, path, f"{header}\n{good}\n{row}\n")
+                if integer:
+                    assert got == f"{path}:3: bad {column} value {bad!r}"
+                elif bad in ("oops", ""):
+                    assert got == f"{path}:3: bad {column} {bad!r}"
+                else:
+                    assert got == f"{path}:3: {column} must be finite, got {bad!r}"
+
+    def test_leading_byte_order_mark_accepted(self, tmp_path, name):
+        # "CSV UTF-8" as spreadsheets save it: a BOM, then the header
+        read, header, good, _ = CSV_READERS[name]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        text = f"{header}\n{good}\n{good}\n"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read(marked) == read(plain)
+        # a mark anywhere but the file's start is still a character of its cell
+        inner = tmp_path / "inner.csv"
+        assert _csv_error(read, inner, "\ufeff\ufeff" + text) == (
+            f"{inner}:1: expected header {header!r}, got {chr(0xFEFF) + header!r}")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, r in CSV_READERS.items() if len(r[3]) > 1))
+def test_csv_first_bad_column_is_named(tmp_path, name):
+    # with two bad cells in a row, the leftmost numeric one is reported
+    read, header, good, numeric = CSV_READERS[name]
+    path = tmp_path / f"{name}.csv"
+    cells = good.split(",")
+    first, second = numeric[:2]
+    cells[header.split(",").index(first)] = "inf"
+    cells[header.split(",").index(second)] = "oops"
+    got = _csv_error(read, path, f"{header}\n{','.join(cells)}\n")
+    assert got == (f"{path}:2: bad {first} value 'inf'" if first in INT_COLUMNS
+                   else f"{path}:2: {first} must be finite, got 'inf'")
+
+
+class TestCsvValueErrors:
+    """A row whose numbers parse but whose values a record refuses names its line."""
+
+    @pytest.mark.parametrize("name, row, problem", [
+        ("power", "bus1,0,0,5,pole", "bus 'bus1': component_kind 'pole' not in "
+                                     "('line', 'switch', 'transformer', 'substation')"),
+        ("power", "bus1,0,0,-5,line", "bus 'bus1': downstream_load_kw must be >= 0"),
+        ("events", "7,32,-97,32,-96,100", "ef_rating must be in 0..5, got 7"),
+        ("events", "2,32,-97,32,-96,-1", "corridor_width_m must be > 0"),
+        ("gantt", "0,a,1,3.0,2.0", "finish_h must be >= start_h"),
+    ])
+    def test_value_error_named(self, tmp_path, name, row, problem):
+        read, header, good, _ = CSV_READERS[name]
+        path = tmp_path / f"{name}.csv"
+        assert _csv_error(read, path, f"{header}\n{good}\n{row}\n") == f"{path}:3: {problem}"
+
+    def test_events_empty_width_takes_the_default(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("ef,start_lat,start_lon,end_lat,end_lon,width_m\n"
+                        "2,32,-97,32,-96,  \n")
+        assert fileio.read_events_csv(path, 250)[0].corridor_width_m == 250.0
+        assert _csv_error(fileio.read_events_csv, path, path.read_text()) == (
+            f"{path}:2: bad width_m ''")
+
+
 class TestJsonNumbers:
     """A number in a JSON artifact is a JSON number; only distance_m may also be text."""
 

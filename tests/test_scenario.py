@@ -25,9 +25,16 @@ from gridrestore import (
 )
 from gridrestore.errors import InvalidRangeError, NoDamagedNodesError
 from gridrestore import scenario as scenario_module
-from gridrestore.geo import haversine_m, point_segment_distance_m
+from gridrestore.geo import (
+    EARTH_RADIUS_M,
+    haversine_m,
+    haversine_m_array,
+    initial_bearing_rad,
+    point_segment_distance_m,
+    point_segment_distance_m_array,
+)
 from gridrestore.network import edge_key
-from gridrestore.scenario import REPAIR_TIME_MU, REPAIR_TIME_SIGMA
+from gridrestore.scenario import CORRIDOR_GUARD_M, REPAIR_TIME_MU, REPAIR_TIME_SIGMA
 
 import refcase
 
@@ -315,6 +322,145 @@ class TestSelectDamage:
             assert prev_nodes <= damaged
             assert prev_edges <= failed
             prev_nodes, prev_edges = damaged, failed
+
+
+def _destination(lat: float, lon: float, bearing: float, meters: float) -> tuple[float, float]:
+    """The point ``meters`` along the great circle from (lat, lon) at ``bearing`` (rad)."""
+    p1, ang = math.radians(lat), meters / EARTH_RADIUS_M
+    p2 = math.asin(math.sin(p1) * math.cos(ang) + math.cos(p1) * math.sin(ang) * math.cos(bearing))
+    dlam = math.atan2(math.sin(bearing) * math.sin(ang) * math.cos(p1),
+                      math.cos(ang) - math.sin(p1) * math.sin(p2))
+    return math.degrees(p2), (lon + math.degrees(dlam) + 540.0) % 360.0 - 180.0
+
+
+SEGMENT_KINDS = ("plain", "zero-length", "sub-metre", "over-1000-km", "polar", "antimeridian")
+
+
+def _segment(rnd: random.Random, kind: str):
+    """A random track of ``kind``, and a length scale for the points around it."""
+    lat_a, lon_a = rnd.uniform(-60.0, 60.0), rnd.uniform(-180.0, 180.0)
+    length = 10 ** rnd.uniform(1.0, 4.5)
+    if kind == "zero-length":
+        return (lat_a, lon_a), (lat_a, lon_a), length
+    if kind == "sub-metre":
+        length = rnd.uniform(0.01, 1.0)
+    elif kind == "over-1000-km":
+        length = rnd.uniform(1.0e6, 4.0e6)
+    elif kind == "polar":
+        lat_a = rnd.choice([-1.0, 1.0]) * rnd.uniform(80.0, 89.9)
+    elif kind == "antimeridian":
+        lon_a = rnd.choice([179.9, -179.9]) + rnd.uniform(-0.05, 0.05)
+        length = rnd.uniform(2.0e4, 5.0e4)  # reaches across +-180 east or west
+    bearing = rnd.uniform(-math.pi, math.pi)
+    if kind == "antimeridian":
+        bearing = math.copysign(math.pi / 2, lon_a) + rnd.uniform(-0.5, 0.5)
+    return (lat_a, lon_a), _destination(lat_a, lon_a, bearing, length), max(length, 10.0)
+
+
+def _points_around(rnd: random.Random, a, b, scale: float, n: int) -> list[tuple[float, float]]:
+    """``n`` points near the track a-b: A itself, points whose foot falls within a
+    metre of either end (where the formula changes branch), and points spread around."""
+    points = [a]
+    forward = initial_bearing_rad(*a, *b) if a != b else rnd.uniform(-math.pi, math.pi)
+    at_b = initial_bearing_rad(*b, *a) + math.pi if a != b else forward
+    while len(points) < n:
+        end, heading = rnd.choice([(a, forward), (b, at_b)])
+        foot = _destination(*end, heading, rnd.uniform(-1.0, 1.0))
+        side = heading + rnd.choice([-1.0, 1.0]) * math.pi / 2
+        points.append(_destination(*foot, side, scale * 10 ** rnd.uniform(-6.0, 0.5)))
+        points.append(_destination(*a, rnd.uniform(-math.pi, math.pi),
+                                   scale * rnd.uniform(0.0, 2.0)))
+    return points[:n]
+
+
+class TestCorridorKernel:
+    """``select_damage``'s numpy pass decides exactly as ``point_segment_distance_m``."""
+
+    @pytest.mark.parametrize("kind", SEGMENT_KINDS)
+    def test_decides_as_the_scalar(self, monkeypatch, kind):
+        rnd = random.Random(f"corridor:{kind}")
+        calls = []
+
+        def counted(lat, lon, *segment):
+            calls.append((lat, lon))
+            return point_segment_distance_m(lat, lon, *segment)
+
+        monkeypatch.setattr(scenario_module, "point_segment_distance_m", counted)
+        for trial in range(12):
+            a, b, scale = _segment(rnd, kind)
+            points = _points_around(rnd, a, b, scale, 40)
+            nodes = [(k, lat, lon) for k, (lat, lon) in enumerate(points)]
+            edges = [(k, k + 1, 100.0) for k in range(len(nodes) - 1)]
+            edges += [(rnd.randrange(len(nodes)), rnd.randrange(len(nodes)), 50.0)
+                      for _ in range(20)]
+            road = load_road_network(nodes, edges)
+            buses = [PowerNode(f"bus{k}", lon, lat, 1.0, "line")
+                     for k, lat, lon in rnd.sample(nodes, 15)]
+            net = build_coupled_network(road, buses, 0.0, 0.0, [])
+            exact = {k: point_segment_distance_m(lat, lon, *a, *b) for k, lat, lon in nodes}
+            # a half-width exactly some node's distance, or any width
+            on_edge = rnd.choice(nodes[1:])[0]
+            width = 2 * exact[on_edge] if trial % 3 else rnd.uniform(0.1, 3.0) * scale
+            half = width / 2.0
+
+            calls.clear()
+            damaged, failed = select_damage(TornadoEvent(2, a, b, width), net)
+            inside = {k for k, d in exact.items() if d <= half}
+            assert damaged == frozenset(n for n in net.power_to_road.values() if n in inside)
+            assert failed == frozenset(edge_key(u, v) for u, v, _ in road.edges
+                                       if u != v and u in inside and v in inside)
+            assert len(calls) == len(set(calls)) <= road.n_nodes
+            if trial % 3:
+                assert road.coord(on_edge) in calls  # the node at the half-width asks the scalar
+
+    def test_gap_far_below_the_guard_away_from_branch_thresholds(self):
+        rnd = random.Random(2024)
+        clear_gaps, all_gaps = [], []
+        for kind in SEGMENT_KINDS:
+            for _ in range(20):
+                a, b, scale = _segment(rnd, kind)
+                points = _points_around(rnd, a, b, scale, 60)
+                lats, lons = (np.array(column) for column in zip(*points))
+                got = point_segment_distance_m_array(lats, lons, *a, *b)
+                for (lat, lon), value in zip(points, got.tolist()):
+                    gap = abs(value - point_segment_distance_m(lat, lon, *a, *b))
+                    all_gaps.append(gap)
+                    if _clear_of_branch_thresholds(lat, lon, a, b):
+                        clear_gaps.append(gap)
+        assert len(clear_gaps) > len(all_gaps) // 2
+        assert max(clear_gaps) < 1e-6 * CORRIDOR_GUARD_M
+        assert max(all_gaps) < 0.25 * CORRIDOR_GUARD_M
+
+    def test_array_mirrors_the_scalar_cases(self):
+        a, b = (35.0, -97.0), (35.0, -96.9)
+        lats = np.array([35.0, 35.001, 35.0, 35.0, 35.001])
+        lons = np.array([-97.0, -96.95, -97.01, -96.89, -96.95])
+        got = point_segment_distance_m_array(lats, lons, *a, *b)
+        assert got[0] == 0.0  # the point A
+        for lat, lon, value in zip(lats.tolist(), lons.tolist(), got.tolist()):
+            assert value == pytest.approx(point_segment_distance_m(lat, lon, *a, *b),
+                                          rel=0, abs=1e-9)
+        # a zero-length track is the distance to its point
+        same = point_segment_distance_m_array(lats, lons, *a, *a)
+        assert same.tolist() == haversine_m_array(*a, lats, lons).tolist()
+
+
+def _clear_of_branch_thresholds(lat: float, lon: float, a, b) -> bool:
+    """Whether ``point_segment_distance_m`` picks its branch for (lat, lon) with room:
+    the foot of the perpendicular lies well off A's normal and more than a metre from B."""
+    d_ap = haversine_m(*a, lat, lon)
+    d_ab = haversine_m(*a, *b)
+    if d_ap == 0.0 or d_ab == 0.0:
+        return True
+    delta = initial_bearing_rad(*a, lat, lon) - initial_bearing_rad(*a, *b)
+    if abs(math.cos(delta)) < 1e-6:
+        return False
+    if math.cos(delta) < 0.0:
+        return True
+    ang_ap = d_ap / EARTH_RADIUS_M
+    ang_xt = math.asin(max(-1.0, min(1.0, math.sin(ang_ap) * math.sin(delta))))
+    cos_at = max(-1.0, min(1.0, math.cos(ang_ap) / math.cos(ang_xt)))
+    return abs(math.acos(cos_at) * EARTH_RADIUS_M - d_ab) > 1.0
 
 
 class TestGenerateScenarios:
