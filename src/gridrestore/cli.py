@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -36,6 +36,7 @@ from .network import (
     is_int,
     load_road_network,
     node_key,
+    require_latitude,
     shortest_path_matrix,
 )
 from .routing import (
@@ -49,6 +50,7 @@ from .scenario import CREW_NAMES, N_CREWS, ScenarioConfig, generate_scenarios
 from .schedule import DEFAULT_SPEED_KMH, build_schedule, combine_charts
 
 EXIT_OK = 0
+EXIT_USAGE = 2  # argparse's
 EXIT_INPUT = 3
 EXIT_NO_DAMAGE = 4
 EXIT_UNBOUNDED = 5
@@ -57,58 +59,41 @@ EXIT_TOO_MANY_NODES = 7
 EXIT_INVALID_PLAN = 8
 EXIT_INTERNAL = 9
 
-_EXIT_CODES = (
-    (UnboundedObjectiveError, EXIT_UNBOUNDED),
-    (NoDamagedNodesError, EXIT_NO_DAMAGE),
-    ((NodeUnreachableError, UnreachableArcError), EXIT_UNREACHABLE),
-    (TooManyNodesError, EXIT_TOO_MANY_NODES),
-    ((InvalidPlanError, NonPositiveSpeedError), EXIT_INVALID_PLAN),
-    (GridRestoreError, EXIT_INPUT),  # schema and validation errors
+# (exit code, the error classes that exit with it, its --help line). An error exits
+# with the code of the nearest class in its MRO that a row names.
+_EXITS = (
+    (EXIT_OK, (), "success"),
+    (EXIT_USAGE, (), "usage error"),
+    (EXIT_INPUT, (GridRestoreError,), "input parse/validation error"),
+    (EXIT_NO_DAMAGE, (NoDamagedNodesError,), "no damaged nodes"),
+    (EXIT_UNBOUNDED, (UnboundedObjectiveError,),
+     "unbounded allocation objective (message suggests a scale factor)"),
+    (EXIT_UNREACHABLE, (NodeUnreachableError, UnreachableArcError),
+     "unreachable node or route leg"),
+    (EXIT_TOO_MANY_NODES, (TooManyNodesError,),
+     "required-node count exceeds the exact solver cap"),
+    (EXIT_INVALID_PLAN, (InvalidPlanError, NonPositiveSpeedError),
+     "invalid route plan / non-positive speed"),
+    (EXIT_INTERNAL, (Exception,), "internal error"),
 )
-
-EXIT_DOC = """exit codes:
-  0  success
-  2  usage error
-  3  input parse/validation error
-  4  no damaged nodes
-  5  unbounded allocation objective (message suggests a scale factor)
-  6  unreachable node or route leg
-  7  required-node count exceeds the exact solver cap
-  8  invalid route plan / non-positive speed
-  9  internal error
-"""
+_EXIT_OF = {cls: code for code, classes, _ in _EXITS for cls in classes}
+EXIT_DOC = "exit codes:\n" + "".join(f"  {code}  {text}\n" for code, _, text in _EXITS)
 
 
-# config key -> (type, range test, what the error asks for). A list holds
-# N_CREWS numbers, each range-tested; a key whose default is None also takes null.
-_CONFIG_FIELDS = {
-    "n_scenarios": (int, lambda v: v >= 1, "an integer >= 1"),
-    "demand_lo": (int, lambda v: v >= 0, "an integer >= 0"),
-    "demand_hi": (int, lambda v: v >= 0, "an integer >= 0"),
-    "repair_time_min_h": (float, lambda v: v > 0, "a finite number > 0"),
-    "repair_time_max_h": (float, lambda v: v > 0, "a finite number > 0"),
-    "repair_time_mu": (float, lambda v: True, "a finite number"),
-    "repair_time_sigma": (float, lambda v: v >= 0, "a finite number >= 0"),
-    "edge_fail_prob": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-    "corridor_width_m": (float, lambda v: v > 0, "a finite number > 0"),
-    "crew_costs": (list, lambda v: v > 0, f"a list of {N_CREWS} finite numbers > 0"),
-    "scale_c": (float, lambda v: v > 0, "a finite number > 0"),
-    "power_weight": (float, lambda v: v >= 0, "a finite number >= 0"),
-    "time_weight": (float, lambda v: v >= 0, "a finite number >= 0"),
-    "cost_rate_per_m": (list, lambda v: v >= 0, f"a list of {N_CREWS} finite numbers >= 0"),
-    "speed_kmh": (float, lambda v: v > 0, "a finite number > 0"),
-}
+# Value rules: (type, range test, what the error asks for). A list holds N_CREWS
+# numbers, each range-tested.
+_FINITE = (float, lambda v: True, "a finite number")
+_POSITIVE = (float, lambda v: v > 0, "a finite number > 0")
+_NON_NEGATIVE = (float, lambda v: v >= 0, "a finite number >= 0")
+_COUNT = (int, lambda v: v >= 0, "an integer >= 0")
 
 
-# numeric command-line flag (its argparse dest) -> (type, range test, what the
-# error asks for), as in _CONFIG_FIELDS; a flag left unset (None) is not checked.
-# --speed-kmh is left to build_schedule, which refuses a bad speed with exit 8.
-_FLAG_FIELDS = {
-    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
-    "n_scenarios": _CONFIG_FIELDS["n_scenarios"],
-    "offset_x": (float, lambda v: True, "a finite number"),
-    "offset_y": (float, lambda v: True, "a finite number"),
-}
+def _key(default, rule: tuple):
+    """A config key: its default, and the rule ``PipelineConfig.load`` checks a value
+    against. A key whose default is None also takes null."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"rule": rule})
+    return field(default=default, metadata={"rule": rule})
 
 
 def _fits(value, kind, in_range) -> bool:
@@ -121,34 +106,29 @@ def _fits(value, kind, in_range) -> bool:
     return is_finite_number(value) and in_range(value)
 
 
-def _check_flags(args) -> None:
-    """A SchemaError naming the first numeric flag that does not fit its _FLAG_FIELDS entry."""
-    for name, (kind, in_range, wanted) in _FLAG_FIELDS.items():
-        value = getattr(args, name, None)
-        if value is not None and not _fits(value, kind, in_range):
-            flag = "--" + name.replace("_", "-")
-            raise SchemaError(f"{flag} must be {wanted}, got {value!r}")
-
-
 @dataclass
 class PipelineConfig:
-    """Tunables shared across stages; a JSON config file overrides fields."""
+    """Tunables shared across stages; a JSON config file overrides fields. Each field
+    declares its default and its rule together (``_key``)."""
 
-    n_scenarios: int = 3
-    demand_lo: int = ScenarioConfig.demand_lo
-    demand_hi: int = ScenarioConfig.demand_hi
-    repair_time_min_h: float = ScenarioConfig.repair_time_min_h
-    repair_time_max_h: float = ScenarioConfig.repair_time_max_h
-    repair_time_mu: float = ScenarioConfig.repair_time_mu
-    repair_time_sigma: float = ScenarioConfig.repair_time_sigma
-    edge_fail_prob: float = ScenarioConfig.edge_fail_prob
-    corridor_width_m: float | None = None
-    crew_costs: list[float] | None = None
-    scale_c: float | None = None
-    power_weight: float = 1.0
-    time_weight: float = 1.0
-    cost_rate_per_m: list[float] = field(default_factory=lambda: [1.0] * N_CREWS)
-    speed_kmh: float = DEFAULT_SPEED_KMH
+    n_scenarios: int = _key(3, (int, lambda v: v >= 1, "an integer >= 1"))
+    demand_lo: int = _key(ScenarioConfig.demand_lo, _COUNT)
+    demand_hi: int = _key(ScenarioConfig.demand_hi, _COUNT)
+    repair_time_min_h: float = _key(ScenarioConfig.repair_time_min_h, _POSITIVE)
+    repair_time_max_h: float = _key(ScenarioConfig.repair_time_max_h, _POSITIVE)
+    repair_time_mu: float = _key(ScenarioConfig.repair_time_mu, _FINITE)
+    repair_time_sigma: float = _key(ScenarioConfig.repair_time_sigma, _NON_NEGATIVE)
+    edge_fail_prob: float = _key(ScenarioConfig.edge_fail_prob,
+                                 (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"))
+    corridor_width_m: float | None = _key(None, _POSITIVE)
+    crew_costs: list[float] | None = _key(
+        None, (list, lambda v: v > 0, f"a list of {N_CREWS} finite numbers > 0"))
+    scale_c: float | None = _key(None, _POSITIVE)
+    power_weight: float = _key(1.0, _NON_NEGATIVE)
+    time_weight: float = _key(1.0, _NON_NEGATIVE)
+    cost_rate_per_m: list[float] = _key(
+        [1.0] * N_CREWS, (list, lambda v: v >= 0, f"a list of {N_CREWS} finite numbers >= 0"))
+    speed_kmh: float = _key(DEFAULT_SPEED_KMH, _POSITIVE)
 
     @classmethod
     def load(cls, path: str | None) -> "PipelineConfig":
@@ -156,13 +136,14 @@ class PipelineConfig:
         if path is None:
             return cfg
         obj = fileio.read_json_artifact(path, fileio.SCHEMA_CONFIG)
+        keys = cls.__dataclass_fields__
         for key, value in obj.items():
             if key == "schema":
                 continue
-            if key not in _CONFIG_FIELDS:
+            if key not in keys:
                 raise SchemaError(f"{path}: unknown config key {key!r}")
-            kind, in_range, wanted = _CONFIG_FIELDS[key]
-            nullable = cls.__dataclass_fields__[key].default is None
+            kind, in_range, wanted = keys[key].metadata["rule"]
+            nullable = keys[key].default is None
             if not (value is None and nullable or _fits(value, kind, in_range)):
                 raise SchemaError(f"{path}: {key} must be {wanted}"
                                   f"{' or null' if nullable else ''}, got {value!r}")
@@ -177,16 +158,30 @@ class PipelineConfig:
         return {"schema": fileio.SCHEMA_CONFIG, **asdict(self)}
 
     def scenario_config(self, n_override: int | None = None) -> ScenarioConfig:
-        return ScenarioConfig(
-            n_scenarios=n_override if n_override is not None else self.n_scenarios,
-            demand_lo=self.demand_lo,
-            demand_hi=self.demand_hi,
-            repair_time_min_h=self.repair_time_min_h,
-            repair_time_max_h=self.repair_time_max_h,
-            repair_time_mu=self.repair_time_mu,
-            repair_time_sigma=self.repair_time_sigma,
-            edge_fail_prob=self.edge_fail_prob,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(ScenarioConfig)}
+        if n_override is not None:
+            values["n_scenarios"] = n_override
+        return ScenarioConfig(**values)
+
+
+# numeric command-line flag (its argparse dest) -> its rule, as a config key's; a
+# flag left unset (None) is not checked. --speed-kmh is left to build_schedule,
+# which refuses a bad speed with exit 8.
+_FLAG_FIELDS = {
+    "seed": _COUNT,
+    "n_scenarios": PipelineConfig.__dataclass_fields__["n_scenarios"].metadata["rule"],
+    "offset_x": _FINITE,
+    "offset_y": _FINITE,
+}
+
+
+def _check_flags(args) -> None:
+    """A SchemaError naming the first numeric flag that does not fit its _FLAG_FIELDS entry."""
+    for name, (kind, in_range, wanted) in _FLAG_FIELDS.items():
+        value = getattr(args, name, None)
+        if value is not None and not _fits(value, kind, in_range):
+            flag = "--" + name.replace("_", "-")
+            raise SchemaError(f"{flag} must be {wanted}, got {value!r}")
 
 
 def _read_manifest(out_dir: Path, seed: int, config: PipelineConfig) -> dict:
@@ -237,30 +232,33 @@ def _road_ids(road: RoadGraph, text: str) -> list[NodeId]:
 
 
 # --- subcommands -----------------------------------------------------------
+# Each command writes its artifacts into out_dir and returns its exit code, its
+# input files and its outputs' names, which main records in the run manifest.
 
 
-def cmd_build_network(args, config: PipelineConfig) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _read_manifest(out_dir, args.seed, config)
-    inputs: list[str] = []
-
+def cmd_build_network(args, config: PipelineConfig, out_dir: Path):
+    if args.road and (args.road_nodes or args.road_edges):
+        raise SchemaError("build-network: --road cannot be combined with "
+                          "--road-nodes/--road-edges")
     if args.road:
         road = fileio.read_road_graph_json(args.road)
-        inputs.append(args.road)
-    else:
-        if not (args.road_nodes and args.road_edges):
-            print("build-network: provide --road or both --road-nodes and --road-edges",
-                  file=sys.stderr)
-            return EXIT_INPUT
+        inputs = [args.road]
+    elif args.road_nodes and args.road_edges:
         road = load_road_network(
             fileio.read_road_nodes_csv(args.road_nodes),
             fileio.read_road_edges_csv(args.road_edges),
         )
-        inputs += [args.road_nodes, args.road_edges]
+        inputs = [args.road_nodes, args.road_edges]
+    else:
+        raise SchemaError("build-network: provide --road or both --road-nodes and --road-edges")
 
     power = fileio.read_power_nodes_csv(args.power)
     inputs.append(args.power)
+    for bus in power:
+        try:
+            require_latitude(bus.local_y + args.offset_y, f"bus {bus.bus_id!r}: y + --offset-y")
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
     power_edges = []
     if args.power_edges:
         power_edges = fileio.read_power_edges_csv(args.power_edges)
@@ -277,28 +275,14 @@ def cmd_build_network(args, config: PipelineConfig) -> int:
     out_path = out_dir / args.output
     fileio.write_network_file(net, out_path)
 
-    summary = {
-        "road_nodes": road.n_nodes,
-        "road_edges": road.n_edges,
-        "power_nodes": len(power),
-        "power_edges": len(power_edges),
-        "depots": len(net.depots),
-        "damaged": len(net.damaged),
-    }
     print(f"wrote {out_path}")
-    print(
-        "network: {road_nodes} road nodes / {road_edges} road edges, "
-        "{power_nodes} power nodes / {power_edges} power edges, "
-        "{depots} depot(s), {damaged} damaged node(s)".format(**summary)
-    )
-    _write_manifest(out_dir, manifest, "build-network", inputs, [args.output])
-    return EXIT_OK
+    print(f"network: {road.n_nodes} road nodes / {road.n_edges} road edges, "
+          f"{len(power)} power nodes / {len(power_edges)} power edges, "
+          f"{len(net.depots)} depot(s), {len(net.damaged)} damaged node(s)")
+    return EXIT_OK, inputs, [args.output]
 
 
-def cmd_gen_scenarios(args, config: PipelineConfig) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _read_manifest(out_dir, args.seed, config)
+def cmd_gen_scenarios(args, config: PipelineConfig, out_dir: Path):
     net = fileio.read_network_file(args.network)
     events = []
     inputs = [args.network]
@@ -306,9 +290,7 @@ def cmd_gen_scenarios(args, config: PipelineConfig) -> int:
         events = fileio.read_events_csv(args.events, config.corridor_width_m)
         inputs.append(args.events)
 
-    sset = generate_scenarios(
-        config.scenario_config(args.n_scenarios), net, events, args.seed
-    )
+    sset = generate_scenarios(config.scenario_config(args.n_scenarios), net, events, args.seed)
     out_path = out_dir / args.output
     fileio.write_scenario_file(sset, out_path)
 
@@ -316,14 +298,10 @@ def cmd_gen_scenarios(args, config: PipelineConfig) -> int:
     print(f"scenarios: {sset.n_scenarios} over {len(sset.damaged)} damaged node(s), seed {args.seed}")
     for sc in sset.scenarios:
         print(f"  scenario {sc.scenario_id}: {len(sc.failed_edges)} failed road edge(s)")
-    _write_manifest(out_dir, manifest, "gen-scenarios", inputs, [args.output])
-    return EXIT_OK
+    return EXIT_OK, inputs, [args.output]
 
 
-def cmd_solve(args, config: PipelineConfig) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _read_manifest(out_dir, args.seed, config)
+def cmd_solve(args, config: PipelineConfig, out_dir: Path):
     net = fileio.read_network_file(args.network)
     sset = fileio.read_scenario_file(args.scenarios)
 
@@ -399,17 +377,12 @@ def cmd_solve(args, config: PipelineConfig) -> int:
         {"schema": "route_validation/1", "all_passed": all_passed, "scenarios": validation},
     )
     print(f"expected route cost over scenarios: {expected_cost(plans):.3f}")
-    _write_manifest(out_dir, manifest, "solve", [args.network, args.scenarios], outputs)
     if not all_passed:
         print("route validation failed; see validation.json", file=sys.stderr)
-        return EXIT_INVALID_PLAN
-    return EXIT_OK
+    return EXIT_OK if all_passed else EXIT_INVALID_PLAN, [args.network, args.scenarios], outputs
 
 
-def cmd_schedule(args, config: PipelineConfig) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _read_manifest(out_dir, args.seed, config)
+def cmd_schedule(args, config: PipelineConfig, out_dir: Path):
     depots = fileio.read_network_file(args.network).depots  # legs come from the plans
     sset = fileio.read_scenario_file(args.scenarios)
     routes_dir = Path(args.routes_dir) if args.routes_dir else out_dir
@@ -436,20 +409,15 @@ def cmd_schedule(args, config: PipelineConfig) -> int:
     outputs += ["gantt.csv", "gantt.svg"]
     print(f"wrote {out_dir / 'gantt.csv'} and {len(charts) + 1} SVG chart(s)")
     print(f"combined makespan: {combined.makespan_h:.2f} h")
-    _write_manifest(out_dir, manifest, "schedule", inputs, outputs)
-    return EXIT_OK
+    return EXIT_OK, inputs, outputs
 
 
-def cmd_render(args, config: PipelineConfig) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _read_manifest(out_dir, args.seed, config)
+def cmd_render(args, config: PipelineConfig, out_dir: Path):
     chart = fileio.read_gantt_csv(args.gantt)
     out_path = out_dir / args.output
     fileio.write_gantt_svg(chart, out_path)
     print(f"wrote {out_path}")
-    _write_manifest(out_dir, manifest, "render", [args.gantt], [args.output])
-    return EXIT_OK
+    return EXIT_OK, [args.gantt], [args.output]
 
 
 # --- entry point -------------------------------------------------------------
@@ -511,23 +479,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = PipelineConfig.load(args.config)
         _check_flags(args)
-        return args.func(args, config)
-    except GridRestoreError as exc:
-        for classes, code in _EXIT_CODES:
-            if isinstance(exc, classes):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        print(f"error: {exc}", file=sys.stderr)  # pragma: no cover
-        return EXIT_INPUT  # pragma: no cover
-    except Exception as exc:  # a bug, not bad input: one line, no traceback
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest = _read_manifest(out_dir, args.seed, config)
+        code, inputs, outputs = args.func(args, config, out_dir)
+        _write_manifest(out_dir, manifest, args.command, inputs, outputs)
+        return code
+    except Exception as exc:
+        code = next(_EXIT_OF[cls] for cls in type(exc).__mro__ if cls in _EXIT_OF)
+        if code == EXIT_INTERNAL:  # a bug, not bad input: one line, no traceback
+            exc = f"internal: {type(exc).__name__}: {exc}"
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 if __name__ == "__main__":
     sys.exit(main())

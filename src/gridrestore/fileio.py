@@ -36,6 +36,7 @@ from .network import (
     is_int,
     is_number,
     node_key,
+    require_latitude,
     require_node_ids,
 )
 from .routing import Route, RoutePlan
@@ -322,7 +323,9 @@ def _road_from_json(obj: dict, path: str | Path) -> RoadGraph:
 def _read_csv(path: str | Path, header: Sequence[str]):
     """Yield ``(line_number, cells)``, each cell stripped, for every row that holds a
     cell that is not blank; enforce the exact expected header and the field count. A
-    byte-order mark that opens the file is skipped, as spreadsheets save one."""
+    row's line number is the physical line it starts on, counting the line breaks
+    inside quoted cells. A byte-order mark that opens the file is skipped, as
+    spreadsheets save one."""
     p = Path(path)
     width = len(header)
     with _readable(p), open(p, newline="", encoding="utf-8-sig") as fh:
@@ -335,7 +338,9 @@ def _read_csv(path: str | Path, header: Sequence[str]):
             raise SchemaError(
                 f"{p}:1: expected header {','.join(header)!r}, got {','.join(first)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num  # the line the previous row ends on
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             cells = list(map(str.strip, row))
             if not any(cells):
                 continue
@@ -352,9 +357,17 @@ def _parse_int(text: str, column: str, path, lineno: int) -> int:
         raise SchemaError(f"{path}:{lineno}: bad {column} value {text!r}") from None
 
 
+def _latitude(text: str, path, lineno: int) -> float:
+    """A CSV cell as a latitude (``require_latitude``); a SchemaError naming
+    ``path:lineno`` otherwise."""
+    try:
+        return require_latitude(_parse_number(text, "lat", "{}:{}", path, lineno), "lat")
+    except ValueError as exc:
+        raise SchemaError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_road_nodes_csv(path: str | Path) -> list[tuple[NodeId, float, float]]:
-    return [(node, _parse_number(lat, "lat", "{}:{}", path, lineno),
-             _parse_number(lon, "lon", "{}:{}", path, lineno))
+    return [(node, _latitude(lat, path, lineno), _parse_number(lon, "lon", "{}:{}", path, lineno))
             for lineno, (node, lat, lon) in _read_csv(path, ("node_id", "lat", "lon"))]
 
 

@@ -114,9 +114,19 @@ def require_finite(value: float, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
+def require_latitude(value: float, what: str) -> float:
+    """``value`` as a float; ValueError naming ``what`` unless it is a finite number in
+    [-90, 90]. A longitude has no range: every formula is periodic in it."""
+    lat = require_finite(value, what)
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"{what} must be in [-90, 90], got {value!r}")
+    return lat
+
+
 @dataclass(frozen=True)
 class RoadGraph:
-    """Undirected road network: nodes carry (lat, lon), edges carry meters.
+    """Undirected road network: nodes carry (lat, lon), edges carry meters. A latitude
+    lies in [-90, 90] (``require_latitude``), and a longitude is any finite number.
 
     Every node id is an int or a str (``is_node_id``), and an edge names its
     endpoints by those ids: an equal value of another type (``True`` or
@@ -152,8 +162,9 @@ class RoadGraph:
         for nid, lat, lon in self.nodes:
             if nid in rows:
                 raise ValueError(f"duplicate node_id {nid!r}")
-            if not (type(lat) is float and type(lon) is float and math.isfinite(lat + lon)):
-                lat = require_finite(lat, f"node {nid!r}: lat")
+            if not (type(lat) is float and type(lon) is float and -90.0 <= lat <= 90.0
+                    and math.isfinite(lon)):
+                lat = require_latitude(lat, f"node {nid!r}: lat")
                 lon = require_finite(lon, f"node {nid!r}: lon")
             rows[nid] = (nid, lat, lon)
         require_node_ids(rows, "node id")
@@ -388,8 +399,8 @@ class CompleteGraph:
     and among equally near ones to the smallest position. The path therefore
     depends on the graph and on which terminal is listed first, not on the
     order in which a search settled the nodes. Each pair's path is kept once
-    built, as ``_orders`` and ``_routes`` keep what ``routing.solve_routing``
-    solved over this graph.
+    built, as ``_orders`` keeps what ``routing.solve_routing`` solved over this
+    graph.
     """
 
     terminals: tuple[NodeId, ...]
@@ -404,7 +415,6 @@ class CompleteGraph:
     _dist_m: np.ndarray = field(init=False, repr=False)
     _paths: dict = field(init=False, repr=False, default_factory=dict)
     _orders: dict = field(init=False, repr=False, default_factory=dict)
-    _routes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.terminals)

@@ -469,27 +469,21 @@ def solve_routing(inst: RoutingInstance, scenario_id: int, *,
     ``SOLVE_NODE_CAP`` required nodes per crew).
 
     Each problem's optimal order and depots are kept on ``inst.complete`` by
-    (depots, problem), and each crew's Route by (depots, crew, rate with its
-    sign, problem), for every later call over that closure: a caller that
-    keeps a closure keeps one of each per distinct key. ``ahead`` names
-    problems that later calls over it with these depots will pose: they are
-    solved now, from the same tables as this scenario's own.
+    (depots, problem), for every later call over that closure: a caller that
+    keeps a closure solves each distinct problem once. ``ahead`` names problems
+    that later calls over it with these depots will pose: they are solved now,
+    from the same tables as this scenario's own.
     """
-    orders, routes, depots = inst.complete._orders, inst.complete._routes, inst.depots
+    orders, depots = inst.complete._orders, inst.depots
     problems = crew_problems(inst.required, inst.cost_rate_per_m)
     pending = [p for p in dict.fromkeys([*problems.values(), *ahead]) if (depots, p) not in orders]
     if pending:
         orders.update(((depots, p), answer) for p, answer in _solve_problems(inst, pending).items())
     plan_routes = {}
     for k, problem in problems.items():
-        # a rate of -0.0 writes -0.0 leg costs, so the key keeps the rate's sign
-        key = depots, k, float(inst.rate(k)).hex(), problem
-        route = routes.get(key)
-        if route is None:
-            if (depots, problem) not in orders:  # over the cap or unreachable
-                _refuse(inst, k)
-            route = routes[key] = _route_from_order(inst, k, *orders[depots, problem])
-        plan_routes[k] = route
+        if (depots, problem) not in orders:  # over the cap or unreachable
+            _refuse(inst, k)
+        plan_routes[k] = _route_from_order(inst, k, *orders[depots, problem])
     plan = RoutePlan(scenario_id, plan_routes)
     if not math.isfinite(plan.total_cost):
         raise NumericOverflowError(f"stage 2: scenario {scenario_id}: route cost",

@@ -25,6 +25,7 @@ from .network import (
     is_int,
     node_key,
     require_finite,
+    require_latitude,
     require_node_ids,
 )
 
@@ -82,7 +83,7 @@ def default_crews(hourly_costs: Sequence[float] | None = None) -> tuple[CrewType
 
 @dataclass(frozen=True)
 class TornadoEvent:
-    """A tornado track: EF rating, path endpoints in degrees, corridor width."""
+    """A tornado track: EF rating, path endpoints as (lat, lon) in degrees, corridor width."""
 
     ef_rating: int
     path_start: tuple[float, float]
@@ -95,6 +96,7 @@ class TornadoEvent:
         for name in ("path_start", "path_end"):
             for x in getattr(self, name):
                 require_finite(x, name)
+            require_latitude(getattr(self, name)[0], f"{name} latitude")
         if require_finite(self.corridor_width_m, "corridor_width_m") <= 0:
             raise ValueError("corridor_width_m must be > 0")
 

@@ -1,6 +1,7 @@
 """End-to-end pipeline: artifacts, summaries, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import gc
 import json
 import logging
@@ -13,7 +14,7 @@ import xml.dom.minidom
 
 import pytest
 
-from gridrestore import cli, default_crews, fileio, load_road_network, routing
+from gridrestore import cli, default_crews, errors, fileio, load_road_network, routing
 from gridrestore.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -102,6 +103,12 @@ def fixture_dir(tmp_path):
     root.mkdir()
     write_grid_fixture(root)
     return root
+
+
+def _road_csvs(fixture_dir, flags):
+    """Each of ``--road-nodes``/``--road-edges`` in ``flags`` with its fixture file."""
+    return [arg for flag in flags
+            for arg in (flag, str(fixture_dir / f"{flag[2:].replace('-', '_')}.csv"))]
 
 
 class TestBuildNetwork:
@@ -221,6 +228,72 @@ class TestBuildNetwork:
             assert named in capsys.readouterr().err, (length, load)
 
 
+    @pytest.mark.parametrize("road_flags", [[], ["--road-nodes"], ["--road-edges"]],
+                             ids=["none", "nodes-only", "edges-only"])
+    def test_no_road_input_exits_input(self, fixture_dir, tmp_path, capsys, road_flags):
+        out = tmp_path / "out"
+        code = main(["--out-dir", str(out), "build-network", *_road_csvs(fixture_dir, road_flags),
+                     "--power", str(fixture_dir / "power.csv"), "--depots", "r0c0"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: build-network: provide --road or both --road-nodes and --road-edges\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("csvs", [["--road-nodes", "--road-edges"], ["--road-nodes"],
+                                      ["--road-edges"]], ids=["both", "nodes", "edges"])
+    def test_road_with_road_csvs_exits_input(self, fixture_dir, tmp_path, capsys, csvs):
+        road = load_road_network(fileio.read_road_nodes_csv(fixture_dir / "road_nodes.csv"),
+                                 fileio.read_road_edges_csv(fixture_dir / "road_edges.csv"))
+        fileio.write_road_graph_json(road, tmp_path / "road.json")
+        out = tmp_path / "out"
+        code = main(["--out-dir", str(out), "build-network", "--road", str(tmp_path / "road.json"),
+                     *_road_csvs(fixture_dir, csvs),
+                     "--power", str(fixture_dir / "power.csv"), "--depots", "r0c0"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == ("error: build-network: --road cannot be combined "
+                                           "with --road-nodes/--road-edges\n")
+        assert list(out.iterdir()) == []
+
+    def test_road_node_latitude_out_of_range_exits_input(self, tmp_path, capsys):
+        (tmp_path / "rn.csv").write_text("node_id,lat,lon\nb,32.0,-97.0\na,120.0,-97.0\n")
+        (tmp_path / "re.csv").write_text("u,v,length_m\na,b,100\n")
+        (tmp_path / "p.csv").write_text("bus_id,x,y,downstream_load_kw,kind\n"
+                                        "b1,-97.0,32.0,5,line\n")
+        code = main(["--out-dir", str(tmp_path / "out"), "build-network",
+                     "--road-nodes", str(tmp_path / "rn.csv"),
+                     "--road-edges", str(tmp_path / "re.csv"),
+                     "--power", str(tmp_path / "p.csv"), "--depots", "b"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'rn.csv'}:3: lat must be in [-90, 90], got 120.0\n")
+        assert not (tmp_path / "out" / "network.json").exists()
+
+    def test_road_node_latitude_at_the_poles_accepted(self, tmp_path):
+        (tmp_path / "rn.csv").write_text("node_id,lat,lon\nn,90,0\ns,-90.0,0\n")
+        (tmp_path / "re.csv").write_text("u,v,length_m\nn,s,20015087\n")
+        (tmp_path / "p.csv").write_text("bus_id,x,y,downstream_load_kw,kind\n"
+                                        "b1,500.0,89.0,5,line\n")
+        assert main(["--out-dir", str(tmp_path / "out"), "build-network",
+                     "--road-nodes", str(tmp_path / "rn.csv"),
+                     "--road-edges", str(tmp_path / "re.csv"),
+                     "--power", str(tmp_path / "p.csv"), "--depots", "s"]) == EXIT_OK
+        net = fileio.read_network_file(tmp_path / "out" / "network.json")
+        assert net.power_to_road == {"b1": "n"}  # a longitude of 500 is periodic
+
+    def test_bus_projected_past_a_pole_names_bus_and_offset(self, fixture_dir, tmp_path,
+                                                            capsys):
+        out = tmp_path / "out"
+        code = main(["--out-dir", str(out), "build-network",
+                     "--road-nodes", str(fixture_dir / "road_nodes.csv"),
+                     "--road-edges", str(fixture_dir / "road_edges.csv"),
+                     "--power", str(fixture_dir / "power.csv"),
+                     "--offset-x", "-97.0", "--offset-y", "100", "--depots", "r0c0"])
+        assert code == EXIT_INPUT
+        bus = fileio.read_power_nodes_csv(fixture_dir / "power.csv")[0]
+        assert capsys.readouterr().err == ("error: bus 'bus0': y + --offset-y must be in "
+                                           f"[-90, 90], got {bus.local_y + 100.0!r}\n")
+        assert list(out.iterdir()) == []
+
 def _row(rows, n):
     rows[0] = rows[0][:n]
 
@@ -241,9 +314,13 @@ def _row(rows, n):
      "edge (1.5, 'r0c1') references unknown node 1.5"),
     ("road", lambda o: o["edges"][0].__setitem__(2, "0.000"),
      "edge ('r0c0', 'r0c1') has non-positive length 0.0 m"),
+    ("network", lambda o: o["road"]["nodes"][1].__setitem__(1, 90.5),
+     "node 'r0c1': lat must be in [-90, 90], got 90.5"),
+    ("road", lambda o: o["nodes"][2].__setitem__(1, -120),
+     "node 'r0c2': lat must be in [-90, 90], got -120"),
 ], ids=["no-road", "node-row", "depots-int", "power-pair", "load-pair", "damaged-off-road",
         "dangling-edge", "zero-length-edge", "road-graph-node-row", "road-graph-dangling-edge",
-        "road-graph-zero-length-edge"])
+        "road-graph-zero-length-edge", "lat-out-of-range", "road-graph-lat-out-of-range"])
 def test_malformed_network_files_exit_input(fixture_dir, tmp_path, capsys, kind, tamper, named):
     """A malformed coupled_network/1 or road_graph/1 exits 3 naming the file."""
     out = tmp_path / "out"
@@ -355,6 +432,25 @@ class TestGenScenarios:
         assert main(run_steps[1]) == EXIT_OK
         digest_b = capsys.readouterr().out
         assert digest_a.splitlines()[-4:] == digest_b.splitlines()[-4:]
+
+    @pytest.mark.parametrize("row, problem", [
+        ("2,95,-97.0,32.9,-96.98,900", "path_start latitude must be in [-90, 90], got 95.0"),
+        ("2,32.9,-97.0,-90.01,-96.98,900",
+         "path_end latitude must be in [-90, 90], got -90.01"),
+    ], ids=["start", "end"])
+    def test_event_track_past_a_pole_exits_input(self, fixture_dir, tmp_path, capsys, row,
+                                                 problem):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        events = tmp_path / "events.csv"
+        events.write_text(f"ef,start_lat,start_lon,end_lat,end_lon,width_m\n"
+                          f"2,32.905,-97.001,32.915,-96.981,900\n{row}\n")
+        before = (out / "scenarios.json").read_bytes()
+        capsys.readouterr()
+        assert main(["--out-dir", str(out), "gen-scenarios", "--network",
+                     str(out / "network.json"), "--events", str(events)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {events}:3: {problem}\n"
+        assert (out / "scenarios.json").read_bytes() == before
 
     def test_thirty_scenarios(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -485,6 +581,25 @@ def _repeated_failure_sets(fixture_dir, tmp_path):
 
 
 class TestSolveAndSchedule:
+    def test_failed_validation_exits_invalid_plan_and_is_recorded(self, fixture_dir, tmp_path,
+                                                                  monkeypatch, capsys):
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        del manifest["commands"]["solve"]
+        (out / "run_manifest.json").write_text(json.dumps(manifest))
+        failed = routing.ValidationReport({"mtz": ("crew 0: planted",)})
+        monkeypatch.setattr(cli, "validate_routes", lambda plan, inst, checked: failed)
+        capsys.readouterr()
+        assert main(["--out-dir", str(out), "--seed", "42", "solve",
+                     "--network", str(out / "network.json"),
+                     "--scenarios", str(out / "scenarios.json")]) == EXIT_INVALID_PLAN
+        assert capsys.readouterr().err == "route validation failed; see validation.json\n"
+        assert json.loads((out / "validation.json").read_text())["all_passed"] is False
+        solve = json.loads((out / "run_manifest.json").read_text())["commands"]["solve"]
+        assert solve["outputs"][:2] == ["allocation.json", "routes_s0.json"]
+        assert set(solve["inputs"]) == {"network.json", "scenarios.json"}
+
     def test_full_pipeline_artifacts(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         run_pipeline(fixture_dir, out)
@@ -1401,10 +1516,60 @@ class TestConfigFile:
             assert named in err, bad
 
     def test_every_field_has_a_rule(self):
-        assert set(cli._CONFIG_FIELDS) == set(cli.PipelineConfig.__dataclass_fields__)
+        config = cli.PipelineConfig()
+        for f in dataclasses.fields(config):
+            kind, in_range, wanted = f.metadata["rule"]
+            assert kind in (int, float, list) and callable(in_range) and wanted, f.name
+            # every default passes its own rule, or is the null the rule then admits
+            value = getattr(config, f.name)
+            assert value is None or cli._fits(value, kind, in_range), f.name
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config file\n", 1)[1].split("\n### ", 1)[0]
+        listed = {}
+        for line in table.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or not cells[0].startswith("`"):
+                continue  # prose, the header or the rule under it
+            keys = [key.strip(" `") for key in cells[0].split(",")]
+            defaults = json.loads(f"[{cells[1]}]")  # one default may stand for all keys
+            assert len(defaults) in (1, len(keys)), line
+            listed.update(zip(keys, defaults * (len(keys) // len(defaults))))
+        assert listed == dataclasses.asdict(cli.PipelineConfig())
+
+    def test_exit_doc_text(self):
+        assert cli.EXIT_DOC == """exit codes:
+  0  success
+  2  usage error
+  3  input parse/validation error
+  4  no damaged nodes
+  5  unbounded allocation objective (message suggests a scale factor)
+  6  unreachable node or route leg
+  7  required-node count exceeds the exact solver cap
+  8  invalid route plan / non-positive speed
+  9  internal error
+"""
+
+    def test_every_error_class_exits_with_its_code(self, tmp_path, monkeypatch, capsys):
+        want = {errors.NoDamagedNodesError: 4, errors.UnboundedObjectiveError: 5,
+                errors.NodeUnreachableError: 6, errors.UnreachableArcError: 6,
+                errors.TooManyNodesError: 7, errors.InvalidPlanError: 8,
+                errors.NonPositiveSpeedError: 8, KeyError: 9, ValueError: 9}
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.GridRestoreError)]
+        assert len(classes) > 15
+        for cls in classes + [KeyError, ValueError]:
+            def raising(args, config, out_dir, cls=cls):
+                raise cls.__new__(cls)
+
+            monkeypatch.setattr(cli, "cmd_render", raising)
+            code = main(["--out-dir", str(tmp_path), "render", "--gantt", "gantt.csv"])
+            assert code == want.get(cls, EXIT_INPUT), cls
+            assert capsys.readouterr().err.startswith("error: "), cls
 
     def test_unexpected_exception_exits_internal(self, tmp_path, monkeypatch, capsys):
-        def boom(args, config):
+        def boom(args, config, out_dir):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "cmd_render", boom)

@@ -471,6 +471,28 @@ class TestCsvIngestion:
         with pytest.raises(SchemaError, match=r"nodes\.csv:3"):
             fileio.read_road_nodes_csv(path)
 
+    @pytest.mark.parametrize("name, row", [("road_nodes", '"a\nb",35.0,-97.0'),
+                                           ("gantt", '0,"a\nb",1,0.0000,2.5000')])
+    def test_line_numbers_count_quoted_line_breaks(self, tmp_path, name, row):
+        # the quoted id spans lines 2-3, so the bad row after it is on line 4
+        read, header, good, numeric = CSV_READERS[name]
+        cells = good.split(",")
+        cells[header.split(",").index(numeric[-1])] = "oops"
+        path = tmp_path / f"{name}.csv"
+        assert _csv_error(read, path, f"{header}\n{row}\n{','.join(cells)}\n") == (
+            f"{path}:4: bad {numeric[-1]} 'oops'")
+        assert _csv_error(read, path, f"{header}\n{row}\n\n{good},x\n") == (
+            f"{path}:5: expected {len(cells)} fields, got {len(cells) + 1}")
+
+    def test_road_csv_latitude_outside_the_poles_named(self, tmp_path):
+        path = tmp_path / "nodes.csv"
+        for bad in ("90.01", "-91", "1e5"):
+            assert _csv_error(fileio.read_road_nodes_csv, path,
+                              f"node_id,lat,lon\na,32.0,-97.0\nb,{bad},-97.0\n") == (
+                f"{path}:3: lat must be in [-90, 90], got {float(bad)!r}")
+        path.write_text("node_id,lat,lon\nn, 90 ,720\ns,-90,-97.0\n")
+        assert fileio.read_road_nodes_csv(path) == [("n", 90.0, 720.0), ("s", -90.0, -97.0)]
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "nodes.csv"
         path.write_text("id,lat,lon\na,32.0,-97.0\n")
@@ -661,6 +683,7 @@ class TestCsvValueErrors:
         ("power", "bus1,0,0,-5,line", "bus 'bus1': downstream_load_kw must be >= 0"),
         ("events", "7,32,-97,32,-96,100", "ef_rating must be in 0..5, got 7"),
         ("events", "2,32,-97,32,-96,-1", "corridor_width_m must be > 0"),
+        ("events", "2,-95,-97,32,-96,100", "path_start latitude must be in [-90, 90], got -95.0"),
         ("gantt", "0,a,1,3.0,2.0", "finish_h must be >= start_h"),
     ])
     def test_value_error_named(self, tmp_path, name, row, problem):

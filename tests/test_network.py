@@ -146,6 +146,15 @@ class TestLoadRoadNetwork:
             with pytest.raises(NonPositiveLengthError, match="length_m must be finite"):
                 load_road_network(NODES3, [("a", "b", bad)])
 
+    def test_latitude_outside_the_poles_named(self):
+        for bad in (90.000001, -90.5, 120, 1e300):
+            with pytest.raises(ValueError) as raised:
+                RoadGraph((NODES3[0], ("b", bad, -97.0)), ())
+            assert str(raised.value) == f"node 'b': lat must be in [-90, 90], got {bad!r}"
+        # the poles themselves, and any finite longitude, are accepted
+        road = RoadGraph((("n", 90.0, 540.0), ("s", -90, -1e6)), ())
+        assert road.coord("n") == (90.0, 540.0) and road.coord("s") == (-90, -1e6)
+
     def test_coordinate_that_is_not_a_number_named(self):
         for bad in (True, "32.0", None):
             with pytest.raises(ValueError, match="node 'b': lat must be a number"):

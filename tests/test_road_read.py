@@ -6,8 +6,10 @@ give exactly what the per-edge ``node_key`` / ``_finite`` versions below give:
 the same normalized tables, node positions and adjacency, and the same
 exception type and message for every bad input. The exceptions are a
 string coordinate, which the reference parsed and the reader now refuses
-(``EXPECTED``), and a length whose millimetres overflow, which the reference
-let through to an OverflowError and the reader now names (``EXPECTED_LENGTH``). ``read_network_file`` pauses the cyclic garbage collector
+(``EXPECTED``); a length whose millimetres overflow, which the reference let
+through to an OverflowError and the reader now names; and a latitude outside
+[-90, 90], which the reference accepted and ``RoadGraph`` now refuses (both
+``EXPECTED_GRAPH``). ``read_network_file`` pauses the cyclic garbage collector
 and must leave its state as it found it.
 """
 
@@ -249,6 +251,7 @@ DOCUMENTS = {
     "lat-string-nan": with_node(1, ["b", "nan", -97.0]),
     "lat-null": with_node(1, ["b", None, -97.0]),
     "lat-huge-sum": with_node(1, ["b", 1e308, 1e308]),
+    "lat-past-pole": with_node(1, ["b", -90.5, -97.0]),
     "node-short-row": with_node(1, ["b", 32.0]),
 }
 
@@ -259,22 +262,27 @@ EXPECTED = {
 }
 
 
-# a length past what int64 millimetres hold: a NonPositiveLengthError, which
-# read_network_file reports as a malformed network
-EXPECTED_LENGTH = {
-    "length-overflows-mm": "edge ('a', 'b'): length_m must be at most 9.22337e+15, got 1e+306",
+# what RoadGraph refuses and the reference let through, each of which
+# read_network_file reports as a malformed network: a length past what int64
+# millimetres hold, and a latitude outside [-90, 90]
+EXPECTED_GRAPH = {
+    "length-overflows-mm": (NonPositiveLengthError,
+                            "edge ('a', 'b'): length_m must be at most 9.22337e+15, got 1e+306"),
+    "lat-huge-sum": (ValueError, "node 'b': lat must be in [-90, 90], got 1e+308"),
+    "lat-past-pole": (ValueError, "node 'b': lat must be in [-90, 90], got -90.5"),
 }
 
 
 def expected_outcome(name, reference, *args):
-    """The reference's outcome, or the error that ``EXPECTED`` or ``EXPECTED_LENGTH``
+    """The reference's outcome, or the error that ``EXPECTED`` or ``EXPECTED_GRAPH``
     names for ``name``."""
     if name in EXPECTED:
         return SchemaError, EXPECTED[name].format(args[-1])
-    if name in EXPECTED_LENGTH:
+    if name in EXPECTED_GRAPH:
+        error, message = EXPECTED_GRAPH[name]
         if reference is reference_read_network_file:
-            return SchemaError, f"{args[-1]}: malformed network ({EXPECTED_LENGTH[name]})"
-        return NonPositiveLengthError, EXPECTED_LENGTH[name]
+            return SchemaError, f"{args[-1]}: malformed network ({message})"
+        return error, message
     return outcome(reference, *args)
 
 

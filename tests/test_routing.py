@@ -400,8 +400,6 @@ class TestSolvedMap:
                 problem = (inst.required[k], inst.rate(k) > 0)
                 assert inst.complete._orders[inst.depots, problem] == (
                     route.depot_start, route.depot_end, route.visit_order)
-                assert inst.complete._routes[
-                    inst.depots, k, inst.rate(k).hex(), problem] is route
 
     def test_other_depots_over_one_closure_write_what_a_fresh_closure_writes(
             self, rng, tmp_path):
@@ -695,11 +693,10 @@ class TestHeldKarpTables:
         gc.collect()
         assert len(tables.built) == 3  # crew 0's set and the first ahead: one each
         assert all(ref() is None for _, _, ref in tables.built)
-        # the closure keeps only orders and depots, and the crews' Routes
+        # the closure keeps only orders and depots
         assert len(cg._orders) == 4
         for d0, d1, order in cg._orders.values():
             assert {d0, d1} <= {"d0", "d1"} and set(order) <= set(nodes)
-        assert all(type(route) is Route for route in cg._routes.values())
 
 
 def _broadcast_table(inst, positive, nodes):

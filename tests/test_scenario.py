@@ -49,6 +49,14 @@ class TestConstructorChecks:
             with pytest.raises(ValueError, match="corridor_width_m must be finite"):
                 TornadoEvent(2, (32.0, -97.0), (32.0, -96.9), bad)
 
+    def test_tornado_event_latitude_outside_the_poles_named(self):
+        for bad in (95.0, -90.5):
+            with pytest.raises(ValueError, match=r"path_start latitude must be in \[-90, 90\]"):
+                TornadoEvent(2, (bad, -97.0), (32.0, -96.9), 500.0)
+            with pytest.raises(ValueError, match=r"path_end latitude must be in \[-90, 90\]"):
+                TornadoEvent(2, (32.0, -97.0), (bad, -96.9), 500.0)
+        TornadoEvent(2, (90.0, 400.0), (-90.0, -96.9), 500.0)  # longitude is periodic
+
     def test_tornado_event_rating_is_an_integer(self):
         for bad in (True, 2.5, "2", 6):
             with pytest.raises(ValueError, match="ef_rating must be in 0..5"):
