@@ -240,17 +240,19 @@ def cmd_build_network(args, config: PipelineConfig, out_dir: Path):
     if args.road and (args.road_nodes or args.road_edges):
         raise SchemaError("build-network: --road cannot be combined with "
                           "--road-nodes/--road-edges")
-    if args.road:
-        road = fileio.read_road_graph_json(args.road)
-        inputs = [args.road]
-    elif args.road_nodes and args.road_edges:
-        road = load_road_network(
-            fileio.read_road_nodes_csv(args.road_nodes),
-            fileio.read_road_edges_csv(args.road_edges),
-        )
-        inputs = [args.road_nodes, args.road_edges]
-    else:
+    if not (args.road or args.road_nodes and args.road_edges):
         raise SchemaError("build-network: provide --road or both --road-nodes and --road-edges")
+    # reading the road and building its graph allocate many objects and make no cycles
+    with fileio.gc_paused():
+        if args.road:
+            road = fileio.read_road_graph_json(args.road)
+            inputs = [args.road]
+        else:
+            road = load_road_network(
+                fileio.read_road_nodes_csv(args.road_nodes),
+                fileio.read_road_edges_csv(args.road_edges),
+            )
+            inputs = [args.road_nodes, args.road_edges]
 
     power = fileio.read_power_nodes_csv(args.power)
     inputs.append(args.power)

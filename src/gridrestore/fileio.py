@@ -186,6 +186,14 @@ class _Encoded:
     def __init__(self, value, pad: str):
         self.text, self.pad = _encode(value, pad), pad
 
+    @classmethod
+    def of_text(cls, text: str, pad: str) -> "_Encoded":
+        """A fragment of ``text``, which the caller wrote as ``_encode`` writes a value
+        at ``pad``."""
+        fragment = cls.__new__(cls)
+        fragment.text, fragment.pad = text, pad
+        return fragment
+
 
 @contextmanager
 def _malformed(path: str | Path, what: str):
@@ -201,8 +209,9 @@ def _malformed(path: str | Path, what: str):
 
 
 @contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, and restore the caller's state on exit."""
+def gc_paused():
+    """Pause the cyclic garbage collector, and restore the caller's state on exit. A
+    reader that allocates many objects and makes no cycles runs under it."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -286,12 +295,25 @@ def _loads_kw(pairs: Sequence, path: str | Path) -> dict[NodeId, float]:
     return loads
 
 
-def _road_json(road: RoadGraph) -> dict:
-    """The ``nodes`` and ``edges`` tables that ``road_graph/1`` and ``coupled_network/1`` share."""
-    return {
-        "nodes": [[n, lat, lon] for n, lat, lon in road.nodes],
-        "edges": [[u, v, meters_str(m)] for u, v, m in road.edges],
-    }
+def _road_json(road: RoadGraph, pad: str) -> dict:
+    """The ``nodes`` and ``edges`` tables that ``road_graph/1`` and ``coupled_network/1``
+    share, each as its text at ``pad``, the pad of the dict that holds them.
+
+    Each row is written by one f-string, as ``_encode`` would write ``[id, lat, lon]``
+    and ``[u, v, meters_str(m)]``: an id as ``_encode`` writes it, a coordinate (a
+    float, ``RoadGraph``) by ``float.__repr__``, and a length's millimetres inline.
+    """
+    table = pad + "    "  # the pad of a table's rows
+    cell = table + "  "  # the pad of a row's cells
+    ids = {n: encode_basestring_ascii(n) if type(n) is str else _encode(n, cell)
+           for n, _, _ in road.nodes}
+    nodes = [f"[{cell}{ids[n]},{cell}{lat!r},{cell}{lon!r}{table}]" for n, lat, lon in road.nodes]
+    edges = [f'[{cell}{ids[u]},{cell}{ids[v]},{cell}"{mm // 1000}.{mm % 1000:03d}"{table}]'
+             for u, v, m in road.edges for mm in (round(m * 1000.0),)]  # meters_str
+    inner = pad + "  "
+    return {name: _Encoded.of_text("[" + table + ("," + table).join(rows) + inner + "]"
+                                   if rows else "[]", inner)
+            for name, rows in (("nodes", nodes), ("edges", edges))}
 
 
 def _road_from_json(obj: dict, path: str | Path) -> RoadGraph:
@@ -384,7 +406,7 @@ def read_road_graph_json(path: str | Path) -> RoadGraph:
 
 
 def write_road_graph_json(road: RoadGraph, path: str | Path) -> None:
-    write_json_artifact(path, {"schema": SCHEMA_ROAD, **_road_json(road)})
+    write_json_artifact(path, {"schema": SCHEMA_ROAD, **_road_json(road, "\n")})
 
 
 def read_power_nodes_csv(path: str | Path) -> list[PowerNode]:
@@ -450,7 +472,7 @@ def write_network_file(net: CoupledNetwork, path: str | Path) -> None:
         path,
         {
             "schema": SCHEMA_NETWORK,
-            "road": _road_json(net.road),
+            "road": _road_json(net.road, "\n  "),
             "power_to_road": _pairs(net.power_to_road),
             "depots": _ids(net.depots),
             "damaged": _ids(net.damaged),
@@ -462,7 +484,7 @@ def write_network_file(net: CoupledNetwork, path: str | Path) -> None:
 def read_network_file(path: str | Path) -> CoupledNetwork:
     # Decoding and building the road graph allocate many objects and no cycles.
     # The decoded document is freed before the collector resumes.
-    with _gc_paused():
+    with gc_paused():
         return _network_from_file(path)
 
 

@@ -15,6 +15,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -123,6 +124,15 @@ def require_latitude(value: float, what: str) -> float:
     return lat
 
 
+# the exact types of a node id that RoadGraph keeps as it is given (_canonical_index)
+_ID_TYPES = (int, str)
+
+# Up to this many millimetres, (mm / 1000.0) * 1000.0 rounds back to mm: the two
+# roundings err by at most about mm * 2**-52, under 1/4. Past it, that is not proven,
+# so RoadGraph keeps the exact millimetres of a longer edge in its adjacency.
+_ROUND_TRIP_MM = 2**50
+
+
 @dataclass(frozen=True)
 class RoadGraph:
     """Undirected road network: nodes carry (lat, lon), edges carry meters. A latitude
@@ -138,9 +148,15 @@ class RoadGraph:
     collapse to the minimum length, and the rows are sorted by position
     pair. Two graphs built from the same data therefore compare equal.
 
+    Tables that are already in that form (``_canonical_index``), as every
+    ``network.json`` holds them, are kept as given: one pass checks them, and
+    the collapse and the sorts are skipped. Any other table takes the general
+    path, which gives the same result.
+
     Each road fact is stored once: a coordinate in ``nodes``, a length in
-    ``edges``, and ``_adj`` holds, per position, the (neighbour position, mm)
-    pairs in node_key order, so by ascending position, that the searches read.
+    ``edges``. ``_adj`` holds, per position, the (neighbour position, mm)
+    pairs in node_key order, so by ascending position, that the searches
+    read; it is built from ``edges`` the first time a search asks for it.
 
     A graph derived by ``apply_road_failures`` keeps the graph it was derived
     from as ``_base``; a built graph has none. ``_bound_memo`` holds, by
@@ -153,11 +169,16 @@ class RoadGraph:
     edges: tuple[tuple[NodeId, NodeId, float], ...]
 
     _index: dict = field(init=False, repr=False, compare=False)
-    _adj: tuple = field(init=False, repr=False, compare=False)
     _base: "RoadGraph | None" = field(init=False, repr=False, compare=False)
     _bound_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_base", None)
+        object.__setattr__(self, "_bound_memo", {})
+        index = _canonical_index(self.nodes, self.edges)
+        if index is not None:
+            object.__setattr__(self, "_index", index)
+            return
         rows: dict[NodeId, tuple[NodeId, float, float]] = {}
         for nid, lat, lon in self.nodes:
             if nid in rows:
@@ -217,21 +238,22 @@ class RoadGraph:
                 "past what exact millimetre distances hold"
             )
 
-        # Walking the sorted pairs gives each node its smaller neighbours
-        # first, then its larger ones, both ascending: node_key order.
-        norm_edges: list[tuple[NodeId, NodeId, float]] = []
-        adj: list[list[tuple[int, int]]] = [[] for _ in norm_nodes]
-        for (iu, iv), mm in sorted(edge_mm.items()):
-            norm_edges.append((order[iu], order[iv], mm / 1000.0))  # mm_to_m
-            if iu != iv:  # self-loops never shorten a path
-                adj[iu].append((iv, mm))
-                adj[iv].append((iu, mm))
+        pairs = sorted(edge_mm.items())
         object.__setattr__(self, "nodes", norm_nodes)
-        object.__setattr__(self, "edges", tuple(norm_edges))
+        object.__setattr__(self, "edges", tuple([(order[iu], order[iv], mm / 1000.0)  # mm_to_m
+                                                 for (iu, iv), mm in pairs]))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        object.__setattr__(self, "_base", None)
-        object.__setattr__(self, "_bound_memo", {})
+        if edge_mm and max(edge_mm.values()) > _ROUND_TRIP_MM:
+            # a stored length might not give its millimetres back: use the exact ones
+            object.__setattr__(self, "_adj", _adjacency(
+                len(order), [(iu, iv, mm) for (iu, iv), mm in pairs]))
+
+    @cached_property
+    def _adj(self) -> tuple:
+        """Per position, the (neighbour position, mm) pairs of its edges, built on first use."""
+        index = self._index
+        return _adjacency(len(self.nodes), [(index[u], index[v], round(m * 1000.0))  # quantize_m
+                                            for u, v, m in self.edges])
 
     @property
     def n_nodes(self) -> int:
@@ -309,6 +331,81 @@ class RoadGraph:
         object.__setattr__(g, "_base", self)
         object.__setattr__(g, "_bound_memo", {})
         return g
+
+
+def _canonical_index(nodes, edges) -> dict | None:
+    """The node index of tables that ``RoadGraph`` would keep exactly as they are, or
+    None for any other tables, which then take the general path.
+
+    Such tables are tuples of 3-tuples. The node ids are ints and strs (of those very
+    types), strictly ascending in ``node_key`` order, and each node has a float
+    latitude in [-90, 90] and a finite float longitude. The edges are strictly
+    ascending by their endpoints' position pair, the smaller position first; each
+    endpoint is a node id of those types, each length is a float equal to its
+    millimetres over 1000, and the millimetres add up to at most ``MAX_ROAD_MM``. A
+    length of 1e16 m or more is left to the general path, as ``m * 1000`` could
+    overflow there. One pass checks all this, and anything it cannot decide (an
+    unhashable id, a row of another length) is left to the general path as well.
+    """
+    if type(nodes) is not tuple or type(edges) is not tuple:
+        return None
+    try:
+        strs = False
+        prev = None
+        for row in nodes:
+            if type(row) is not tuple:
+                return None
+            n, lat, lon = row
+            kind = type(n)
+            if kind is str:
+                if strs and n <= prev:
+                    return None
+                strs = True
+            elif kind is not int or strs or (prev is not None and n <= prev):
+                return None
+            if not (type(lat) is float and type(lon) is float and -90.0 <= lat <= 90.0
+                    and math.isfinite(lon)):
+                return None
+            prev = n
+        index = {row[0]: i for i, row in enumerate(nodes)}
+        position = index.get
+        size = len(nodes)
+        last = -1
+        total = 0
+        for row in edges:
+            if type(row) is not tuple:
+                return None
+            u, v, m = row
+            iu, iv = position(u), position(v)
+            if (iu is None or iv is None or iu > iv or type(u) not in _ID_TYPES
+                    or type(v) not in _ID_TYPES or type(m) is not float
+                    or not 0.0 < m < 1e16):
+                return None
+            key = iu * size + iv
+            mm = round(m * 1000.0)  # quantize_m
+            if key <= last or mm / 1000.0 != m:
+                return None
+            last = key
+            total += mm
+    except (TypeError, ValueError):
+        return None
+    return index if total <= MAX_ROAD_MM else None
+
+
+def _adjacency(size: int, rows: Sequence[tuple[int, int, int]]) -> tuple:
+    """Per position of ``size``, the (neighbour position, mm) pairs of ``rows``, each an
+    edge (iu, iv, mm) with iu <= iv, sorted by (iu, iv).
+
+    Walking the sorted pairs gives each node its smaller neighbours first, then its
+    larger ones, both ascending: node_key order. Self-loops never shorten a path and
+    are left out.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for iu, iv, mm in rows:
+        if iu != iv:
+            adj[iu].append((iv, mm))
+            adj[iv].append((iu, mm))
+    return tuple(map(tuple, adj))
 
 
 def _dangling(u, v, index: dict) -> DanglingEdgeError:
@@ -518,7 +615,8 @@ def project_power_nodes(
     Local coordinates translate into geodesic ones as lon = x + offset_x,
     lat = y + offset_y; nearest is great-circle distance, ties break toward
     the smallest node id: the first minimum, since ``road.nodes`` is in
-    ``node_key`` order.
+    ``node_key`` order. ValueError naming the bus whose latitude falls outside
+    [-90, 90] (``require_latitude``).
     """
     if road.n_nodes == 0:
         raise EmptyRoadGraphError("cannot project onto an empty road graph")
@@ -529,7 +627,7 @@ def project_power_nodes(
     mapping: dict[NodeId, NodeId] = {}
     for p in power:
         lon = p.local_x + offset_x
-        lat = p.local_y + offset_y
+        lat = require_latitude(p.local_y + offset_y, f"bus {p.bus_id!r}: local_y + offset_y")
         mapping[p.bus_id] = ids[int(haversine_m_array(lat, lon, lats, lons).argmin())]
     return mapping
 

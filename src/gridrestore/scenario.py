@@ -314,9 +314,8 @@ def select_damage(
     hit = {nodes[i][0] for i in np.flatnonzero(inside)}
 
     damaged = frozenset(hit.intersection(net.power_to_road.values()))
-    # a self-loop is no neighbour, so it never fails
-    failed = frozenset(edge_key(u, v) for u in hit for v, _ in net.road.neighbors(u)
-                       if v in hit)
+    # one scan of the edge table, whose rows are in edge_key form; a self-loop never fails
+    failed = frozenset((u, v) for u, v, _ in net.road.edges if u != v and u in hit and v in hit)
     return damaged, failed
 
 

@@ -14,7 +14,8 @@ import xml.dom.minidom
 
 import pytest
 
-from gridrestore import cli, default_crews, errors, fileio, load_road_network, routing
+from gridrestore import (cli, default_crews, errors, fileio, load_road_network, network,
+                         routing)
 from gridrestore.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -66,8 +67,15 @@ def write_grid_fixture(root, n=5, spacing_deg=0.005, n_buses=12, seed=3):
 
 
 def run_pipeline(fixture_dir, out_dir, seed=42):
+    for argv in pipeline_steps(fixture_dir, out_dir, seed):
+        code = main(argv)
+        assert code == EXIT_OK, f"step failed: {argv}"
+
+
+def pipeline_steps(fixture_dir, out_dir, seed=42):
+    """The argv of each of the four stages of a pipeline over the grid fixture."""
     common = ["--out-dir", str(out_dir), "--seed", str(seed)]
-    steps = [
+    return [
         common + [
             "build-network",
             "--road-nodes", str(fixture_dir / "road_nodes.csv"),
@@ -92,9 +100,6 @@ def run_pipeline(fixture_dir, out_dir, seed=42):
             "--scenarios", str(out_dir / "scenarios.json"),
         ],
     ]
-    for argv in steps:
-        code = main(argv)
-        assert code == EXIT_OK, f"step failed: {argv}"
 
 
 @pytest.fixture
@@ -950,6 +955,44 @@ class TestSolveAndSchedule:
                            if "  scenario 0:" in ln]
             assert [lines[s].replace(f"scenario {s}:", "scenario 0:")] == single_line
         assert len(calls) == 3 + len(order)
+
+    def test_only_solve_builds_the_road_adjacency(self, fixture_dir, tmp_path, monkeypatch):
+        # build-network, gen-scenarios and schedule never search the road, so none of
+        # them builds its adjacency; solve builds it once, for the graph it read, and
+        # every graph a scenario's failures derive from it takes it from there
+        roads, built = [], []
+        read, write, adjacency = (fileio.read_network_file, fileio.write_network_file,
+                                  network._adjacency)
+
+        def reading(path):
+            net = read(path)
+            roads.append(net.road)
+            return net
+
+        def writing(net, path):
+            roads.append(net.road)
+            write(net, path)
+
+        def counting(size, rows):
+            built.append(size)
+            return adjacency(size, rows)
+
+        monkeypatch.setattr(fileio, "read_network_file", reading)
+        monkeypatch.setattr(fileio, "write_network_file", writing)
+        monkeypatch.setattr(network, "_adjacency", counting)
+        out = tmp_path / "out"
+        for argv in pipeline_steps(fixture_dir, out):
+            roads.clear()
+            built.clear()
+            assert main(argv) == EXIT_OK
+            (road,) = roads
+            if "solve" in argv:
+                assert "_adj" in road.__dict__ and built == [road.n_nodes]
+            else:
+                assert "_adj" not in road.__dict__ and built == []
+        sset = fileio.read_scenario_file(out / "scenarios.json")
+        # graphs were derived, all from the one base graph
+        assert len({sc.failed_edges for sc in sset.scenarios} - {frozenset()}) >= 2
 
     def test_held_karp_results_kept_per_closure(self, fixture_dir, tmp_path, monkeypatch):
         out, order, scenarios = _repeated_failure_sets(fixture_dir, tmp_path)

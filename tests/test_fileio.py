@@ -394,6 +394,53 @@ class TestJsonText:
             fileio._json_text(doc)
 
 
+def _road_tables(road) -> dict:
+    """A road's ``nodes`` and ``edges`` tables as plain lists, for ``json.dumps``."""
+    return {"nodes": [[n, lat, lon] for n, lat, lon in road.nodes],
+            "edges": [[u, v, fileio.meters_str(m)] for u, v, m in road.edges]}
+
+
+def _text_roads():
+    """(label, road): roads of every id kind, an empty edge table, and coordinates that
+    print with an exponent or as -0.0."""
+    rnd = random.Random(21)
+    for kind in sorted(ID_KINDS):
+        ids = ID_KINDS[kind]
+        nodes = [(n, rnd.uniform(-90.0, 90.0), rnd.uniform(-540.0, 540.0)) for n in ids]
+        edges = [(rnd.choice(ids), rnd.choice(ids), rnd.choice((1.0, 0.0015, 1e9 / 7)))
+                 for _ in range(2 * len(ids))]
+        yield kind, load_road_network(nodes, edges)
+    yield "no-edges", load_road_network([("caf\u00e9", 1.0, 2.0), (3, 4.0, 5.0)], [])
+    yield "exponents", load_road_network(
+        [("a", 1e-05, -0.0), ("b", -2.5e-07, 1e-300), (7, 0.0, 123456789.25)],
+        [("a", "b", 1e-3), ("b", 7, 4.2e12), ("a", 7, 0.0125)])
+
+
+class TestRoadTablesText:
+    """The road tables, which ``_road_json`` writes as text, give the bytes of
+    ``json.dumps(sort_keys=True, indent=2)`` in both files that hold them."""
+
+    @pytest.mark.parametrize("label, road", list(_text_roads()),
+                             ids=[label for label, _ in _text_roads()])
+    def test_equals_json_dumps(self, label, road, tmp_path):
+        first, last = road.nodes[0][0], road.nodes[-1][0]
+        net = CoupledNetwork(road=road, power_to_road={"bus\u2603": first, 5: last},
+                             depots=[first], damaged=[last], loads_kw={last: 2.5})
+        fileio.write_network_file(net, tmp_path / "network.json")
+        expected = {"schema": fileio.SCHEMA_NETWORK, "road": _road_tables(road),
+                    "power_to_road": [[5, last], ["bus\u2603", first]], "depots": [first],
+                    "damaged": [last], "loads_kw": [[last, 2.5]]}
+        assert (tmp_path / "network.json").read_text() == json.dumps(
+            expected, sort_keys=True, indent=2) + "\n"
+        assert fileio.read_network_file(tmp_path / "network.json").road == road
+
+        fileio.write_road_graph_json(road, tmp_path / "road.json")
+        expected = {"schema": fileio.SCHEMA_ROAD, **_road_tables(road)}
+        assert (tmp_path / "road.json").read_text() == json.dumps(
+            expected, sort_keys=True, indent=2) + "\n"
+        assert fileio.read_road_graph_json(tmp_path / "road.json") == road
+
+
 class TestGanttFiles:
     def _chart(self):
         return GanttChart.from_entries([

@@ -238,6 +238,25 @@ class TestProjection:
         with pytest.raises(EmptyRoadGraphError):
             project_power_nodes([PowerNode("b", 0, 0, 0, "line")], 0, 0, road)
 
+    @pytest.mark.parametrize("local_y, offset_y", [(135.0, 0.0), (-60.0, -30.5),
+                                                   (1.5e308, 1e308)],
+                             ids=["past-north-pole", "past-south-pole", "sum-not-finite"])
+    def test_latitude_past_a_pole_names_the_bus(self, local_y, offset_y):
+        # bus0 lies at latitude 32 - offset_y + offset_y, inside the range
+        road = load_road_network(NODES3, [("a", "b", 100.0)])
+        power = [PowerNode("bus0", -97.0, 32.0 - offset_y, 5.0, "line"),
+                 PowerNode("bus1", -97.0, local_y, 5.0, "line")]
+        with pytest.raises(ValueError, match=r"^bus 'bus1': local_y \+ offset_y must be "):
+            project_power_nodes(power, 0.0, offset_y, road)
+        with pytest.raises(ValueError, match=r"^bus 'bus1': local_y \+ offset_y must be "):
+            build_coupled_network(road, power, 0.0, offset_y, ["a"])
+
+    def test_latitude_at_the_poles_snaps(self):
+        road = load_road_network(NODES3, [("a", "b", 100.0)])
+        power = [PowerNode("n", -97.0, 90.0, 5.0, "line"),
+                 PowerNode("s", -97.0, -90.0, 5.0, "line")]
+        assert project_power_nodes(power, 0.0, 0.0, road) == {"n": "c", "s": "a"}
+
     def test_matches_brute_force_nearest_neighbor(self, rng):
         road = random_road_graph(rng, 40, 20)
         power = [

@@ -11,19 +11,32 @@ through to an OverflowError and the reader now names; and a latitude outside
 [-90, 90], which the reference accepted and ``RoadGraph`` now refuses (both
 ``EXPECTED_GRAPH``). ``read_network_file`` pauses the cyclic garbage collector
 and must leave its state as it found it.
+
+Tables that are already canonical skip the general build
+(``network._canonical_index``); on every table, canonical or not, ``RoadGraph``
+must give what the general build gives.
 """
 
+import collections
 import gc
 import json
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 
-from gridrestore import CoupledNetwork, RoadGraph, fileio, load_road_network
+from gridrestore import CoupledNetwork, RoadGraph, fileio, load_road_network, network
 from gridrestore.errors import DanglingEdgeError, NonPositiveLengthError, SchemaError
-from gridrestore.network import edge_key, mm_to_m, node_key, quantize_m, require_finite
+from gridrestore.network import (
+    MAX_ROAD_MM,
+    edge_key,
+    mm_to_m,
+    node_key,
+    quantize_m,
+    require_finite,
+)
 
 
 def reference_finite(value, where, what):
@@ -356,3 +369,141 @@ class TestCollectorPausedDuringRead:
         assert gc.isenabled()
         fileio.read_network_file(network_file)
         assert seen == [False] and gc.isenabled()
+
+
+def general_outcome(nodes, edges):
+    """What ``RoadGraph(nodes, edges)`` gives on its general path, with the canonical
+    check (``network._canonical_index``) turned off."""
+    with mock.patch.object(network, "_canonical_index", lambda nodes, edges: None):
+        return outcome(RoadGraph, nodes, edges)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, RoadGraph):
+        assert_same_graph(got, want)
+    else:
+        assert got == want
+
+
+# ids by kind; bool ids are never node ids, and True equals the int id 1
+CANONICAL_IDS = {
+    "int": [-7, 0, 1, 2, 3, 10, 2**70, 99],
+    "str": ["a", "b", "n2", "n10", "", "café", "Z", "r0c9"],
+    "mixed": MIXED_IDS,
+}
+
+
+def canonical_tables(rnd, ids):
+    """A built graph's own tables, which are canonical, built from rows with a self-loop
+    and lengths that are not whole millimetres."""
+    nodes, edges = random_tables(rnd, ids)
+    edges += [(rnd.choice(nodes)[0],) * 2 + (rnd.uniform(0.5, 9.0),)]
+    edges += [(u, v, m + rnd.choice((0.0004, 0.0006, 1e-7))) for u, v, m in edges[:2]]
+    road = RoadGraph(tuple(nodes), tuple(edges))
+    return road.nodes, road.edges
+
+
+def variants(rnd, nodes, edges):
+    """(label, nodes, edges): the canonical tables, and tables that break one rule each."""
+    yield "canonical", nodes, edges
+    i = rnd.randrange(len(nodes))
+    shuffled = list(nodes)
+    rnd.shuffle(shuffled)
+    yield "shuffled-nodes", tuple(shuffled), edges
+    yield "nodes-reversed", nodes[::-1], edges
+    yield "node-rows-as-lists", tuple(map(list, nodes)), edges
+    yield "nodes-as-a-list", list(nodes), edges
+    yield "duplicate-node", nodes + (nodes[i],), edges
+    yield "bool-node", nodes[:i] + ((True, *nodes[i][1:]),) + nodes[i + 1:], edges
+    yield "int-latitude", nodes[:i] + ((nodes[i][0], 32, nodes[i][2]),) + nodes[i + 1:], edges
+    yield "latitude-past-pole", nodes[:i] + ((nodes[i][0], 90.5, -97.0),) + nodes[i + 1:], edges
+    yield "nan-longitude", nodes[:i] + ((nodes[i][0], 32.0, math.nan),) + nodes[i + 1:], edges
+    if not edges:
+        return
+    j = rnd.randrange(len(edges))
+    u, v, m = edges[j]
+
+    def with_edge(*rows):
+        return nodes, edges[:j] + rows + edges[j + 1:]
+
+    yield "reversed-endpoints", *with_edge((v, u, m))
+    yield "parallel-edge", *with_edge((u, v, m), (u, v, m + 1.0))
+    yield "self-loop", *with_edge((u, u, m), (u, v, m))
+    yield "edges-reversed", nodes, edges[::-1]
+    yield "edge-row-as-list", *with_edge([u, v, m])
+    yield "edge-row-too-long", *with_edge((u, v, m, m))
+    yield "bool-endpoint", *with_edge((True, v, m))
+    yield "float-endpoint", *with_edge((1.0, v, m))
+    yield "unknown-endpoint", *with_edge((u, "no such node", m))
+    yield "unhashable-endpoint", *with_edge((u, [v], m))
+    yield "int-length", *with_edge((u, v, 12))
+    yield "length-not-whole-mm", *with_edge((u, v, 1.0004))
+    yield "length-below-half-mm", *with_edge((u, v, 0.0004))
+    yield "length-zero", *with_edge((u, v, 0.0))
+    yield "length-negative", *with_edge((u, v, -m))
+    yield "length-nan", *with_edge((u, v, math.nan))
+    yield "length-1e306", *with_edge((u, v, 1e306))
+    yield "length-1e16", *with_edge((u, v, 1e16))
+    yield "length-at-max", *with_edge((u, v, MAX_ROAD_MM // 1000 / 1.0))
+    yield "length-past-max", *with_edge((u, v, MAX_ROAD_MM / 1000))
+    if len(edges) >= 3:
+        yield "lengths-add-past-max", nodes, tuple((a, b, 4e15) for a, b, _ in edges)
+
+
+# variants that break a rule of the canonical form whatever the tables they start from
+NEVER_CANONICAL = (
+    "nodes-reversed", "node-rows-as-lists", "nodes-as-a-list", "duplicate-node", "bool-node",
+    "int-latitude", "latitude-past-pole", "nan-longitude", "parallel-edge", "edge-row-as-list",
+    "edge-row-too-long", "bool-endpoint", "float-endpoint", "unknown-endpoint",
+    "unhashable-endpoint", "int-length", "length-not-whole-mm", "length-below-half-mm",
+    "length-zero", "length-negative", "length-nan", "length-1e306", "length-1e16",
+    "length-past-max", "lengths-add-past-max",
+)
+
+
+class TestCanonicalPath:
+    """``RoadGraph`` keeps tables that are already canonical as given, and gives on
+    every table exactly what its general path gives: the same tables, node
+    positions and adjacency, or the same error type and message. A graph it
+    builds also equals ``ReferenceRoadGraph``'s, whose adjacency holds the exact
+    millimetres of every input length."""
+
+    @pytest.mark.parametrize("kind", sorted(CANONICAL_IDS))
+    def test_same_outcome_as_the_general_path(self, kind):
+        rnd = random.Random(f"canonical-{kind}")
+        seen = collections.Counter()
+        for _ in range(60):
+            nodes, edges = canonical_tables(rnd, CANONICAL_IDS[kind])
+            for label, n, e in variants(rnd, nodes, edges):
+                got = outcome(RoadGraph, n, e)
+                assert_same_outcome(got, general_outcome(n, e))
+                fast = network._canonical_index(n, e) is not None
+                seen[label, fast] += 1
+                if fast:
+                    assert got.nodes is n and got.edges is e
+                if isinstance(got, RoadGraph) and not label.startswith("length"):
+                    assert_same_graph(got, ReferenceRoadGraph(n, e))
+        assert seen["canonical", True] == 60  # every built graph's tables are canonical
+        for label in NEVER_CANONICAL:
+            assert seen[label, False] > 0 and seen[label, True] == 0, label
+
+    def test_long_edges_keep_exact_millimetres(self):
+        # past 2**50 mm the stored length (mm / 1000.0) is not proven to give mm back;
+        # the adjacency holds the exact quantized length on either path
+        rnd = random.Random(5)
+        rows = (("a", 32.0, -97.0), ("b", 32.1, -97.0))
+        for _ in range(500):
+            m = rnd.uniform(2**49, 2**62) / 1000
+            mm = quantize_m(m)
+            for edges in ((("a", "b", m),), (("b", "a", m),)):
+                road = RoadGraph(rows, edges)
+                assert road._adj == (((1, mm),), ((0, mm),))
+                again = RoadGraph(road.nodes, road.edges)  # canonical: the stored length
+                assert network._canonical_index(again.nodes, again.edges) is not None
+                assert again._adj == road._adj
+
+    def test_adjacency_built_on_first_use_only(self):
+        road = RoadGraph((("a", 32.0, -97.0), ("b", 32.1, -97.0)), (("a", "b", 5.0),))
+        assert "_adj" not in road.__dict__
+        assert road.neighbors("a") == (("b", 5000),)
+        assert road.__dict__["_adj"] is road._adj

@@ -253,6 +253,8 @@ class TestSelectDamage:
             edges = [(ids[k], ids[k + 1], 100.0) for k in range(len(ids) - 1) if (k + 1) % side]
             edges += [(ids[k], ids[k + side], 110.0) for k in range(len(ids) - side)]
             edges += [(ids[0], ids[0], 5.0)]  # a self-loop never fails
+            edges += [(n, n, 7.0) for n in rnd.sample(ids, rnd.randint(0, side))]
+            edges += [(v, u, m + 1.0) for u, v, m in rnd.sample(edges, rnd.randint(0, side))]
             road = load_road_network(nodes, edges)
             power = [PowerNode(f"bus{k}", lon, lat, 1.0, "line")
                      for k, (_, lat, lon) in enumerate(rnd.sample(nodes, rnd.randint(1, len(nodes))))]
@@ -276,6 +278,10 @@ class TestSelectDamage:
             assert damaged == frozenset(n for n in net.power_to_road.values() if inside(n))
             assert failed == frozenset(edge_key(u, v) for u, v, _ in road.edges
                                        if u != v and inside(u) and inside(v))
+            # the rule the corridor scan replaced: each node inside, and its neighbours
+            hit = [n for n in ids if inside(n)]
+            assert failed == frozenset(edge_key(u, v) for u in hit
+                                       for v, _ in road.neighbors(u) if inside(v))
 
     def test_matches_point_to_segment_oracle(self, rng):
         a = (32.0, -97.0)
