@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -206,9 +207,13 @@ def _read_manifest(out_dir: Path, seed: int, config: PipelineConfig) -> dict:
 
 def _write_manifest(out_dir: Path, manifest: dict, command: str, inputs: list[str],
                     outputs: list[str]) -> None:
-    # inputs keyed by basename so manifests compare equal across output dirs
+    # inputs keyed by basename so manifests compare equal across output dirs; inputs
+    # whose paths differ but share a basename are keyed by their paths as given
+    names = {p: Path(p).name for p in inputs}
+    shared = Counter(names.values())
     manifest["commands"][command] = {
-        "inputs": {Path(p).name: fileio.sha256_file(p) for p in sorted(inputs)},
+        "inputs": {name if shared[name] == 1 else p: fileio.sha256_file(p)
+                   for p, name in sorted(names.items())},
         "outputs": sorted(outputs),
     }
     fileio.write_json_artifact(out_dir / "run_manifest.json", manifest)
@@ -398,16 +403,20 @@ def cmd_schedule(args, config: PipelineConfig, out_dir: Path):
         plan = fileio.read_route_plan_file(plan_path)
         inputs.append(str(plan_path))
         charts.append(build_schedule(plan, scenario, depots, speed))
-    # every chart is built, and so checked, before the first file is written
+    # every chart is built, and so checked, before the first file is written; the
+    # charts share the text of equal row counts and rows, for this call only
+    fragments = {}
     for scenario, chart in zip(sset.scenarios, charts):
         svg_name = f"gantt_s{scenario.scenario_id}.svg"
         fileio.write_gantt_svg(chart, out_dir / svg_name,
-                               title=f"Crew schedule, scenario {scenario.scenario_id}")
+                               title=f"Crew schedule, scenario {scenario.scenario_id}",
+                               fragments=fragments)
         outputs.append(svg_name)
 
     combined = combine_charts(charts)
     fileio.write_gantt_csv(combined, out_dir / "gantt.csv")
-    fileio.write_gantt_svg(combined, out_dir / "gantt.svg", title="Crew schedule, all scenarios")
+    fileio.write_gantt_svg(combined, out_dir / "gantt.svg", title="Crew schedule, all scenarios",
+                           fragments=fragments)
     outputs += ["gantt.csv", "gantt.svg"]
     print(f"wrote {out_dir / 'gantt.csv'} and {len(charts) + 1} SVG chart(s)")
     print(f"combined makespan: {combined.makespan_h:.2f} h")

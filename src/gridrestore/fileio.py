@@ -38,6 +38,7 @@ from .network import (
     node_key,
     require_latitude,
     require_node_ids,
+    sorts_like_node_key,
 )
 from .routing import Route, RoutePlan
 from .scenario import (
@@ -118,14 +119,38 @@ def _write_text(path: str | Path, text: str) -> None:
     frees every block of the old file, which is slow on filesystems mounted
     with ``discard``. The size is compared before any read, so a new file or
     one of another size is never read back.
+
+    The work is done on the descriptor, with no buffered file object around it.
+    A read or a write may move fewer bytes than asked (when a signal arrives, say),
+    so both loop until done.
     """
     data = text.encode("utf-8")
-    with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as fh:
-        if os.fstat(fh.fileno()).st_size == len(data) and fh.read() == data:
+    size = len(data)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+    try:
+        old_size = os.fstat(fd).st_size
+        if old_size == size and _read_exactly(fd, size) == data:
             return
-        fh.seek(0)
-        fh.write(data)
-        fh.truncate()
+        view = memoryview(data)
+        done = 0
+        while done < size:
+            done += os.pwrite(fd, view[done:], done)
+        if old_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``'s offset, or fewer where the file ends first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
 
 def write_json_artifact(path: str | Path, obj) -> None:
@@ -796,69 +821,91 @@ def _xml_text(value) -> str:
     return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew schedule") -> None:
+# the Gantt chart's layout: margins (left, right, top, bottom), row height, plot width
+_ML, _MR, _MT, _MB = 180.0, 24.0, 48.0, 34.0
+_ROW_H = 22.0
+_PLOT_W = 760.0
+
+
+def write_gantt_svg(chart: GanttChart, path: str | Path, title: str = "Crew schedule", *,
+                    fragments: dict | None = None) -> None:
     """Deterministic SVG rendering: one row per (node, crew), a bar per scenario.
 
-    The title and node ids are escaped as XML text."""
-    rows = sorted({(e.node_id, e.crew) for e in chart.entries},
-                  key=lambda t: (node_key(t[0]), t[1]))
-    scenario_ids = sorted({e.scenario_id for e in chart.entries})
-    row_index = {rc: i for i, rc in enumerate(rows)}
+    The title and node ids are escaped as XML text. ``fragments`` keeps the text
+    that depends only on the row count (the frame, and the tails of the grid
+    lines and tick labels) or only on one row (its label line, by the row's index
+    and text), so charts drawn with one map share it. Every key holds all its text
+    depends on, so one map serves charts of any rows, span and title.
+    """
+    if fragments is None:
+        fragments = {}
+    entries = chart.entries
+    rows = {(e.node_id, e.crew) for e in entries}
+    if sorts_like_node_key(node for node, _ in rows):
+        rows = sorted(rows)
+    else:
+        rows = sorted(rows, key=lambda t: (node_key(t[0]), t[1]))
+    scenario_ids = sorted({e.scenario_id for e in entries})
     labels = {node: _xml_text(node) for node, _ in rows}
-    lane_of = {sid: lane for lane, sid in enumerate(scenario_ids)}
-    lane_count = max(1, len(scenario_ids))
-
-    ml, mr, mt, mb = 180.0, 24.0, 48.0, 34.0
-    row_h = 22.0
+    lane_h = (_ROW_H - 6.0) / max(1, len(scenario_ids))
     span = max(chart.makespan_h, 1e-9)
-    plot_w = 760.0
-    width = ml + plot_w + mr
-    height = mt + row_h * max(1, len(rows)) + mb
 
-    def x(t: float) -> float:
-        return ml + (t / span) * plot_w
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}" font-family="monospace" font-size="11">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<text x="{ml:.1f}" y="20" font-size="14">{_xml_text(title)}</text>',
-    ]
+    n_rows = max(1, len(rows))
+    frame = fragments.get(n_rows)
+    if frame is None:
+        frame = fragments[n_rows] = _gantt_frame(n_rows)
+    head, line_tail, tick_tail = frame
+    out = [f'{head}{_xml_text(title)}</text>']
     step = _nice_step(span)
     t = 0.0
     while t <= span + 1e-9:
-        xx = x(min(t, span))
-        out.append(
-            f'<line x1="{xx:.2f}" y1="{mt:.2f}" x2="{xx:.2f}" '
-            f'y2="{height - mb:.2f}" stroke="#dddddd"/>'
-        )
-        out.append(
-            f'<text x="{xx:.2f}" y="{height - mb + 14:.2f}" text-anchor="middle">{t:g}h</text>'
-        )
+        xx = f"{_ML + (min(t, span) / span) * _PLOT_W:.2f}"
+        out.append(f'<line x1="{xx}" y1="{_MT:.2f}" x2="{xx}{line_tail}')
+        out.append(f'<text x="{xx}{tick_tail}{t:g}h</text>')
         t += step
-    for (node, crew), idx in row_index.items():
-        y0 = mt + idx * row_h
+    row_of = {}  # (node, crew) -> (the top of the row's first lane, the row's text)
+    for idx, (node, crew) in enumerate(rows):
+        text = f"{labels[node]} crew{crew}"
+        line = fragments.get((idx, text))
+        if line is None:
+            line = fragments[idx, text] = (
+                f'<text x="{_ML - 8:.1f}" y="{_MT + idx * _ROW_H + _ROW_H * 0.7:.2f}" '
+                f'text-anchor="end">{text}</text>')
+        out.append(line)
+        row_of[node, crew] = (_MT + idx * _ROW_H + 3.0, text)
+    lanes = {sid: (lane * lane_h, _PALETTE[sid % len(_PALETTE)])
+             for lane, sid in enumerate(scenario_ids)}
+    bar_h = f"{max(lane_h - 1.0, 1.0):.2f}"
+    ml, plot_w = _ML, _PLOT_W  # as locals, for the loop over every bar
+    for e in entries:
+        top, text = row_of[e.node_id, e.crew]
+        offset, color = lanes[e.scenario_id]
+        x0 = ml + (e.start_h / span) * plot_w
+        bar_w = max(ml + (e.finish_h / span) * plot_w - x0, 0.5)
         out.append(
-            f'<text x="{ml - 8:.1f}" y="{y0 + row_h * 0.7:.2f}" '
-            f'text-anchor="end">{labels[node]} crew{crew}</text>'
-        )
-    lane_h = (row_h - 6.0) / lane_count
-    for e in chart.entries:
-        idx = row_index[(e.node_id, e.crew)]
-        lane = lane_of[e.scenario_id]
-        y0 = mt + idx * row_h + 3.0 + lane * lane_h
-        color = _PALETTE[e.scenario_id % len(_PALETTE)]
-        bar_w = max(x(e.finish_h) - x(e.start_h), 0.5)
-        out.append(
-            f'<rect x="{x(e.start_h):.2f}" y="{y0:.2f}" width="{bar_w:.2f}" '
-            f'height="{max(lane_h - 1.0, 1.0):.2f}" fill="{color}">'
-            f'<title>s{e.scenario_id} {labels[e.node_id]} crew{e.crew}: '
+            f'<rect x="{x0:.2f}" y="{top + offset:.2f}" width="{bar_w:.2f}" '
+            f'height="{bar_h}" fill="{color}"><title>s{e.scenario_id} {text}: '
             f'{e.start_h:.2f}-{e.finish_h:.2f}h</title></rect>'
         )
     for lane, sid in enumerate(scenario_ids):
-        color = _PALETTE[sid % len(_PALETTE)]
-        lx = ml + 110.0 * lane
-        out.append(f'<rect x="{lx:.1f}" y="30" width="10" height="10" fill="{color}"/>')
+        lx = _ML + 110.0 * lane
+        out.append(f'<rect x="{lx:.1f}" y="30" width="10" height="10" '
+                   f'fill="{lanes[sid][1]}"/>')
         out.append(f'<text x="{lx + 14:.1f}" y="39">scenario {sid}</text>')
-    out.append("</svg>")
-    _write_text(path, "\n".join(out) + "\n")
+    out.append("</svg>\n")
+    _write_text(path, "\n".join(out))
+
+
+def _gantt_frame(n_rows: int) -> tuple[str, str, str]:
+    """The text of a chart of ``n_rows`` rows that depends on nothing else: its head up
+    to the title's text, a grid line's tail after its second x, and a tick label's
+    tail after its x up to the label."""
+    width = _ML + _PLOT_W + _MR
+    height = _MT + _ROW_H * n_rows + _MB
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+            f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}" '
+            f'font-family="monospace" font-size="11">\n'
+            f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>\n'
+            f'<text x="{_ML:.1f}" y="20" font-size="14">')
+    return (head, f'" y2="{height - _MB:.2f}" stroke="#dddddd"/>',
+            f'" y="{height - _MB + 14:.2f}" text-anchor="middle">')

@@ -50,6 +50,12 @@ def node_key(node: NodeId):
     return (0, node)
 
 
+def sorts_like_node_key(ids: Iterable) -> bool:
+    """Whether ``ids`` are all ints or all strs (exact types, so no bool): such ids sort
+    by themselves exactly as they sort by ``node_key``."""
+    return {type(node) for node in ids} in ({int}, {str})
+
+
 def edge_key(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
     """Canonical (undirected) form of an edge pair."""
     return (u, v) if node_key(u) <= node_key(v) else (v, u)

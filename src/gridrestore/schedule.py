@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import EmptyChartError, InvalidPlanError, NonPositiveSpeedError
-from .network import NodeId, is_finite_number, node_key
+from .network import NodeId, is_finite_number, node_key, sorts_like_node_key
 from .routing import RoutePlan
 from .scenario import Scenario
 
 DEFAULT_SPEED_KMH = 40.0
+
+_SCENARIO_NODE_CREW = attrgetter("scenario_id", "node_id", "crew")
 
 
 @dataclass(frozen=True)
@@ -52,11 +55,13 @@ class GanttChart:
 
     @classmethod
     def from_entries(cls, entries: Iterable[GanttEntry]) -> "GanttChart":
-        rows = tuple(
-            sorted(entries, key=lambda e: (e.scenario_id, node_key(e.node_id), e.crew))
-        )
-        span = max((e.finish_h for e in rows), default=0.0)
-        return cls(rows, span)
+        """The entries sorted by (scenario, ``node_key`` of the node, crew)."""
+        entries = list(entries)
+        if sorts_like_node_key(e.node_id for e in entries):
+            rows = sorted(entries, key=_SCENARIO_NODE_CREW)
+        else:
+            rows = sorted(entries, key=lambda e: (e.scenario_id, node_key(e.node_id), e.crew))
+        return cls(tuple(rows), max((e.finish_h for e in rows), default=0.0))
 
 
 def build_schedule(

@@ -1662,6 +1662,33 @@ class TestManifest:
             for digest in command["inputs"].values():
                 assert digest.startswith("sha256:")
 
+    def test_inputs_sharing_a_basename_each_keep_their_digest(self, fixture_dir, tmp_path):
+        """Two inputs named alike in two directories are keyed by their paths as given;
+        an input whose basename no other shares keeps its basename key."""
+        out = tmp_path / "out"
+        run_pipeline(fixture_dir, out)
+        network, scenarios = tmp_path / "a" / "in.json", tmp_path / "b" / "in.json"
+        for source, copy in ((out / "network.json", network),
+                             (out / "scenarios.json", scenarios)):
+            copy.parent.mkdir()
+            copy.write_bytes(source.read_bytes())
+        fresh = tmp_path / "fresh"
+        common = ["--out-dir", str(fresh), "--seed", "42"]
+        assert main(common + ["solve", "--network", str(network),
+                              "--scenarios", str(scenarios)]) == EXIT_OK
+        assert main(common + ["schedule", "--network", str(network),
+                              "--scenarios", str(scenarios)]) == EXIT_OK
+        commands = json.loads((fresh / "run_manifest.json").read_text())["commands"]
+        assert commands["solve"]["inputs"] == {
+            str(network): fileio.sha256_file(network),
+            str(scenarios): fileio.sha256_file(scenarios),
+        }
+        schedule = commands["schedule"]["inputs"]
+        assert schedule.pop(str(network)) == fileio.sha256_file(network)
+        assert schedule.pop(str(scenarios)) == fileio.sha256_file(scenarios)
+        assert schedule == {p.name: fileio.sha256_file(p) for p in fresh.glob("routes_s*.json")}
+        assert schedule
+
     @pytest.mark.parametrize("commands, message", [
         ([], "commands must be an object, got []"),
         (None, "missing key 'commands'"),

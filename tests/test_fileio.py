@@ -842,3 +842,57 @@ class TestWriteText:
         fileio._write_text(path, "small\n")
         assert bytes_read() - before < 1_000_000
         assert path.read_bytes() == b"small\n"
+
+
+class TestWriteTextShortIO:
+    """``_write_text`` on a descriptor whose reads and writes move fewer bytes than
+    asked, as a signal can make them: the file still ends up holding exactly the
+    text, and identical bytes still leave it untouched."""
+
+    OLD_NS = TestWriteText.OLD_NS
+
+    @pytest.fixture
+    def short_io(self, monkeypatch):
+        """Each pwrite takes at most 7 bytes, and each read returns at most 5."""
+        calls = collections.Counter()
+        pwrite, read = os.pwrite, os.read
+
+        def short_pwrite(fd, data, offset):
+            calls["pwrite"] += 1
+            return pwrite(fd, bytes(data[:7]), offset)
+
+        def short_read(fd, n):
+            calls["read"] += 1
+            return read(fd, min(n, 5))
+
+        monkeypatch.setattr(os, "pwrite", short_pwrite)
+        monkeypatch.setattr(os, "read", short_read)
+        return calls
+
+    @pytest.mark.parametrize("before", [None, "", "x" * 100, "y" * 23, "short"],
+                             ids=["new", "empty", "longer", "same-size", "shorter"])
+    def test_file_holds_exactly_the_bytes(self, tmp_path, short_io, before):
+        path = tmp_path / "a.json"
+        if before is not None:
+            path.write_text(before)
+        text = "{\n  \"é\": [10, 2, 3]\n}\n"  # 23 bytes as UTF-8
+        fileio._write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert short_io["pwrite"] == 4  # 7 + 7 + 7 + 2 bytes
+
+    def test_same_bytes_leave_the_file_untouched(self, tmp_path, short_io):
+        path = tmp_path / "a.json"
+        path.write_bytes(b"same bytes, read back five at a time\n")
+        os.utime(path, ns=(self.OLD_NS, self.OLD_NS))
+        before = os.stat(path)
+        fileio._write_text(path, "same bytes, read back five at a time\n")
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, self.OLD_NS)
+        assert short_io == {"read": 8}  # 37 bytes, five at a time
+        assert path.read_bytes() == b"same bytes, read back five at a time\n"
+
+    def test_same_size_differing_in_the_last_read_is_written(self, tmp_path, short_io):
+        path = tmp_path / "a.json"
+        path.write_bytes(b"0123456789abcdeX")
+        fileio._write_text(path, "0123456789abcdef")
+        assert path.read_bytes() == b"0123456789abcdef"

@@ -877,6 +877,18 @@ class TestNodeIdRule:
         assert all(is_node_id(v) for v in ("", "1", "é", 0, -3, 2**80))
         assert not any(is_node_id(v) for v in NON_IDS + (False, b"a", [], frozenset()))
 
+    @pytest.mark.parametrize("ids, plain", [
+        ([3, -1, 2**70, 0], True), (["b", "a10", "a9", "é", ""], True),
+        ([3, "3"], False), ([1, True], False), ([True, False], False), ([1.0, 2.0], False),
+        ([], False),
+    ])
+    def test_sorts_like_node_key(self, ids, plain):
+        """Ids of one kind sort by themselves as by node_key; the predicate says so only
+        for those."""
+        assert network.sorts_like_node_key(iter(ids)) is plain
+        if plain:
+            assert sorted(ids) == sorted(ids, key=node_key)
+
     def test_has_node_is_false_for_an_equal_non_id(self):
         road = load_road_network([(1, 32.0, -97.0), ("a", 32.1, -97.0)], [(1, "a", 5.0)])
         assert road.has_node(1) and road.has_node("a")

@@ -1,5 +1,6 @@
 """Gantt construction: precedence, durations, travel, makespan."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from gridrestore.errors import (
     InvalidPlanError,
     NonPositiveSpeedError,
 )
+from gridrestore.network import node_key
 
 import refcase
 
@@ -293,3 +295,43 @@ class TestChartInvariants:
                                inst.depots)
         scheduled = {(e.node_id, e.crew) for e in chart.entries}
         assert makespan(chart) >= max(times[key] for key in scheduled)
+
+
+class TestChartOrder:
+    """``GanttChart.from_entries`` sorts by (scenario, ``node_key`` of the node, crew),
+    stably, whatever ids the chart holds."""
+
+    @staticmethod
+    def _entries(rnd, ids, scenario_ids):
+        entries = []
+        for sid in scenario_ids:
+            for node in rnd.sample(ids, rnd.randint(1, len(ids))):
+                for crew in rnd.sample(range(4), rnd.randint(1, 4)):
+                    start = rnd.uniform(0.0, 20.0)
+                    entries.append(GanttEntry(sid, node, crew, start,
+                                              start + rnd.choice((0.0, rnd.uniform(0, 9)))))
+        return entries
+
+    @pytest.mark.parametrize("ids", [
+        [5, 40, 3, 12, 7],
+        ["r1c2", "b", "a10", "a9", "é"],
+        [3, "3", 20, "20", "a", -1, "x"],
+        [1, True, 0, False, "1", "True"],  # a bool equals an int id, node_key parts them
+    ], ids=["int", "str", "mixed", "bool"])
+    def test_combine_charts_equals_a_sort_by_node_key(self, ids):
+        rnd = random.Random(7)
+        for trial in range(20):
+            scenario_ids = rnd.sample(range(30), rnd.randint(1, 8))
+            charts = [GanttChart.from_entries(rnd.sample(entries, len(entries)))
+                      for entries in (self._entries(rnd, ids, [sid]) for sid in scenario_ids)]
+            # a scenario id charted twice keeps its charts' order among equal keys
+            charts.append(charts[0])
+            rnd.shuffle(charts)
+            given = [e for chart in charts for e in chart.entries]
+            merged = combine_charts(charts)
+            assert list(merged.entries) == sorted(
+                given, key=lambda e: (e.scenario_id, node_key(e.node_id), e.crew))
+            assert merged.makespan_h == max(e.finish_h for e in given)
+            for chart in charts:
+                assert list(chart.entries) == sorted(
+                    chart.entries, key=lambda e: (e.scenario_id, node_key(e.node_id), e.crew))
